@@ -21,18 +21,12 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, PreconditionError, TorsolError
-from .intmat import IntMatrix, analyze_matrix, matrix_from_json, rank_mod_p
-from .kernel_geometry import box_measure, enumerate_components, shift_cover, weight
+from .intmat import IntMatrix, analyze_matrix, matrix_from_json
+from .kernel_geometry import enumerate_components, shift_cover, weight
 from .measures import decompose, monte_carlo_estimate, solution_measure
 from .polytope import central_section_check
 from .rationals import format_rational
-from .removal_lab import (
-    density_search,
-    density_trend,
-    find_violating_boxes,
-    greedy_removal,
-    zero_measure_check,
-)
+from .removal_lab import density_search, density_trend, find_violating_boxes, greedy_removal
 from .discrete import kernel_elements, parametrize_kernel
 from .torus_sets import DiscreteSet, IntervalUnion, sets_from_json, sets_to_json
 
@@ -338,7 +332,7 @@ def run(spec: JobSpec, out=None) -> int:
     out = out or sys.stdout
     if spec.command not in _DISPATCH:
         raise UsageError(f"unknown command {spec.command!r}")
-    if spec.format == "csv" and spec.command != "density":
+    if spec.format == "csv" and not (spec.command == "density" and spec.trend):
         raise UsageError("csv output is only available for density trend tables")
     result = _DISPATCH[spec.command](spec)
     if isinstance(result, str):

@@ -15,8 +15,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from .errors import BadModulusError, InvalidInputError
-from .intmat import IntMatrix, rank_mod_p
-from .kernel_geometry import is_prime
+from .intmat import IntMatrix, is_prime, rank_mod_p, solve
 from .torus_sets import DiscreteSet
 
 __all__ = [
@@ -44,50 +43,23 @@ class KernelParametrization:
     coefficients: tuple[tuple[int, ...], ...]  # r x (m-r), dependent = coeff @ free mod p
 
 
-def _invert_mod_p(rows, p):
-    """Inverse of an r x r matrix mod p, or None."""
-    r = len(rows)
-    work = [[rows[i][j] % p for j in range(r)] + [1 if i == j else 0 for j in range(r)] for i in range(r)]
-    for col in range(r):
-        piv = next((i for i in range(col, r) if work[i][col] % p != 0), None)
-        if piv is None:
-            return None
-        work[col], work[piv] = work[piv], work[col]
-        inv = pow(work[col][col], p - 2, p)
-        work[col] = [(v * inv) % p for v in work[col]]
-        for i in range(r):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[col])]
-    return [[work[i][r + j] for j in range(r)] for i in range(r)]
-
-
 def parametrize_kernel(mat: IntMatrix, p: int) -> KernelParametrization:
     """Deterministic parametrization of ker L over Z_p (p prime)."""
     if not is_prime(p):
         raise BadModulusError(f"composite modulus {p}: counting works over prime fields only")
     if rank_mod_p(mat, p) != mat.rows:
         raise BadModulusError(f"matrix loses rank mod p = {p}")
-    r, m = mat.rows, mat.cols
-    dependent = None
-    inverse = None
-    for subset in combinations(range(m), r):
-        rows = [[mat.entries[i][c] for c in subset] for i in range(r)]
-        inverse = _invert_mod_p(rows, p)
-        if inverse is not None:
-            dependent = subset
+    m = mat.cols
+    for dependent in combinations(range(m), mat.rows):
+        minor = [[row[c] for c in dependent] for row in mat.entries]
+        free = tuple(c for c in range(m) if c not in dependent)
+        # M y_f = L_f for each free column f, so dependent = -sum_f y_f * free_f
+        sols = [solve(minor, [row[f] for row in mat.entries], p) for f in free]
+        if sols[0] is not None:
             break
-    free = tuple(c for c in range(m) if c not in dependent)
-    # dependent = -Minv @ L_free @ free  (mod p)
-    coeff = []
-    for i in range(r):
-        row = []
-        for f in free:
-            val = sum(inverse[i][k] * mat.entries[k][f] for k in range(r))
-            row.append((-val) % p)
-        coeff.append(tuple(row))
+    coeff = tuple(tuple((-y[i]) % p for y in sols) for i in range(mat.rows))
     return KernelParametrization(
-        p=p, free_columns=free, dependent_columns=dependent, coefficients=tuple(coeff)
+        p=p, free_columns=free, dependent_columns=dependent, coefficients=coeff
     )
 
 

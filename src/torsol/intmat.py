@@ -1,10 +1,13 @@
 """Exact integer linear algebra for the coefficient matrices of the pipeline.
 
 Everything here is computed over arbitrary-precision integers and rationals:
-rank, a saturated basis of the integer kernel lattice (in a canonical column
+a saturated basis of the integer kernel lattice (in a canonical column
 Hermite normal form so downstream output is reproducible), Smith invariants,
 the translation-invariance flag, and detection of degenerate columns whose
 deletion drops the rank.  There is no floating-point code in this module.
+
+`echelon` is the package's only row reduction, over Q or GF(p); `rank`,
+`det` and `solve` are built on it and serve every other module.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .errors import InvalidInputError, RankDeficientError
 from .rationals import int_from_json, int_to_json
@@ -22,76 +24,107 @@ __all__ = [
     "MatrixProfile",
     "DegenerateColumn",
     "analyze_matrix",
+    "echelon",
+    "rank",
+    "det",
+    "solve",
+    "is_prime",
     "rank_mod_p",
     "matrix_to_json",
     "matrix_from_json",
 ]
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    """Rank via plain Gaussian elimination over Fraction."""
-    work = [list(row) for row in rows]
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def _inverse(v, p):
+    """1/v over Q (as a Fraction, never a float) or over GF(p)."""
+    return Fraction(1) / v if p is None else pow(v, p - 2, p)
+
+
+def echelon(rows, p=None) -> tuple[list[list], list[int], int]:
+    """Row echelon form over Q (p None) or GF(p), by forward elimination.
+
+    Returns the echelon rows, the pivot column of each nonzero row, and the
+    sign (-1)^(row swaps).  Pivots are neither normalized nor cleared
+    above, so the product of the pivots times the sign is the determinant
+    of a square input.  Over GF(p) entries are reduced into [0, p); over Q
+    they stay the caller's exact ints or become Fractions.
+    """
+    if p is None:
+        work = [list(row) for row in rows]
+    else:
+        work = [[v % p for v in row] for row in rows]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((i for i in range(rank, nrows) if work[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = Fraction(1, 1) / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(nrows):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
-def _rational_nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {x : rows @ x = 0} over the rationals (RREF back-substitution)."""
-    work = [list(row) for row in rows]
-    nrows = len(work)
     pivots: list[int] = []
-    rank = 0
+    sign = 1
     for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if work[i][col] != 0), None)
+        r = len(pivots)
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if work[i][col]), None)
         if piv is None:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = Fraction(1, 1) / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(nrows):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            sign = -sign
+        top = work[r]
+        inv = _inverse(top[col], p)
+        for i in range(r + 1, nrows):
+            row = work[i]
+            if row[col]:
+                f = row[col] * inv
+                if p is None:
+                    work[i] = [a - f * b for a, b in zip(row, top)]
+                else:
+                    work[i] = [(a - f * b) % p for a, b in zip(row, top)]
         pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for i, pcol in enumerate(pivots):
-            vec[pcol] = -work[i][fcol]
-        basis.append(vec)
-    return basis
+    return work, pivots, sign
 
 
-def _primitive_integer_vector(vec: list[Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to integers with content 1."""
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    return tuple(v // g for v in ints)
+def rank(rows, p=None) -> int:
+    """Rank over Q (p None) or GF(p)."""
+    return len(echelon(rows, p)[1])
+
+
+def det(rows) -> Fraction:
+    """Determinant of a square matrix over Q."""
+    work, pivots, sign = echelon(rows)
+    if len(pivots) < len(work):
+        return Fraction(0)
+    out = Fraction(sign)
+    for i, col in enumerate(pivots):
+        out *= work[i][col]
+    return out
+
+
+def solve(rows, rhs, p=None):
+    """The unique solution of the square system rows @ x = rhs, or None if singular.
+
+    Over Q the entries are Fractions; over GF(p) ints in [0, p).
+    """
+    n = len(rows)
+    work, pivots, _ = echelon([(*row, b) for row, b in zip(rows, rhs)], p)
+    if len(pivots) < n or pivots[n - 1] != n - 1:
+        return None
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = work[i]
+        s = row[n] - sum(row[k] * x[k] for k in range(i + 1, n))
+        x[i] = Fraction(s) / row[i] if p is None else s * _inverse(row[i], p) % p
+    return tuple(x)
 
 
 @dataclass(frozen=True)
@@ -129,11 +162,11 @@ class IntMatrix:
         if m <= r:
             raise InvalidInputError(f"need more columns than rows, got {r}x{m}")
         object.__setattr__(self, "entries", rows)
-        rank = _rational_rank([[Fraction(v) for v in row] for row in rows])
-        if rank != r:
+        found = rank(rows)
+        if found != r:
             cols = tuple(range(1, r + 1))
             raise RankDeficientError(
-                f"matrix has rank {rank} < {r}; every {r}x{r} minor vanishes, "
+                f"matrix has rank {found} < {r}; every {r}x{r} minor vanishes, "
                 f"e.g. the minor on columns {cols}"
             )
 
@@ -349,13 +382,11 @@ def _degenerate_columns(mat: IntMatrix) -> tuple[DegenerateColumn, ...]:
     r, m = mat.rows, mat.cols
     found = []
     for j in range(m):
-        sub = [[Fraction(row[k]) for k in range(m) if k != j] for row in mat.entries]
-        if _rational_rank(sub) == r:
+        sub = [[row[k] for k in range(m) if k != j] for row in mat.entries]
+        if rank(sub) == r:
             continue
-        # 1-dimensional left kernel of the deleted submatrix
-        transposed = [[sub[i][k] for i in range(r)] for k in range(m - 1)]
-        basis = _rational_nullspace(transposed, r)
-        v = _primitive_integer_vector(basis[0])
+        # 1-dimensional left kernel of the deleted submatrix, saturated
+        v = tuple(_integer_kernel_basis(tuple(zip(*sub)))[0])
         ell = sum(v[i] * mat.entries[i][j] for i in range(r))
         if ell < 0:
             v = tuple(-x for x in v)
@@ -390,25 +421,7 @@ def analyze_matrix(mat: IntMatrix) -> MatrixProfile:
 
 def rank_mod_p(mat: IntMatrix, p: int) -> int:
     """Rank of the matrix with entries reduced mod p (p prime)."""
-    work = [[v % p for v in row] for row in mat.entries]
-    nrows, ncols = mat.rows, mat.cols
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((i for i in range(rank, nrows) if work[i][col] % p != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        work[rank] = [(v * inv) % p for v in work[rank]]
-        for i in range(nrows):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return rank(mat.entries, p)
 
 
 def matrix_to_json(mat: IntMatrix) -> dict:

@@ -23,8 +23,15 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
-from .intmat import IntMatrix, MatrixProfile, analyze_matrix, rank_mod_p
-from .polytope import HPolytope, _vertices_raw, enumerate_vertices, volume
+from .intmat import IntMatrix, MatrixProfile, analyze_matrix, echelon, is_prime, rank_mod_p, solve
+from .polytope import (
+    HPolytope,
+    VolumeResult,
+    _vertices_raw,
+    enumerate_vertices,
+    slice_polytope,
+    volume,
+)
 
 __all__ = [
     "KernelComponent",
@@ -34,7 +41,6 @@ __all__ = [
     "box_measure",
     "weight",
     "shift_cover",
-    "is_prime",
 ]
 
 
@@ -92,79 +98,13 @@ class WeightedShift:
     level: tuple[int, ...]
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-def _pivot_columns(mat: IntMatrix) -> list[int]:
-    """First r columns forming an invertible minor over the rationals."""
-    work = [[Fraction(v) for v in row] for row in mat.entries]
-    nrows, ncols = mat.rows, mat.cols
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, nrows) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = Fraction(1, 1) / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(nrows):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    return pivots
-
-
-def _solve_square_fraction(rows, rhs):
-    d = len(rows)
-    work = [list(rows[i]) + [rhs[i]] for i in range(d)]
-    for col in range(d):
-        piv = next((i for i in range(col, d) if work[i][col] != 0), None)
-        if piv is None:
-            return None
-        work[col], work[piv] = work[piv], work[col]
-        inv = Fraction(1, 1) / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for i in range(d):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return [work[i][d] for i in range(d)]
-
-
 def _particular_solution(mat: IntMatrix, pivots: list[int], b) -> tuple[Fraction, ...]:
     """A rational solution of Lx = b with zeros outside the pivot columns."""
-    rows = [[Fraction(mat.entries[i][c]) for c in pivots] for i in range(mat.rows)]
-    sol = _solve_square_fraction(rows, [Fraction(v) for v in b])
+    sol = solve([[row[c] for c in pivots] for row in mat.entries], b)
     x = [Fraction(0)] * mat.cols
     for c, v in zip(pivots, sol):
         x[c] = v
     return tuple(x)
-
-
-def _slice_polytope(x_rep, columns, lows, highs) -> HPolytope:
-    """{t : lows_i <= (x_rep + B t)_i <= highs_i for all i}."""
-    d = len(columns)
-    cons = []
-    for i in range(len(x_rep)):
-        row = tuple(Fraction(c[i]) for c in columns)
-        cons.append((row, Fraction(highs[i]) - x_rep[i]))
-        cons.append((tuple(-v for v in row), x_rep[i] - Fraction(lows[i])))
-    return HPolytope(d, cons)
 
 
 def _half_open_feasible(x_rep, columns) -> bool:
@@ -202,12 +142,12 @@ def enumerate_components(mat: IntMatrix, profile: MatrixProfile | None = None) -
     if profile is None:
         profile = analyze_matrix(mat)
     columns = tuple(profile.kernel_columns())
-    pivots = _pivot_columns(mat)
+    pivots = echelon(mat.entries)[1]
     comps = []
     ranges = mat.row_ranges()
     for b in product(*[range(lo, hi + 1) for lo, hi in ranges]):
         x_any = _particular_solution(mat, pivots, b)
-        poly = _slice_polytope(x_any, columns, [0] * mat.cols, [1] * mat.cols)
+        poly = slice_polytope(columns, x_any, [0] * mat.cols, [1] * mat.cols)
         verts = enumerate_vertices(poly)
         if not verts:
             continue
@@ -238,6 +178,33 @@ def enumerate_components(mat: IntMatrix, profile: MatrixProfile | None = None) -
     )
 
 
+def box_slices(decomp: KernelDecomposition, j, p: int):
+    """Yield (component, VolumeResult) for each slice the closed grid box
+    j/p + [0, 1/p]^m can meet; the result is the slice's parameter polytope
+    restricted to the box."""
+    mat = decomp.matrix
+    lj = mat.apply_int(j)
+    ranges = mat.row_ranges()
+    lows = [Fraction(v, p) for v in j]
+    highs = [Fraction(v + 1, p) for v in j]
+    for comp in decomp.components:
+        # the box can only meet the slice at p*b' = Lj + b for a level b
+        shifted = [p * bv - ljv for bv, ljv in zip(comp.level, lj)]
+        if any(not (lo <= s <= hi) for s, (lo, hi) in zip(shifted, ranges)):
+            continue
+        yield comp, volume(slice_polytope(decomp.basis_columns, comp.representative, lows, highs))
+
+
+def slice_point(decomp: KernelDecomposition, comp: KernelComponent, res: VolumeResult):
+    """The point x_b + B c of the slice, for c the centroid of res's vertices."""
+    columns = decomp.basis_columns
+    n = len(res.vertices)
+    centroid = [sum((v[k] for v in res.vertices), Fraction(0)) / n for k in range(len(columns))]
+    return tuple(
+        x + sum(c[i] * t for c, t in zip(columns, centroid)) for i, x in enumerate(comp.representative)
+    )
+
+
 def box_measure(decomp: KernelDecomposition, j, p: int) -> Fraction:
     """Normalized Haar measure of the grid box j/p + [0, 1/p)^m.
 
@@ -245,23 +212,11 @@ def box_measure(decomp: KernelDecomposition, j, p: int) -> Fraction:
     the box in full dimension): sum over slices of the parameter volume of
     {t : x_b + B t in box}, scaled by c_param.
     """
-    mat = decomp.matrix
-    m = mat.cols
+    m = decomp.matrix.cols
     j = tuple(int(v) for v in j)
     if len(j) != m or any(not (0 <= v < p) for v in j):
         raise InvalidInputError(f"box index {j} not in [0, {p})^{m}")
-    lj = mat.apply_int(j)
-    ranges = mat.row_ranges()
-    lows = [Fraction(v, p) for v in j]
-    highs = [Fraction(v + 1, p) for v in j]
-    total = Fraction(0)
-    for comp in decomp.components:
-        # the box can only meet the slice at p*b' = Lj + b for a level b
-        shifted = [p * bv - ljv for bv, ljv in zip(comp.level, lj)]
-        if any(not (lo <= s <= hi) for s, (lo, hi) in zip(shifted, ranges)):
-            continue
-        poly = _slice_polytope(comp.representative, decomp.basis_columns, lows, highs)
-        total += volume(poly).volume
+    total = sum((res.volume for _, res in box_slices(decomp, j, p)), Fraction(0))
     return total * decomp.c_param
 
 
@@ -271,43 +226,21 @@ def weight(decomp: KernelDecomposition, j, p: int) -> Fraction:
     return box_measure(decomp, j, p) * Fraction(p) ** (mat.cols - mat.rows)
 
 
-def _solvable_mod_p(cols, rhs, p: int) -> bool:
-    """Is sum_i cols[i] * x_i = rhs solvable mod p?"""
-    r = len(rhs)
-    work = [[c[i] % p for c in cols] + [rhs[i] % p] for i in range(r)]
-    ncols = len(cols)
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, r) if work[i][col] % p != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], p - 2, p)
-        work[rank] = [(v * inv) % p for v in work[rank]]
-        for i in range(r):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
-        rank += 1
-    for i in range(rank, r):
-        if work[i][ncols] % p != 0:
-            return False
-    return True
-
-
 def _lex_min_solution_mod_p(mat: IntMatrix, target, p: int) -> tuple[int, ...]:
-    """Lexicographically smallest j in [0,p)^m with L j = target (mod p)."""
+    """Lexicographically smallest j in [0,p)^m with L j = target (mod p).
+
+    Each coordinate takes the smallest value that keeps the rest solvable,
+    i.e. leaves the augmented column of the remaining system off the pivots.
+    """
     m = mat.cols
-    all_cols = [tuple(mat.entries[i][c] for i in range(mat.rows)) for c in range(m)]
     assigned: list[int] = []
     rhs = [v % p for v in target]
     for c in range(m):
-        rest = all_cols[c + 1 :]
         found = None
         for v in range(p):
-            new_rhs = [(rhs[i] - all_cols[c][i] * v) % p for i in range(mat.rows)]
-            ok = _solvable_mod_p(rest, new_rhs, p) if rest else all(x == 0 for x in new_rhs)
-            if ok:
+            new_rhs = [(b - row[c] * v) % p for b, row in zip(rhs, mat.entries)]
+            augmented = [row[c + 1 :] + (b,) for row, b in zip(mat.entries, new_rhs)]
+            if m - c - 1 not in echelon(augmented, p)[1]:
                 found = v
                 rhs = new_rhs
                 break

@@ -33,9 +33,9 @@ from .kernel_geometry import (
     box_measure,
     enumerate_components,
     shift_cover,
-    _slice_polytope,
+    slice_point,
 )
-from .polytope import HPolytope, enumerate_vertices, volume
+from .polytope import enumerate_vertices, slice_polytope, volume
 from .torus_sets import IntervalUnion
 from .discrete import solution_density
 
@@ -125,7 +125,7 @@ def _tighten(hull, row, lo, hi):
 def _component_hull(decomp: KernelDecomposition, comp):
     """Bounding box of {t : x_b + Bt in [0,1]^m} in parameter space."""
     m = decomp.matrix.cols
-    poly = _slice_polytope(comp.representative, decomp.basis_columns, [0] * m, [1] * m)
+    poly = slice_polytope(decomp.basis_columns, comp.representative, [0] * m, [1] * m)
     verts = enumerate_vertices(poly)
     if not verts:
         return None
@@ -135,49 +135,28 @@ def _component_hull(decomp: KernelDecomposition, comp):
     ]
 
 
-def _component_block_sum(decomp: KernelDecomposition, comp, blocks, want_witness=False):
-    """Sum of parameter volumes of the slice restricted to block products.
+def _component_leaves(decomp: KernelDecomposition, comp, blocks):
+    """Yield the VolumeResult of the slice restricted to each block product.
 
-    blocks[i] is the list of closed blocks [a, b] of the i-th set.  When
-    want_witness is set, returns instead an interior point of the first
-    full-dimensional restriction (or None).
+    blocks[i] is the list of closed blocks [a, b] of the i-th set; block
+    combinations whose interval hull misses the slice are pruned.  The
+    parameter volumes of the leaves sum to that of the slice inside the
+    product of the blocks.
     """
-    mat = decomp.matrix
-    m = mat.cols
+    m = decomp.matrix.cols
     columns = decomp.basis_columns
-    d = len(columns)
     x_rep = comp.representative
     rows = [tuple(Fraction(c[i]) for c in columns) for i in range(m)]
     hull0 = _component_hull(decomp, comp)
     if hull0 is None:
-        return None if want_witness else Fraction(0)
-    total = Fraction(0)
+        return
     chosen: list[tuple[Fraction, Fraction]] = []
 
-    def leaf():
-        cons = []
-        for idx in range(m):
-            lo, hi = chosen[idx]
-            cons.append((rows[idx], hi))
-            cons.append((tuple(-v for v in rows[idx]), -lo))
-        return volume(HPolytope(d, cons))
-
     def rec(i, hull):
-        nonlocal total
         if i == m:
-            res = leaf()
-            if want_witness and res.is_full_dimensional:
-                n = len(res.vertices)
-                centroid = tuple(
-                    sum((v[k] for v in res.vertices), Fraction(0)) / n for k in range(d)
-                )
-                x = tuple(
-                    x_rep[idx] + sum(rows[idx][k] * centroid[k] for k in range(d))
-                    for idx in range(m)
-                )
-                return x
-            total += res.volume
-            return None
+            lows, highs = zip(*chosen)
+            yield volume(slice_polytope(columns, x_rep, lows, highs))
+            return
         flo, fhi = _form_range(rows[i], hull)
         for a, b in blocks[i]:
             lo, hi = a - x_rep[i], b - x_rep[i]
@@ -186,17 +165,16 @@ def _component_block_sum(decomp: KernelDecomposition, comp, blocks, want_witness
             new_hull = _tighten(hull, rows[i], lo, hi)
             if new_hull is None:
                 continue
-            chosen.append((lo, hi))
-            found = rec(i + 1, new_hull)
+            chosen.append((a, b))
+            yield from rec(i + 1, new_hull)
             chosen.pop()
-            if found is not None:
-                return found
-        return None
 
-    witness = rec(0, hull0)
-    if want_witness:
-        return witness
-    return total
+    yield from rec(0, hull0)
+
+
+def _first_full_dimensional(decomp: KernelDecomposition, comp, blocks):
+    """The first leaf of the slice that is full-dimensional, or None."""
+    return next((res for res in _component_leaves(decomp, comp, blocks) if res.is_full_dimensional), None)
 
 
 def _closed_blocks(sets) -> list[list[tuple[Fraction, Fraction]]]:
@@ -225,7 +203,7 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     blocks = _closed_blocks(sets)
     total = Fraction(0)
     for comp in decomp.components:
-        total += _component_block_sum(decomp, comp, blocks)
+        total += sum((res.volume for res in _component_leaves(decomp, comp, blocks)), Fraction(0))
     value = total * decomp.c_param
 
     q = 1
@@ -391,9 +369,10 @@ def find_positive_witness(mat: IntMatrix, sets):
     decomp = enumerate_components(mat)
     blocks = _closed_blocks(sets)
     for comp in decomp.components:
-        x = _component_block_sum(decomp, comp, blocks, want_witness=True)
-        if x is None:
+        res = _first_full_dimensional(decomp, comp, blocks)
+        if res is None:
             continue
+        x = slice_point(decomp, comp, res)
         if all(s.contains(v % 1) for s, v in zip(sets, x)):
             return tuple(v % 1 for v in x)
     return None

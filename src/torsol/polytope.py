@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 from .errors import InvalidInputError, UnboundedPolytopeError
-from .intmat import IntMatrix, analyze_matrix
+from .intmat import IntMatrix, analyze_matrix, det, rank, solve
 
 __all__ = [
     "HPolytope",
@@ -25,6 +25,7 @@ __all__ = [
     "CentralSectionResult",
     "enumerate_vertices",
     "volume",
+    "slice_polytope",
     "central_section_check",
 ]
 
@@ -69,24 +70,6 @@ class CentralSectionResult:
     passes: bool
 
 
-def _solve_square(rows: list[tuple[Fraction, ...]], rhs: list[Fraction]):
-    """Solve a d x d rational system; None when singular."""
-    d = len(rows)
-    work = [list(rows[i]) + [rhs[i]] for i in range(d)]
-    for col in range(d):
-        piv = next((i for i in range(col, d) if work[i][col] != 0), None)
-        if piv is None:
-            return None
-        work[col], work[piv] = work[piv], work[col]
-        inv = Fraction(1, 1) / work[col][col]
-        work[col] = [v * inv for v in work[col]]
-        for i in range(d):
-            if i != col and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[col])]
-    return tuple(work[i][d] for i in range(d))
-
-
 def _dot(a, t) -> Fraction:
     return sum((x * y for x, y in zip(a, t)), Fraction(0))
 
@@ -102,7 +85,7 @@ def _vertices_raw(dim: int, constraints) -> list[tuple[Fraction, ...]]:
     for subset in combinations(idx, dim):
         rows = [constraints[i][0] for i in subset]
         rhs = [constraints[i][1] for i in subset]
-        t = _solve_square(rows, rhs)
+        t = solve(rows, rhs)
         if t is None:
             continue
         if all(_dot(a, t) <= c for a, c in constraints):
@@ -121,11 +104,11 @@ def _two_sided_span(P: HPolytope) -> bool:
     def canon(a):
         lcm = 1
         for v in a:
-            lcm = lcm * v.denominator // _gcd(lcm, v.denominator)
+            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
         ints = [int(v * lcm) for v in a]
         g = 0
         for v in ints:
-            g = _gcd(g, v)
+            g = gcd(g, v)
         if g == 0:
             return None, 1
         ints = [v // g for v in ints]
@@ -143,37 +126,7 @@ def _two_sided_span(P: HPolytope) -> bool:
     if not spanning:
         return False
     rows = [[Fraction(v) for v in key] for key in spanning]
-    return _frac_rank(rows) == P.dim
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _frac_rank(rows: list[list[Fraction]]) -> int:
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        piv = next((i for i in range(rank, nrows) if work[i][col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = Fraction(1, 1) / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(nrows):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return rank(rows) == P.dim
 
 
 def _recession_direction(P: HPolytope):
@@ -235,7 +188,9 @@ def _fm_feasible(dim: int, constraints) -> bool:
             if key not in seen:
                 seen.add(key)
                 cons.append((a, c))
-    return all(c >= 0 for a, c in cons if all(v == 0 for v in a)) if cons else True
+    # once every variable is eliminated all normals are zero, so each
+    # constraint was checked and dropped above
+    return True
 
 
 def enumerate_vertices(P: HPolytope) -> list[tuple[Fraction, ...]]:
@@ -268,7 +223,7 @@ def _affine_dim(points) -> int:
     rows = [[q - p for q, p in zip(v, base)] for v in points[1:]]
     if not rows:
         return 0
-    return _frac_rank(rows)
+    return rank(rows)
 
 
 def _simplices(verts, constraints, k):
@@ -302,26 +257,6 @@ def _simplices(verts, constraints, k):
     return out
 
 
-def _det(rows) -> Fraction:
-    d = len(rows)
-    work = [list(r) for r in rows]
-    det = Fraction(1)
-    for col in range(d):
-        piv = next((i for i in range(col, d) if work[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            work[col], work[piv] = work[piv], work[col]
-            det = -det
-        det *= work[col][col]
-        inv = Fraction(1, 1) / work[col][col]
-        for i in range(col + 1, d):
-            if work[i][col] != 0:
-                f = work[i][col] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return det
-
-
 def volume(P: HPolytope) -> VolumeResult:
     """Exact d-dimensional volume; 0 for lower-dimensional feasible sets."""
     verts = enumerate_vertices(P)
@@ -335,21 +270,23 @@ def volume(P: HPolytope) -> VolumeResult:
     for simplex in _simplices(verts, P.constraints, d):
         base = simplex[0]
         rows = [[q - p for q, p in zip(v, base)] for v in simplex[1:]]
-        total += abs(_det(rows))
+        total += abs(det(rows))
     vol = total / fact
     return VolumeResult(vol, tuple(verts), vol > 0)
 
 
-def section_polytope(columns: list[tuple[int, ...]], lo: Fraction, hi: Fraction) -> HPolytope:
-    """The parameter polytope {t : lo <= (B t)_i <= hi for all i}."""
-    m = len(columns[0])
-    d = len(columns)
+def slice_polytope(columns, offset, lows, highs) -> HPolytope:
+    """The parameter polytope {t : lows_i <= (offset + B t)_i <= highs_i for all i}.
+
+    columns are the columns of B; offset, lows and highs give one value per
+    coordinate i.
+    """
     cons = []
-    for i in range(m):
-        row = tuple(Fraction(col[i]) for col in columns)
-        cons.append((row, Fraction(hi)))
-        cons.append((tuple(-v for v in row), -Fraction(lo)))
-    return HPolytope(d, cons)
+    for i, x in enumerate(offset):
+        row = tuple(Fraction(c[i]) for c in columns)
+        cons.append((row, Fraction(highs[i]) - x))
+        cons.append((tuple(-v for v in row), x - Fraction(lows[i])))
+    return HPolytope(len(columns), cons)
 
 
 def central_section_check(mat: IntMatrix, kernel_columns=None) -> CentralSectionResult:
@@ -362,9 +299,10 @@ def central_section_check(mat: IntMatrix, kernel_columns=None) -> CentralSection
     if kernel_columns is None:
         kernel_columns = analyze_matrix(mat).kernel_columns()
     cols = [tuple(int(v) for v in c) for c in kernel_columns]
-    res = volume(section_polytope(cols, Fraction(-1, 2), Fraction(1, 2)))
+    m = len(cols[0])
+    res = volume(slice_polytope(cols, [0] * m, [Fraction(-1, 2)] * m, [Fraction(1, 2)] * m))
     d = len(cols)
-    gram = [[sum(cols[i][k] * cols[j][k] for k in range(len(cols[0]))) for j in range(d)] for i in range(d)]
-    gram_det = int(_det([[Fraction(v) for v in row] for row in gram]))
+    gram = [[sum(cols[i][k] * cols[j][k] for k in range(m)) for j in range(d)] for i in range(d)]
+    gram_det = int(det(gram))
     passes = res.volume * res.volume * gram_det >= 1
     return CentralSectionResult(vol_param=res.volume, gram_det=gram_det, passes=passes)

@@ -20,9 +20,8 @@ from fractions import Fraction
 from .discrete import kernel_elements, parametrize_kernel
 from .errors import InvalidInputError, PositiveMeasureError, PreconditionError
 from .intmat import IntMatrix, analyze_matrix
-from .kernel_geometry import enumerate_components, shift_cover, _slice_polytope
-from .measures import _component_block_sum, find_positive_witness, solution_measure
-from .polytope import volume
+from .kernel_geometry import box_slices, enumerate_components, shift_cover, slice_point
+from .measures import _first_full_dimensional, find_positive_witness, solution_measure
 from .torus_sets import DiscreteSet, IntervalUnion
 
 __all__ = [
@@ -84,26 +83,10 @@ def _box_witness(mat: IntMatrix, p: int, j, sets):
     """Rational interior point of the kernel inside the box at j, verified
     to lie in every (half-open) set; None when only degenerate contact."""
     decomp = enumerate_components(mat)
-    lows = [Fraction(v, p) for v in j]
-    highs = [Fraction(v + 1, p) for v in j]
-    lj = mat.apply_int(j)
-    ranges = mat.row_ranges()
-    for comp in decomp.components:
-        shifted = [p * bv - ljv for bv, ljv in zip(comp.level, lj)]
-        if any(not (lo <= s <= hi) for s, (lo, hi) in zip(shifted, ranges)):
-            continue
-        poly = _slice_polytope(comp.representative, decomp.basis_columns, lows, highs)
-        res = volume(poly)
+    for comp, res in box_slices(decomp, j, p):
         if not res.is_full_dimensional:
             continue
-        d = len(decomp.basis_columns)
-        n = len(res.vertices)
-        centroid = tuple(sum((v[k] for v in res.vertices), Fraction(0)) / n for k in range(d))
-        x = tuple(
-            comp.representative[i]
-            + sum(Fraction(c[i]) * centroid[k] for k, c in enumerate(decomp.basis_columns))
-            for i in range(mat.cols)
-        )
+        x = slice_point(decomp, comp, res)
         if all(s.contains(v % 1) for s, v in zip(sets, x)):
             return tuple(v % 1 for v in x)
     return None
@@ -193,12 +176,7 @@ def zero_measure_check(mat: IntMatrix, sets):
                 blocks.append((Fraction(0), b - 1))
         closed_blocks.append(blocks)
     decomp = enumerate_components(mat)
-    empty = True
-    for comp in decomp.components:
-        witness = _component_block_sum(decomp, comp, closed_blocks, want_witness=True)
-        if witness is not None:
-            empty = False
-            break
+    empty = all(_first_full_dimensional(decomp, comp, closed_blocks) is None for comp in decomp.components)
     return density_sets, empty
 
 
@@ -273,7 +251,8 @@ def _greedy_fill(p: int, edges_by_elem, banned, order):
     return mask
 
 
-def _exhaustive_search(p: int, edges: list[int]) -> int:
+def _conflicts(p: int, edges: list[int]):
+    """Elements banned outright (singleton edges) and, per element, the larger edges through it."""
     banned = {e.bit_length() - 1 for e in edges if e.bit_count() == 1}
     edges_by_elem = [[] for _ in range(p)]
     for e in edges:
@@ -282,6 +261,11 @@ def _exhaustive_search(p: int, edges: list[int]) -> int:
         for x in range(p):
             if e >> x & 1:
                 edges_by_elem[x].append(e)
+    return banned, edges_by_elem
+
+
+def _exhaustive_search(p: int, edges: list[int]) -> int:
+    banned, edges_by_elem = _conflicts(p, edges)
     best_mask = _greedy_fill(p, edges_by_elem, banned, range(p))
     best = [best_mask.bit_count(), best_mask]
 
@@ -303,14 +287,7 @@ def _exhaustive_search(p: int, edges: list[int]) -> int:
 
 
 def _local_search(p: int, edges: list[int], rng: random.Random) -> int:
-    banned = {e.bit_length() - 1 for e in edges if e.bit_count() == 1}
-    edges_by_elem = [[] for _ in range(p)]
-    for e in edges:
-        if e.bit_count() == 1:
-            continue
-        for x in range(p):
-            if e >> x & 1:
-                edges_by_elem[x].append(e)
+    banned, edges_by_elem = _conflicts(p, edges)
 
     def addable(mask: int, e: int) -> bool:
         if e in banned:

@@ -164,6 +164,14 @@ def test_density_and_trend_csv(files, capsys):
     assert lines[1] == "5,2,5,0.4"
 
 
+def test_density_csv_without_trend_is_usage_error(files, capsys):
+    mpath = files("m.json", SUM3)
+    code, out, err = run(capsys, ["density", "--matrix", mpath, "--p", "7", "--format", "csv"])
+    assert code == 1
+    assert out == ""
+    assert "csv" in err
+
+
 def test_verify_passes(files, capsys):
     code, out, _ = run(
         capsys, ["verify", "--matrix", files("m.json", SUM3), "--p", "5", "--seed", "1"]

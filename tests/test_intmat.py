@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -11,6 +12,7 @@ from torsol import (
     rank_mod_p,
 )
 from torsol.errors import InvalidInputError, RankDeficientError
+from torsol.intmat import det, echelon, rank, solve
 
 from oracles import in_lattice, random_full_rank_matrix
 
@@ -96,7 +98,7 @@ def test_saturation_random_matrices():
 
 
 def test_degeneracy_agrees_with_direct_rank():
-    from torsol.intmat import _rational_rank
+    from torsol.intmat import rank as _rational_rank
 
     rng = random.Random(5)
     for _ in range(20):
@@ -154,3 +156,123 @@ def test_matrix_json_roundtrip():
     data = matrix_to_json(big)
     assert isinstance(data["entries"][0][0], str)
     assert matrix_from_json(data) == big
+
+
+def _random_matrix(rng, nrows, ncols, rational):
+    def entry():
+        if rng.random() < 0.3:
+            return 0
+        if rational:
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        return rng.randint(-4, 4)
+
+    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.3:
+        # force a dependent row now and then
+        k = rng.randint(-2, 2)
+        rows[-1] = [k * a + b for a, b in zip(rows[0], rows[1])]
+    return rows
+
+
+def _leibniz(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def _matvec(rows, x, p=None):
+    out = [sum(a * b for a, b in zip(row, x)) for row in rows]
+    return out if p is None else [v % p for v in out]
+
+
+def _brute_rank_mod_p(rows, p):
+    """log_p of the number of vectors in the row space mod p."""
+    ncols = len(rows[0])
+    span = {
+        tuple(sum(c * row[k] for c, row in zip(coeffs, rows)) % p for k in range(ncols))
+        for coeffs in product(range(p), repeat=len(rows))
+    }
+    r = 0
+    while p**r < len(span):
+        r += 1
+    return r
+
+
+def test_echelon_shape():
+    rows, pivots, sign = echelon([[0, 2, 4], [1, 1, 1], [2, 2, 2]])
+    assert pivots == [0, 1]
+    assert sign == -1
+    assert all(v == 0 for v in rows[2])
+    for i, col in enumerate(pivots):
+        assert rows[i][col] != 0
+        assert all(rows[k][col] == 0 for k in range(i + 1, len(rows)))
+
+
+def test_rank_det_solve_over_q_random():
+    rng = random.Random(3)
+    for _ in range(200):
+        rational = rng.random() < 0.5
+        nrows = rng.randint(1, 4)
+        ncols = rng.randint(1, 5)
+        rows = _random_matrix(rng, nrows, ncols, rational)
+        r = rank(rows)
+        assert r == len(echelon(rows)[1]) <= min(nrows, ncols)
+        # the rank is the size of the largest nonsingular minor
+        best = 0
+        for k in range(1, min(nrows, ncols) + 1):
+            for rs in combinations(range(nrows), k):
+                for cs in combinations(range(ncols), k):
+                    if _leibniz([[rows[i][j] for j in cs] for i in rs]) != 0:
+                        best = k
+        assert r == best
+
+        n = min(nrows, ncols)
+        square = [row[:n] for row in rows[:n]]
+        d = det(square)
+        assert isinstance(d, Fraction)
+        assert d == _leibniz(square)
+        rhs = [rng.randint(-6, 6) for _ in range(n)]
+        x = solve(square, rhs)
+        assert (x is None) == (d == 0)
+        if x is not None:
+            assert all(isinstance(v, Fraction) for v in x)
+            assert _matvec(square, x) == rhs
+
+
+def test_integer_input_stays_exact():
+    # a 1x1 system and an untouched first row are where int / int would leak a float
+    assert solve([[3]], [1]) == (Fraction(1, 3),)
+    assert all(isinstance(v, Fraction) for v in solve([[2, 1], [0, 3]], [1, 1]))
+    assert det([[2, 1], [1, 1]]) == 1 and isinstance(det([[2, 1], [1, 1]]), Fraction)
+    assert det([[1, 2], [2, 4]]) == 0
+    for row in echelon([[3, 1], [2, 5]])[0]:
+        assert not any(isinstance(v, float) for v in row)
+
+
+def test_rank_and_solve_mod_p_brute_force():
+    rng = random.Random(9)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            nrows = rng.randint(1, 3)
+            ncols = rng.randint(1, 4)
+            rows = _random_matrix(rng, nrows, ncols, rational=False)
+            assert rank(rows, p) == _brute_rank_mod_p(rows, p)
+
+            n = rng.randint(1, 3)
+            square = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
+            rhs = [rng.randint(-6, 6) for _ in range(n)]
+            target = [v % p for v in rhs]
+            found = [x for x in product(range(p), repeat=n) if _matvec(square, x, p) == target]
+            x = solve(square, rhs, p)
+            # a square system mod p has exactly one solution iff it is nonsingular
+            if len(found) == 1:
+                assert x == found[0]
+                assert all(type(v) is int and 0 <= v < p for v in x)
+            else:
+                assert x is None
