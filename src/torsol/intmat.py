@@ -226,63 +226,6 @@ class MatrixProfile:
         return [tuple(row[k] for row in self.kernel_basis) for k in range(d)]
 
 
-def _integer_kernel_basis(entries: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Columns generating ker L over the integers, saturated.
-
-    Column-reduce L to echelon form with unimodular column operations while
-    mirroring them on an identity matrix; the mirrored columns matching the
-    zero columns of the reduced L span the full integer kernel lattice.
-    """
-    r = len(entries)
-    m = len(entries[0])
-    a = [list(row) for row in entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def swap(j, k):
-        for i in range(r):
-            a[i][j], a[i][k] = a[i][k], a[i][j]
-        for i in range(m):
-            u[i][j], u[i][k] = u[i][k], u[i][j]
-
-    def addmul(j, k, q):
-        # column j -= q * column k
-        for i in range(r):
-            a[i][j] -= q * a[i][k]
-        for i in range(m):
-            u[i][j] -= q * u[i][k]
-
-    def negate(j):
-        for i in range(r):
-            a[i][j] = -a[i][j]
-        for i in range(m):
-            u[i][j] = -u[i][j]
-
-    col = 0
-    for row in range(r):
-        while True:
-            nz = [j for j in range(col, m) if a[row][j] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: abs(a[row][j]))
-            if j0 != col:
-                swap(j0, col)
-            if a[row][col] < 0:
-                negate(col)
-            done = True
-            for j in range(col + 1, m):
-                if a[row][j] != 0:
-                    q = a[row][j] // a[row][col]
-                    if q:
-                        addmul(j, col, q)
-                    if a[row][j] != 0:
-                        done = False
-            if done:
-                break
-        if col < m and a[row][col] != 0:
-            col += 1
-    return [[u[i][j] for i in range(m)] for j in range(col, m)]
-
-
 def _column_hnf(cols: list[list[int]], m: int) -> list[tuple[int, ...]]:
     """Canonical column Hermite normal form of a full-column-rank basis.
 
@@ -320,6 +263,19 @@ def _column_hnf(cols: list[list[int]], m: int) -> list[tuple[int, ...]]:
                 cols[k] = [a - q * b for a, b in zip(cols[k], cols[pc])]
         pc += 1
     return [tuple(c) for c in cols]
+
+
+def _integer_kernel(entries) -> list[tuple[int, ...]]:
+    """Saturated basis of the integer kernel of a matrix, in column HNF.
+
+    The m columns (L e_j ; e_j) generate the lattice {(Lx ; x) : x in Z^m};
+    in its Hermite normal form the columns vanishing on the first r rows
+    are a basis of {(0 ; x) : Lx = 0}, and their last m entries are the
+    kernel basis in its own (unique) Hermite normal form.
+    """
+    r, m = len(entries), len(entries[0])
+    stacked = [[row[j] for row in entries] + [int(i == j) for i in range(m)] for j in range(m)]
+    return [c[r:] for c in _column_hnf(stacked, r + m) if not any(c[:r])]
 
 
 def _smith_invariants(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -386,7 +342,7 @@ def _degenerate_columns(mat: IntMatrix) -> tuple[DegenerateColumn, ...]:
         if rank(sub) == r:
             continue
         # 1-dimensional left kernel of the deleted submatrix, saturated
-        v = tuple(_integer_kernel_basis(tuple(zip(*sub)))[0])
+        (v,) = _integer_kernel(tuple(zip(*sub)))
         ell = sum(v[i] * mat.entries[i][j] for i in range(r))
         if ell < 0:
             v = tuple(-x for x in v)
@@ -404,8 +360,7 @@ def analyze_matrix(mat: IntMatrix) -> MatrixProfile:
     normal form for reproducibility.
     """
     r, m = mat.rows, mat.cols
-    raw = _integer_kernel_basis(mat.entries)
-    cols = _column_hnf(raw, m)
+    cols = _integer_kernel(mat.entries)
     basis_rows = tuple(tuple(cols[k][i] for k in range(len(cols))) for i in range(m))
     for c in cols:
         if any(v != 0 for v in mat.apply_int(c)):

@@ -24,14 +24,7 @@ from itertools import product
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
 from .intmat import IntMatrix, MatrixProfile, analyze_matrix, echelon, is_prime, rank_mod_p, solve
-from .polytope import (
-    HPolytope,
-    VolumeResult,
-    _vertices_raw,
-    enumerate_vertices,
-    slice_polytope,
-    volume,
-)
+from .polytope import VolumeResult, slice_polytope, volume
 
 __all__ = [
     "KernelComponent",
@@ -54,11 +47,16 @@ class KernelComponent:
     volume_param: the (m-r)-volume of {t : x_b + B t in [0,1]^m} in the
         canonical kernel-basis coordinates; slices touching the cube only
         in a face have volume 0 and are retained but flagged.
+    hull: the bounding box of that parameter polytope, one (low, high)
+        pair per kernel-basis coordinate, taken relative to x_b (so t = 0
+        is x_b); every point of the closed slice is x_b + B t for some t
+        in the box.
     """
 
     level: tuple[int, ...]
     representative: tuple[Fraction, ...]
     volume_param: Fraction
+    hull: tuple[tuple[Fraction, Fraction], ...]
 
     @property
     def is_flat(self) -> bool:
@@ -107,29 +105,6 @@ def _particular_solution(mat: IntMatrix, pivots: list[int], b) -> tuple[Fraction
     return tuple(x)
 
 
-def _half_open_feasible(x_rep, columns) -> bool:
-    """Does {x in [0,1)^m : x = x_rep + B t} meet the half-open cube?
-
-    Lift to (t, s) and minimize s subject to 0 <= x_rep + Bt <= s <= 1;
-    the minimum of the largest coordinate sits at a vertex of the lifted
-    polytope, and the slice meets [0,1)^m exactly when it is < 1.
-    """
-    d = len(columns)
-    m = len(x_rep)
-    zero = Fraction(0)
-    cons = []
-    for i in range(m):
-        row = [Fraction(c[i]) for c in columns]
-        cons.append((tuple(-v for v in row) + (zero,), x_rep[i]))
-        cons.append((tuple(row) + (Fraction(-1),), -x_rep[i]))
-    cons.append(((zero,) * d + (Fraction(1),), Fraction(1)))
-    # bounded by construction: 0 <= x + Bt <= s <= 1 with B of full column rank
-    verts = _vertices_raw(d + 1, HPolytope(d + 1, cons).constraints)
-    if not verts:
-        return False
-    return min(v[d] for v in verts) < 1
-
-
 @lru_cache(maxsize=128)
 def enumerate_components(mat: IntMatrix, profile: MatrixProfile | None = None) -> KernelDecomposition:
     """Enumerate all kernel slices with exact representatives and volumes.
@@ -138,28 +113,37 @@ def enumerate_components(mat: IntMatrix, profile: MatrixProfile | None = None) -
     negative/positive entries and are kept exactly when the slice meets the
     half-open cube [0,1)^m; slices meeting only the closed cube boundary
     belong to other slices modulo 1 and are discarded.
+
+    Everything comes from one vertex enumeration of the closed slice per
+    candidate level.  A convex subset of [0,1]^m misses [0,1)^m only when
+    one coordinate equals 1 on all of it (a relative-interior point with
+    x_i = 1 pins x_i = 1 throughout), hence on all of its vertices: the
+    level is kept unless some coordinate is 1 at every vertex.
     """
     if profile is None:
         profile = analyze_matrix(mat)
     columns = tuple(profile.kernel_columns())
     pivots = echelon(mat.entries)[1]
+    m = mat.cols
     comps = []
     ranges = mat.row_ranges()
     for b in product(*[range(lo, hi + 1) for lo, hi in ranges]):
         x_any = _particular_solution(mat, pivots, b)
-        poly = slice_polytope(columns, x_any, [0] * mat.cols, [1] * mat.cols)
-        verts = enumerate_vertices(poly)
-        if not verts:
-            continue
-        if not _half_open_feasible(x_any, columns):
-            continue
+        res = volume(slice_polytope(columns, x_any, [0] * m, [1] * m))
         points = sorted(
-            tuple(x_any[i] + sum(Fraction(c[i]) * t[k] for k, c in enumerate(columns)) for i in range(mat.cols))
-            for t in verts
+            (tuple(x_any[i] + sum(Fraction(c[i]) * t[k] for k, c in enumerate(columns)) for i in range(m)), t)
+            for t in res.vertices
         )
-        x_rep = points[0]
-        vol = volume(poly).volume
-        comps.append(KernelComponent(level=tuple(b), representative=x_rep, volume_param=vol))
+        if not points or any(all(x[i] == 1 for x, _ in points) for i in range(m)):
+            continue
+        x_rep, t0 = points[0]
+        hull = tuple(
+            (min(t[k] for _, t in points) - t0[k], max(t[k] for _, t in points) - t0[k])
+            for k in range(len(columns))
+        )
+        comps.append(
+            KernelComponent(level=tuple(b), representative=x_rep, volume_param=res.volume, hull=hull)
+        )
     comps.sort(key=lambda c: c.level)
     total = sum((c.volume_param for c in comps), Fraction(0))
     expected = 1

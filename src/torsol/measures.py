@@ -35,7 +35,7 @@ from .kernel_geometry import (
     shift_cover,
     slice_point,
 )
-from .polytope import enumerate_vertices, slice_polytope, volume
+from .polytope import slice_polytope, volume
 from .torus_sets import IntervalUnion
 from .discrete import solution_density
 
@@ -122,34 +122,18 @@ def _tighten(hull, row, lo, hi):
     return hull
 
 
-def _component_hull(decomp: KernelDecomposition, comp):
-    """Bounding box of {t : x_b + Bt in [0,1]^m} in parameter space."""
-    m = decomp.matrix.cols
-    poly = slice_polytope(decomp.basis_columns, comp.representative, [0] * m, [1] * m)
-    verts = enumerate_vertices(poly)
-    if not verts:
-        return None
-    d = len(decomp.basis_columns)
-    return [
-        (min(v[k] for v in verts), max(v[k] for v in verts)) for k in range(d)
-    ]
-
-
 def _component_leaves(decomp: KernelDecomposition, comp, blocks):
     """Yield the VolumeResult of the slice restricted to each block product.
 
     blocks[i] is the list of closed blocks [a, b] of the i-th set; block
-    combinations whose interval hull misses the slice are pruned.  The
-    parameter volumes of the leaves sum to that of the slice inside the
-    product of the blocks.
+    combinations whose interval hull misses the slice are pruned, starting
+    from the slice's bounding box comp.hull.  The parameter volumes of the
+    leaves sum to that of the slice inside the product of the blocks.
     """
     m = decomp.matrix.cols
     columns = decomp.basis_columns
     x_rep = comp.representative
     rows = [tuple(Fraction(c[i]) for c in columns) for i in range(m)]
-    hull0 = _component_hull(decomp, comp)
-    if hull0 is None:
-        return
     chosen: list[tuple[Fraction, Fraction]] = []
 
     def rec(i, hull):
@@ -169,7 +153,7 @@ def _component_leaves(decomp: KernelDecomposition, comp, blocks):
             yield from rec(i + 1, new_hull)
             chosen.pop()
 
-    yield from rec(0, hull0)
+    yield from rec(0, comp.hull)
 
 
 def _first_full_dimensional(decomp: KernelDecomposition, comp, blocks):
@@ -278,9 +262,8 @@ def monte_carlo_estimate(
     cols_f = [[float(v) for v in c] for c in decomp.basis_columns]
     prepared = []
     for comp in comps:
-        hull = _component_hull(decomp, comp)
         rep = [float(v) for v in comp.representative]
-        box = [(float(l), float(u)) for l, u in hull]
+        box = [(float(l), float(u)) for l, u in comp.hull]
         prepared.append((rep, box))
     tables = _float_membership(sets)
 

@@ -220,11 +220,10 @@ def szemeredi_probe(mat: IntMatrix, alpha, trials: int, seed: int):
     return best, best_set
 
 
-def _edges_mod_p(mat: IntMatrix, p: int, minimalize: bool) -> list[int]:
+def _edges_mod_p(param, m: int, minimalize: bool) -> list[int]:
     """Support bitmasks of kernel elements; optionally reduced to minimal ones."""
-    param = parametrize_kernel(mat, p)
     supports = set()
-    for x in kernel_elements(param, mat.cols):
+    for x in kernel_elements(param, m):
         mask = 0
         for v in x:
             mask |= 1 << v
@@ -333,24 +332,25 @@ def density_search(mat: IntMatrix, p: int, mode: str = "exhaustive", seed: int =
     admit only the empty set: a warning is issued and density 0 returned.
     Exhaustive mode (p <= 22) is optimal by construction; local mode runs
     seeded hill climbing with restarts and reports the best set found.
+    The mode and the modulus (prime, full rank mod p, the exhaustive size
+    limit) are checked first, for invariant systems too.
     """
-    profile = analyze_matrix(mat)
-    if profile.is_invariant:
+    if mode not in ("exhaustive", "local"):
+        raise InvalidInputError(f"unknown mode {mode!r}")
+    if mode == "exhaustive" and p > 22:
+        raise PreconditionError(f"exhaustive search limited to p <= 22, got {p}")
+    param = parametrize_kernel(mat, p)
+    if analyze_matrix(mat).is_invariant:
         warnings.warn(
             "invariant system: every diagonal point is a solution, so no nonempty "
             "set is solution-free; density is 0 under the all-solutions convention"
         )
         return Fraction(0), DiscreteSet(p, [False] * p)
     if mode == "exhaustive":
-        if p > 22:
-            raise PreconditionError(f"exhaustive search limited to p <= 22, got {p}")
-        edges = _edges_mod_p(mat, p, minimalize=True)
-        mask = _exhaustive_search(p, edges)
-    elif mode == "local":
-        edges = _edges_mod_p(mat, p, minimalize=p <= 64)
-        mask = _local_search(p, edges, random.Random(seed))
+        mask = _exhaustive_search(p, _edges_mod_p(param, mat.cols, minimalize=True))
     else:
-        raise InvalidInputError(f"unknown mode {mode!r}")
+        edges = _edges_mod_p(param, mat.cols, minimalize=p <= 64)
+        mask = _local_search(p, edges, random.Random(seed))
     members = [bool(mask >> x & 1) for x in range(p)]
     return Fraction(mask.bit_count(), p), DiscreteSet(p, members)
 

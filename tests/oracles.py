@@ -3,15 +3,16 @@
 Each oracle re-derives a quantity with a different algorithm than the
 package uses: brute-force tuple enumeration for counting, a sweep-line
 integrator for planar areas, exhaustive subset search for extremal
-densities, and a direct rational check of lattice membership.  They are
-deliberately slow and simple.
+densities, a direct rational check of lattice membership, and a lifted
+min-max program for whether a kernel slice meets the half-open cube.
+They are deliberately slow and simple.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def naive_density(entries, p, member_arrays, shifts=None):
@@ -128,6 +129,46 @@ def in_lattice(columns, vec):
     return all(c.denominator == 1 for c in coeffs)
 
 
+def _solve_exact(rows, rhs):
+    """Gauss-Jordan solve of a square rational system; None when singular."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                f = a[i][col] / a[col][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
+    return tuple(a[i][n] / a[i][i] for i in range(n))
+
+
+def lifted_half_open(point, columns):
+    """Does {point + B t : t} meet the half-open cube [0,1)^m?
+
+    Lifts to (t, s) and minimizes s over 0 <= point + B t <= s <= 1 by
+    brute-force vertex enumeration (every (d+1)-subset of constraints
+    solved as equalities); the slice meets [0,1)^m exactly when the
+    program is feasible with minimum < 1.
+    """
+    d, m = len(columns), len(point)
+    cons = []
+    for i in range(m):
+        row = [Fraction(c[i]) for c in columns]
+        cons.append(([-v for v in row] + [0], Fraction(point[i])))
+        cons.append((row + [-1], -Fraction(point[i])))
+    cons.append(([0] * d + [1], Fraction(1)))
+    best = None
+    for subset in combinations(cons, d + 1):
+        v = _solve_exact([a for a, _ in subset], [c for _, c in subset])
+        if v is None or any(sum(x * y for x, y in zip(a, v)) > c for a, c in cons):
+            continue
+        best = v[d] if best is None else min(best, v[d])
+    return best is not None and best < 1
+
+
 def random_full_rank_matrix(rng: random.Random, r, m, lo=-3, hi=3):
     """Random IntMatrix with entries in [lo, hi], retried until full rank."""
     from torsol import IntMatrix
@@ -135,6 +176,31 @@ def random_full_rank_matrix(rng: random.Random, r, m, lo=-3, hi=3):
 
     while True:
         entries = [[rng.randint(lo, hi) for _ in range(m)] for _ in range(r)]
+        try:
+            return IntMatrix(entries)
+        except RankDeficientError:
+            continue
+
+
+def random_pinned_matrix(rng: random.Random, r, m, lo=-2, hi=2):
+    """Random full-rank IntMatrix that usually has a degenerate column.
+
+    With probability 2/3 one row is replaced by a multiple of a unit
+    vector (pinning that coordinate to finitely many values), possibly
+    mixed into another row so the pin is not visible in a single row.
+    """
+    from torsol import IntMatrix
+    from torsol.errors import RankDeficientError
+
+    while True:
+        entries = [[rng.randint(lo, hi) for _ in range(m)] for _ in range(r)]
+        if rng.random() < 2 / 3:
+            i, j = rng.randrange(r), rng.randrange(m)
+            entries[i] = [rng.choice((1, 2, 3, -2)) if k == j else 0 for k in range(m)]
+            if r > 1 and rng.random() < 0.5:
+                o = (i + 1) % r
+                c = rng.randint(-2, 2)
+                entries[o] = [a + c * b for a, b in zip(entries[o], entries[i])]
         try:
             return IntMatrix(entries)
         except RankDeficientError:

@@ -172,6 +172,15 @@ def test_density_csv_without_trend_is_usage_error(files, capsys):
     assert "csv" in err
 
 
+@pytest.mark.parametrize("p", ["4", "29"])
+def test_density_invariant_system_checks_modulus(files, capsys, p):
+    # AP3 is invariant, which short-cuts to density 0; the modulus is still checked
+    code, out, err = run(capsys, ["density", "--matrix", files("m.json", AP3), "--p", p])
+    assert code == 3
+    assert out == ""
+    assert "precondition failed" in err
+
+
 def test_verify_passes(files, capsys):
     code, out, _ = run(
         capsys, ["verify", "--matrix", files("m.json", SUM3), "--p", "5", "--seed", "1"]

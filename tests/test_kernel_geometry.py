@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,8 +15,10 @@ from torsol import (
     weight,
 )
 from torsol.errors import BadModulusError
+from torsol.intmat import det, solve
+from torsol.polytope import enumerate_vertices, slice_polytope
 
-from oracles import sweep_area
+from oracles import lifted_half_open, random_pinned_matrix, sweep_area
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
@@ -56,6 +58,58 @@ def test_two_two_component_count_matches_smith():
     for v in prof.smith_invariants:
         prod *= v
     assert prod == 2
+
+
+def _components(mat):
+    return [(c.level, c.representative, c.volume_param) for c in enumerate_components(mat).components]
+
+
+def test_pinned_column_components():
+    # x_3 is pinned to {0, 1/2}; the levels with b_1 = 0 are single points
+    assert _components(IntMatrix([[1, 1, 0], [0, 0, 2]])) == [
+        ((0, 0), (F(0), F(0), F(0)), F(0)),
+        ((0, 1), (F(0), F(0), F(1, 2)), F(0)),
+        ((1, 0), (F(0), F(1), F(0)), F(1)),
+        ((1, 1), (F(0), F(1), F(1, 2)), F(1)),
+    ]
+
+
+def test_pinned_column_components_scaled():
+    # x_3 is pinned to {0, 1/4, 1/2, 3/4} and 2(x_1 + x_2) = b_1 takes four levels
+    firsts = {0: (F(0), F(0)), 1: (F(0), F(1, 2)), 2: (F(0), F(1)), 3: (F(1, 2), F(1))}
+    volumes = {0: F(0), 1: F(1, 2), 2: F(1), 3: F(1, 2)}
+    assert _components(IntMatrix([[2, 2, 0], [0, 0, 4]])) == [
+        ((a, c), firsts[a] + (F(c, 4),), volumes[a]) for a in range(4) for c in range(4)
+    ]
+
+
+def _point_on_level(mat, b):
+    """A rational x with Lx = b, supported on the first nonsingular r-minor."""
+    for cols in combinations(range(mat.cols), mat.rows):
+        minor = [[row[c] for c in cols] for row in mat.entries]
+        if det(minor) != 0:
+            x = [F(0)] * mat.cols
+            for c, v in zip(cols, solve(minor, b)):
+                x[c] = v
+            return x
+
+
+def test_kept_levels_and_hulls_match_oracles():
+    rng = random.Random(20)
+    degenerate = 0
+    for r, m in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)] * 5:
+        mat = random_pinned_matrix(rng, r, m)
+        degenerate += bool(analyze_matrix(mat).degenerate_columns)
+        decomp = enumerate_components(mat)
+        basis = decomp.basis_columns
+        levels = product(*[range(lo, hi + 1) for lo, hi in mat.row_ranges()])
+        expected = [b for b in levels if lifted_half_open(_point_on_level(mat, b), basis)]
+        assert [c.level for c in decomp.components] == expected, mat.entries
+        for comp in decomp.components:
+            verts = enumerate_vertices(slice_polytope(basis, comp.representative, [0] * m, [1] * m))
+            box = tuple((min(v[k] for v in verts), max(v[k] for v in verts)) for k in range(len(basis)))
+            assert comp.hull == box, (mat.entries, comp.level)
+    assert degenerate >= 10
 
 
 def test_component_volumes_against_sweep_oracle():
