@@ -286,7 +286,7 @@ def _cmd_verify(spec: JobSpec) -> dict:
     results.append(("weights_sum_to_one", sum(sh.lam for sh in cover) == 1))
     results.append(("weights_positive", all(sh.lam > 0 for sh in cover)))
 
-    results.append(("central_section_bound", central_section_check(mat, decomp.basis_columns).passes))
+    results.append(("central_section_bound", central_section_check(mat).passes))
 
     param = parametrize_kernel(mat, p)
     constant = True
@@ -334,6 +334,8 @@ def run(spec: JobSpec, out=None) -> int:
         raise UsageError(f"unknown command {spec.command!r}")
     if spec.format == "csv" and not (spec.command == "density" and spec.trend):
         raise UsageError("csv output is only available for density trend tables")
+    if spec.command == "density" and spec.trend and spec.mode != "exhaustive":
+        raise UsageError("density trend tables are exhaustive only; drop --mode")
     result = _DISPATCH[spec.command](spec)
     if isinstance(result, str):
         out.write(result)

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from .errors import BadModulusError, InvalidInputError
-from .intmat import IntMatrix, is_prime, rank_mod_p, solve
+from .intmat import IntMatrix, echelon, is_prime, solve
 from .torus_sets import DiscreteSet
 
 __all__ = [
@@ -47,16 +47,14 @@ def parametrize_kernel(mat: IntMatrix, p: int) -> KernelParametrization:
     """Deterministic parametrization of ker L over Z_p (p prime)."""
     if not is_prime(p):
         raise BadModulusError(f"composite modulus {p}: counting works over prime fields only")
-    if rank_mod_p(mat, p) != mat.rows:
+    # the greedy pivots are the lexicographically first invertible r-minor
+    dependent = tuple(echelon(mat.entries, p)[1])
+    if len(dependent) != mat.rows:
         raise BadModulusError(f"matrix loses rank mod p = {p}")
-    m = mat.cols
-    for dependent in combinations(range(m), mat.rows):
-        minor = [[row[c] for c in dependent] for row in mat.entries]
-        free = tuple(c for c in range(m) if c not in dependent)
-        # M y_f = L_f for each free column f, so dependent = -sum_f y_f * free_f
-        sols = [solve(minor, [row[f] for row in mat.entries], p) for f in free]
-        if sols[0] is not None:
-            break
+    minor = [[row[c] for c in dependent] for row in mat.entries]
+    free = tuple(c for c in range(mat.cols) if c not in dependent)
+    # M y_f = L_f for each free column f, so dependent = -sum_f y_f * free_f
+    sols = [solve(minor, [row[f] for row in mat.entries], p) for f in free]
     coeff = tuple(tuple((-y[i]) % p for y in sols) for i in range(mat.rows))
     return KernelParametrization(
         p=p, free_columns=free, dependent_columns=dependent, coefficients=coeff
@@ -86,7 +84,10 @@ def _check_sets(mat: IntMatrix, p: int, sets) -> list[tuple[bool, ...]]:
                 raise InvalidInputError(f"set modulus {s.p} != {p}")
             arrays.append(s.members)
         else:
-            arrays.append(tuple(bool(v) for v in s))
+            arr = tuple(bool(v) for v in s)
+            if len(arr) != p:
+                raise InvalidInputError(f"membership array of length {len(arr)} for modulus {p}")
+            arrays.append(arr)
     return arrays
 
 
@@ -163,15 +164,11 @@ def solution_density(mat: IntMatrix, p: int, sets, shifts=None) -> Fraction:
     shifted = [
         tuple(members[i][(x + shifts[i]) % p] for x in range(p)) for i in range(mat.cols)
     ]
+    param = parametrize_kernel(mat, p)
     d = mat.cols - mat.rows
-    if not is_prime(p):
-        raise BadModulusError(f"composite modulus {p}: counting works over prime fields only")
-    if rank_mod_p(mat, p) != mat.rows:
-        raise BadModulusError(f"matrix loses rank mod p = {p}")
     enum_cost = p**d * mat.cols
     dp_cost = mat.cols * p ** (mat.rows + 1)
     if enum_cost <= dp_cost or enum_cost <= 4_000_000:
-        param = parametrize_kernel(mat, p)
         count = _count_by_enumeration(mat, param, shifted)
     else:
         count = _count_by_dp(mat, p, shifted)

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
-from .intmat import IntMatrix, MatrixProfile, analyze_matrix, echelon, is_prime, rank_mod_p, solve
+from .intmat import IntMatrix, analyze_matrix, echelon, is_prime, rank_mod_p, solve
 from .polytope import VolumeResult, slice_polytope, volume
 
 __all__ = [
@@ -87,7 +87,8 @@ class WeightedShift:
     j is the lexicographically smallest solution of L j = -level (mod p)
     with entries in [0, p); lam is p^(m-r) times the normalized Haar
     measure of the grid box at j/p, a positive rational constant across
-    the whole coset of j.
+    the whole coset of j.  In closed form lam = c_param * vol_b, the Haar
+    share of the level-b slice: the box holds that slice scaled by 1/p.
     """
 
     p: int
@@ -96,17 +97,19 @@ class WeightedShift:
     level: tuple[int, ...]
 
 
-def _particular_solution(mat: IntMatrix, pivots: list[int], b) -> tuple[Fraction, ...]:
-    """A rational solution of Lx = b with zeros outside the pivot columns."""
-    sol = solve([[row[c] for c in pivots] for row in mat.entries], b)
-    x = [Fraction(0)] * mat.cols
+def _particular_solution(mat: IntMatrix, pivots: list[int], b, p=None) -> tuple:
+    """A solution of Lx = b over Q (p None) or GF(p), zero outside the pivot columns."""
+    sol = solve([[row[c] for c in pivots] for row in mat.entries], b, p)
+    if sol is None:
+        raise InternalInvariantError(f"columns {pivots} give a singular minor")
+    x = [Fraction(0) if p is None else 0] * mat.cols
     for c, v in zip(pivots, sol):
         x[c] = v
     return tuple(x)
 
 
 @lru_cache(maxsize=128)
-def enumerate_components(mat: IntMatrix, profile: MatrixProfile | None = None) -> KernelDecomposition:
+def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
     """Enumerate all kernel slices with exact representatives and volumes.
 
     Candidate levels range over the closed integer box of row sums of
@@ -120,8 +123,7 @@ def enumerate_components(mat: IntMatrix, profile: MatrixProfile | None = None) -
     x_i = 1 pins x_i = 1 throughout), hence on all of its vertices: the
     level is kept unless some coordinate is 1 at every vertex.
     """
-    if profile is None:
-        profile = analyze_matrix(mat)
+    profile = analyze_matrix(mat)
     columns = tuple(profile.kernel_columns())
     pivots = echelon(mat.entries)[1]
     m = mat.cols
@@ -213,25 +215,15 @@ def weight(decomp: KernelDecomposition, j, p: int) -> Fraction:
 def _lex_min_solution_mod_p(mat: IntMatrix, target, p: int) -> tuple[int, ...]:
     """Lexicographically smallest j in [0,p)^m with L j = target (mod p).
 
-    Each coordinate takes the smallest value that keeps the rest solvable,
-    i.e. leaves the augmented column of the remaining system off the pivots.
+    Eliminating L with its columns reversed picks, from the right, each
+    column outside the span of the columns after it.  Every other column
+    lies in that span, so its coordinate can be 0 without losing
+    solvability; the r picked columns form an invertible minor, which
+    fixes their coordinates uniquely.  Requires full rank mod p.
     """
     m = mat.cols
-    assigned: list[int] = []
-    rhs = [v % p for v in target]
-    for c in range(m):
-        found = None
-        for v in range(p):
-            new_rhs = [(b - row[c] * v) % p for b, row in zip(rhs, mat.entries)]
-            augmented = [row[c + 1 :] + (b,) for row, b in zip(mat.entries, new_rhs)]
-            if m - c - 1 not in echelon(augmented, p)[1]:
-                found = v
-                rhs = new_rhs
-                break
-        if found is None:
-            raise InternalInvariantError("congruence system unexpectedly unsolvable")
-        assigned.append(found)
-    return tuple(assigned)
+    pivots = [m - 1 - c for c in echelon([row[::-1] for row in mat.entries], p)[1]]
+    return _particular_solution(mat, pivots, target, p)
 
 
 def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:
@@ -242,6 +234,12 @@ def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:
     same weight; the representative returned for the class of b is the
     lexicographically smallest solution of the congruence.  The weights of
     the cover sum to exactly 1.
+
+    The weight of the class of b is c_param * vol_b, read off the slice
+    volumes: for x = (j + y)/p with y in [0,1]^m, Lx is integral iff
+    Ly = b (mod p), and Ly lies in the row-range box of width < p, so
+    Ly = b exactly.  The box therefore holds the level-b slice scaled by
+    1/p, of measure c_param * vol_b / p^(m-r).
 
     Requires p prime, full rank mod p, and p strictly larger than every row
     sum of absolute entries (so distinct levels stay distinct mod p and
@@ -263,10 +261,6 @@ def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:
             continue
         target = tuple((-v) % p for v in comp.level)
         j = _lex_min_solution_mod_p(mat, target, p)
-        lam = weight(decomp, j, p)
-        if lam <= 0:
-            raise InternalInvariantError(
-                f"residue class of level {comp.level} produced weight {lam}"
-            )
+        lam = comp.volume_param * decomp.c_param
         shifts.append(WeightedShift(p=p, j=j, lam=lam, level=comp.level))
     return shifts

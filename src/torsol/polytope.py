@@ -289,16 +289,14 @@ def slice_polytope(columns, offset, lows, highs) -> HPolytope:
     return HPolytope(len(columns), cons)
 
 
-def central_section_check(mat: IntMatrix, kernel_columns=None) -> CentralSectionResult:
+def central_section_check(mat: IntMatrix) -> CentralSectionResult:
     """Central cube section spanned by the kernel: volume and Gram data.
 
     The (m-r)-dimensional section of [-1/2, 1/2]^m by the kernel subspace
     has intrinsic volume vol_param * sqrt(det(B^T B)); the >= 1 lower bound
     is checked exactly on squares.
     """
-    if kernel_columns is None:
-        kernel_columns = analyze_matrix(mat).kernel_columns()
-    cols = [tuple(int(v) for v in c) for c in kernel_columns]
+    cols = analyze_matrix(mat).kernel_columns()
     m = len(cols[0])
     res = volume(slice_polytope(cols, [0] * m, [Fraction(-1, 2)] * m, [Fraction(1, 2)] * m))
     d = len(cols)

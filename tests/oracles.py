@@ -207,6 +207,16 @@ def random_pinned_matrix(rng: random.Random, r, m, lo=-2, hi=2):
             continue
 
 
+def suitable_prime(mat):
+    """The smallest odd prime above L's largest absolute row sum at which L keeps full rank."""
+    from torsol.intmat import is_prime, rank_mod_p
+
+    q = max(mat.max_row_abs_sum() + 1, 3)
+    while not (is_prime(q) and rank_mod_p(mat, q) == mat.rows):
+        q += 1
+    return q
+
+
 def random_grid_sets(rng: random.Random, p, m, density=0.4):
     """Random p-grid-aligned interval unions from Bernoulli cell membership."""
     from torsol import DiscreteSet

@@ -172,6 +172,14 @@ def test_density_csv_without_trend_is_usage_error(files, capsys):
     assert "csv" in err
 
 
+def test_density_trend_with_local_mode_is_usage_error(files, capsys):
+    mpath = files("m.json", SUM3)
+    code, out, err = run(capsys, ["density", "--matrix", mpath, "--trend", "5,7", "--mode", "local"])
+    assert code == 1
+    assert out == ""
+    assert "--mode" in err
+
+
 @pytest.mark.parametrize("p", ["4", "29"])
 def test_density_invariant_system_checks_modulus(files, capsys, p):
     # AP3 is invariant, which short-cuts to density 0; the modulus is still checked

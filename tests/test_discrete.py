@@ -12,7 +12,7 @@ from torsol import (
     solution_density,
 )
 from torsol.discrete import _count_by_dp
-from torsol.errors import BadModulusError
+from torsol.errors import BadModulusError, InvalidInputError
 
 from oracles import naive_density
 
@@ -135,6 +135,13 @@ def test_rank_drop_rejected():
     bad = IntMatrix([[5, 0, 1], [0, 5, 1]])
     with pytest.raises(BadModulusError):
         solution_density(bad, 5, [full(5)] * 3)
+
+
+@pytest.mark.parametrize("length", [3, 9])
+@pytest.mark.parametrize("count", [solution_density, list_solutions])
+def test_membership_arrays_must_have_length_p(count, length):
+    with pytest.raises(InvalidInputError, match="length"):
+        count(SUM3, 5, [[True] * length] * 3)
 
 
 def test_shifts_wrap_modulo_p():

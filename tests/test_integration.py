@@ -13,12 +13,11 @@ from torsol import (
     IntMatrix,
     decompose,
     enumerate_components,
-    rank_mod_p,
     shift_cover,
     solution_measure,
 )
 
-from oracles import random_full_rank_matrix, random_grid_sets
+from oracles import random_full_rank_matrix, random_grid_sets, suitable_prime
 
 NASTY = [
     [[2, 2]],
@@ -35,17 +34,9 @@ NASTY = [
 ]
 
 
-def _suitable_prime(mat):
-    bound = mat.max_row_abs_sum()
-    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
-        if q > bound and rank_mod_p(mat, q) == mat.rows:
-            return q
-    raise AssertionError("no suitable prime in range")
-
-
 def _full_stack(mat, rng):
     decomp = enumerate_components(mat)  # exact Smith cross-check inside
-    p = _suitable_prime(mat)
+    p = suitable_prime(mat)
     cover = shift_cover(decomp, p)
     assert sum(sh.lam for sh in cover) == 1
     assert all(sh.lam > 0 for sh in cover)

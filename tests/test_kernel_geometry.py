@@ -18,11 +18,14 @@ from torsol.errors import BadModulusError
 from torsol.intmat import det, solve
 from torsol.polytope import enumerate_vertices, slice_polytope
 
-from oracles import lifted_half_open, random_pinned_matrix, sweep_area
+from oracles import lifted_half_open, random_pinned_matrix, suitable_prime, sweep_area
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
 AP4 = IntMatrix([[1, -2, 1, 0], [0, 1, -2, 1]])
+R4 = IntMatrix([[2, 3, -1, 5]])
+PINNED = IntMatrix([[1, 1, 0], [0, 0, 2]])
+PINNED_SCALED = IntMatrix([[2, 2, 0], [0, 0, 4]])
 
 
 def test_sum3_components():
@@ -66,7 +69,7 @@ def _components(mat):
 
 def test_pinned_column_components():
     # x_3 is pinned to {0, 1/2}; the levels with b_1 = 0 are single points
-    assert _components(IntMatrix([[1, 1, 0], [0, 0, 2]])) == [
+    assert _components(PINNED) == [
         ((0, 0), (F(0), F(0), F(0)), F(0)),
         ((0, 1), (F(0), F(0), F(1, 2)), F(0)),
         ((1, 0), (F(0), F(1), F(0)), F(1)),
@@ -78,7 +81,7 @@ def test_pinned_column_components_scaled():
     # x_3 is pinned to {0, 1/4, 1/2, 3/4} and 2(x_1 + x_2) = b_1 takes four levels
     firsts = {0: (F(0), F(0)), 1: (F(0), F(1, 2)), 2: (F(0), F(1)), 3: (F(1, 2), F(1))}
     volumes = {0: F(0), 1: F(1, 2), 2: F(1), 3: F(1, 2)}
-    assert _components(IntMatrix([[2, 2, 0], [0, 0, 4]])) == [
+    assert _components(PINNED_SCALED) == [
         ((a, c), firsts[a] + (F(c, 4),), volumes[a]) for a in range(4) for c in range(4)
     ]
 
@@ -171,16 +174,14 @@ def test_shift_cover_ap3_weights():
 
 
 def test_shift_representatives_are_lex_minimal():
-    d = enumerate_components(AP3)
-    cover = shift_cover(d, 5)
-    for sh in cover:
-        target = tuple((-v) % 5 for v in sh.level)
-        sols = [
-            j
-            for j in product(range(5), repeat=3)
-            if tuple(v % 5 for v in AP3.apply_int(j)) == target
-        ]
-        assert sh.j == min(sols)
+    cases = [(AP3, 5)] + [(mat, 13) for mat in (SUM3, AP3, AP4, R4)]
+    cases += [(mat, p) for mat in (PINNED, PINNED_SCALED) for p in (5, 7)]
+    for mat, p in cases:
+        first = {}
+        for j in product(range(p), repeat=mat.cols):
+            first.setdefault(tuple(v % p for v in mat.apply_int(j)), j)
+        for sh in shift_cover(enumerate_components(mat), p):
+            assert sh.j == first[tuple((-v) % p for v in sh.level)], (mat.entries, p, sh.level)
 
 
 def test_weight_spectrum_stable_across_primes():
@@ -196,8 +197,13 @@ def test_weight_spectrum_stable_across_primes():
 
 
 def test_coset_constancy_sampled():
+    # the polytope weight of every sampled coset member equals the closed-form lam
     rng = random.Random(3)
-    for mat, p in ((SUM3, 7), (AP3, 7), (AP4, 7)):
+    cases = [(SUM3, 7), (AP3, 7), (AP4, 7), (R4, 13), (PINNED, 5), (PINNED_SCALED, 7)]
+    for r, m in [(1, 3), (2, 3), (2, 4), (1, 4), (3, 4)] * 2:
+        mat = random_pinned_matrix(rng, r, m)
+        cases.append((mat, suitable_prime(mat)))
+    for mat, p in cases:
         d = enumerate_components(mat)
         cover = shift_cover(d, p)
         param = parametrize_kernel(mat, p)
@@ -206,7 +212,7 @@ def test_coset_constancy_sampled():
             for _ in range(20):
                 k = rng.choice(elements)
                 j = tuple((a + b) % p for a, b in zip(sh.j, k))
-                assert weight(d, j, p) == sh.lam
+                assert weight(d, j, p) == sh.lam, (mat.entries, p, sh.level)
 
 
 def test_diagonal_boxes_positive_for_invariant_matrix():
