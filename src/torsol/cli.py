@@ -74,9 +74,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--matrix", required=True, help="path to matrix JSON")
+        p.add_argument(
+            "--matrix", dest="matrix_path", metavar="MATRIX", required=True, help="path to matrix JSON"
+        )
         if name in ("measure", "decompose", "sample", "check-free", "remove"):
-            p.add_argument("--sets", required=True, help="path to sets JSON")
+            p.add_argument(
+                "--sets", dest="sets_path", metavar="SETS", required=True, help="path to sets JSON"
+            )
         if name in ("weights", "decompose", "check-free", "remove", "verify"):
             p.add_argument("--p", type=int, required=True)
         if name == "density":
@@ -354,19 +358,7 @@ def main(argv=None) -> int:
         ns = parser.parse_args(argv)
         if ns.command is None:
             raise UsageError("no command given")
-        spec = JobSpec(
-            command=ns.command,
-            matrix_path=getattr(ns, "matrix", None),
-            sets_path=getattr(ns, "sets", None),
-            p=getattr(ns, "p", None),
-            samples=getattr(ns, "samples", 100000),
-            seed=getattr(ns, "seed", 0),
-            workers=getattr(ns, "workers", 1),
-            format=getattr(ns, "format", "json"),
-            mode=getattr(ns, "mode", "exhaustive"),
-            trend=getattr(ns, "trend", None),
-        )
-        return run(spec)
+        return run(JobSpec(**vars(ns)))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

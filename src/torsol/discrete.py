@@ -91,6 +91,15 @@ def _check_sets(mat: IntMatrix, p: int, sets) -> list[tuple[bool, ...]]:
     return arrays
 
 
+def _check_shifts(mat: IntMatrix, p: int, shifts) -> tuple[int, ...]:
+    if shifts is None:
+        return (0,) * mat.cols
+    shifts = tuple(int(v) % p for v in shifts)
+    if len(shifts) != mat.cols:
+        raise InvalidInputError(f"shifts of length {len(shifts)} for {mat.cols} coordinates")
+    return shifts
+
+
 def _count_by_enumeration(mat, param, members) -> int:
     p = param.p
     m = mat.cols
@@ -158,9 +167,7 @@ def solution_density(mat: IntMatrix, p: int, sets, shifts=None) -> Fraction:
     Exact rational: the count of admissible kernel elements over p^(m-r).
     """
     members = _check_sets(mat, p, sets)
-    if shifts is None:
-        shifts = (0,) * mat.cols
-    shifts = tuple(int(v) % p for v in shifts)
+    shifts = _check_shifts(mat, p, shifts)
     shifted = [
         tuple(members[i][(x + shifts[i]) % p] for x in range(p)) for i in range(mat.cols)
     ]
@@ -178,9 +185,7 @@ def solution_density(mat: IntMatrix, p: int, sets, shifts=None) -> Fraction:
 def list_solutions(mat: IntMatrix, p: int, sets, shifts=None, limit: int = 100) -> list[tuple[int, ...]]:
     """Up to `limit` admissible kernel elements, lexicographically sorted."""
     members = _check_sets(mat, p, sets)
-    if shifts is None:
-        shifts = (0,) * mat.cols
-    shifts = tuple(int(v) % p for v in shifts)
+    shifts = _check_shifts(mat, p, shifts)
     param = parametrize_kernel(mat, p)
     out = []
     for x in kernel_elements(param, mat.cols):

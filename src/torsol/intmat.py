@@ -390,7 +390,10 @@ def matrix_to_json(mat: IntMatrix) -> dict:
 def matrix_from_json(data) -> IntMatrix:
     if not isinstance(data, dict) or "entries" not in data:
         raise InvalidInputError("matrix JSON must be an object with an 'entries' field")
-    entries = [[int_from_json(v) for v in row] for row in data["entries"]]
+    rows = data["entries"]
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise InvalidInputError("matrix JSON 'entries' must be a list of rows, each a list of integers")
+    entries = [[int_from_json(v) for v in row] for row in rows]
     mat = IntMatrix(entries)
     if "rows" in data and int_from_json(data["rows"]) != mat.rows:
         raise InvalidInputError("matrix JSON 'rows' disagrees with entries")

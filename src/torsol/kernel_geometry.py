@@ -24,13 +24,15 @@ from itertools import product
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
 from .intmat import IntMatrix, analyze_matrix, echelon, is_prime, rank_mod_p, solve
-from .polytope import VolumeResult, slice_polytope, volume
+from .polytope import slice_polytope, volume
 
 __all__ = [
     "KernelComponent",
     "KernelDecomposition",
     "WeightedShift",
     "enumerate_components",
+    "slice_leaves",
+    "product_measure",
     "box_measure",
     "weight",
     "shift_cover",
@@ -164,46 +166,104 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
     )
 
 
-def box_slices(decomp: KernelDecomposition, j, p: int):
-    """Yield (component, VolumeResult) for each slice the closed grid box
-    j/p + [0, 1/p]^m can meet; the result is the slice's parameter polytope
-    restricted to the box."""
-    mat = decomp.matrix
-    lj = mat.apply_int(j)
-    ranges = mat.row_ranges()
-    lows = [Fraction(v, p) for v in j]
-    highs = [Fraction(v + 1, p) for v in j]
-    for comp in decomp.components:
-        # the box can only meet the slice at p*b' = Lj + b for a level b
-        shifted = [p * bv - ljv for bv, ljv in zip(comp.level, lj)]
-        if any(not (lo <= s <= hi) for s, (lo, hi) in zip(shifted, ranges)):
+def _form_range(row, hull):
+    """The range of row . t over the box hull."""
+    lo = Fraction(0)
+    hi = Fraction(0)
+    for c, (l, u) in zip(row, hull):
+        if c >= 0:
+            lo += c * l
+            hi += c * u
+        else:
+            lo += c * u
+            hi += c * l
+    return lo, hi
+
+
+def _tighten(hull, row, lo, hi):
+    """Intersect the hull with lo <= row . t <= hi (one propagation pass)."""
+    hull = list(hull)
+    for k, c in enumerate(row):
+        if c == 0:
             continue
-        yield comp, volume(slice_polytope(decomp.basis_columns, comp.representative, lows, highs))
+        omin, omax = _form_range(row[:k] + row[k + 1 :], hull[:k] + hull[k + 1 :])
+        num_lo, num_hi = lo - omax, hi - omin
+        if c > 0:
+            tk_lo, tk_hi = num_lo / c, num_hi / c
+        else:
+            tk_lo, tk_hi = num_hi / c, num_lo / c
+        l, u = hull[k]
+        l, u = max(l, tk_lo), min(u, tk_hi)
+        if l > u:
+            return None
+        hull[k] = (l, u)
+    return hull
 
 
-def slice_point(decomp: KernelDecomposition, comp: KernelComponent, res: VolumeResult):
-    """The point x_b + B c of the slice, for c the centroid of res's vertices."""
+def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
+    """Yield the VolumeResult of the slice restricted to each block product.
+
+    blocks[i] lists the blocks (a, b) of the i-th coordinate, each standing
+    for the half-open [a, b).  A coordinate whose row of B is zero (a
+    degenerate column) is the constant x_b[i] on the slice, so its block is
+    kept exactly when a <= x_b[i] < b.  Every other coordinate varies on
+    the slice and its block is taken closed, which changes no volume.
+    Block combinations whose interval hull misses the slice are pruned,
+    starting from the slice's bounding box comp.hull.  The parameter
+    volumes of the leaves sum to that of the slice inside the product of
+    the half-open blocks.
+    """
+    m = decomp.matrix.cols
     columns = decomp.basis_columns
-    n = len(res.vertices)
-    centroid = [sum((v[k] for v in res.vertices), Fraction(0)) / n for k in range(len(columns))]
-    return tuple(
-        x + sum(c[i] * t for c, t in zip(columns, centroid)) for i, x in enumerate(comp.representative)
+    x_rep = comp.representative
+    rows = [tuple(Fraction(c[i]) for c in columns) for i in range(m)]
+    chosen: list[tuple[Fraction, Fraction]] = []
+
+    def rec(i, hull):
+        if i == m:
+            lows, highs = zip(*chosen)
+            yield volume(slice_polytope(columns, x_rep, lows, highs))
+            return
+        flo, fhi = _form_range(rows[i], hull)
+        pinned = not any(rows[i])
+        for a, b in blocks[i]:
+            lo, hi = a - x_rep[i], b - x_rep[i]
+            if hi < flo or lo > fhi or (pinned and hi == 0):
+                continue
+            new_hull = _tighten(hull, rows[i], lo, hi)
+            if new_hull is None:
+                continue
+            chosen.append((a, b))
+            yield from rec(i + 1, new_hull)
+            chosen.pop()
+
+    yield from rec(0, comp.hull)
+
+
+def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
+    """Normalized Haar measure of the subgroup inside the product of blocks.
+
+    c_param times the parameter volumes of slice_leaves over all slices;
+    blocks[i] lists disjoint half-open blocks of the i-th coordinate.
+    """
+    total = sum(
+        (res.volume for comp in decomp.components for res in slice_leaves(decomp, comp, blocks)),
+        Fraction(0),
     )
+    return total * decomp.c_param
 
 
 def box_measure(decomp: KernelDecomposition, j, p: int) -> Fraction:
     """Normalized Haar measure of the grid box j/p + [0, 1/p)^m.
 
-    Computed on the closed box (a null-set difference for slices meeting
-    the box in full dimension): sum over slices of the parameter volume of
-    {t : x_b + B t in box}, scaled by c_param.
+    The product_measure of the one-block sets [j_i/p, (j_i+1)/p), exact
+    under the half-open rule of slice_leaves.
     """
     m = decomp.matrix.cols
     j = tuple(int(v) for v in j)
     if len(j) != m or any(not (0 <= v < p) for v in j):
         raise InvalidInputError(f"box index {j} not in [0, {p})^{m}")
-    total = sum((res.volume for _, res in box_slices(decomp, j, p)), Fraction(0))
-    return total * decomp.c_param
+    return product_measure(decomp, [[(Fraction(v, p), Fraction(v + 1, p))] for v in j])
 
 
 def weight(decomp: KernelDecomposition, j, p: int) -> Fraction:

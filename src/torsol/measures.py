@@ -24,18 +24,16 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInputError
 from .intmat import IntMatrix, analyze_matrix
 from .kernel_geometry import (
     KernelDecomposition,
-    box_measure,
     enumerate_components,
+    product_measure,
     shift_cover,
-    slice_point,
+    slice_leaves,
 )
-from .polytope import slice_polytope, volume
 from .torus_sets import IntervalUnion
 from .discrete import solution_density
 
@@ -75,103 +73,10 @@ def _check_sets(mat: IntMatrix, sets) -> list[IntervalUnion]:
     return sets
 
 
-def _form_range(row, hull):
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for c, (l, u) in zip(row, hull):
-        if c >= 0:
-            lo += c * l
-            hi += c * u
-        else:
-            lo += c * u
-            hi += c * l
-    return lo, hi
-
-
-def _tighten(hull, row, lo, hi):
-    """Intersect the hull with lo <= row . t <= hi (one propagation pass)."""
-    hull = list(hull)
-    d = len(hull)
-    for k in range(d):
-        c = row[k]
-        if c == 0:
-            continue
-        omin = Fraction(0)
-        omax = Fraction(0)
-        for j in range(d):
-            if j == k:
-                continue
-            cj = row[j]
-            l, u = hull[j]
-            if cj >= 0:
-                omin += cj * l
-                omax += cj * u
-            else:
-                omin += cj * u
-                omax += cj * l
-        num_lo, num_hi = lo - omax, hi - omin
-        if c > 0:
-            tk_lo, tk_hi = num_lo / c, num_hi / c
-        else:
-            tk_lo, tk_hi = num_hi / c, num_lo / c
-        l, u = hull[k]
-        l, u = max(l, tk_lo), min(u, tk_hi)
-        if l > u:
-            return None
-        hull[k] = (l, u)
-    return hull
-
-
-def _component_leaves(decomp: KernelDecomposition, comp, blocks):
-    """Yield the VolumeResult of the slice restricted to each block product.
-
-    blocks[i] is the list of closed blocks [a, b] of the i-th set; block
-    combinations whose interval hull misses the slice are pruned, starting
-    from the slice's bounding box comp.hull.  The parameter volumes of the
-    leaves sum to that of the slice inside the product of the blocks.
-    """
-    m = decomp.matrix.cols
-    columns = decomp.basis_columns
-    x_rep = comp.representative
-    rows = [tuple(Fraction(c[i]) for c in columns) for i in range(m)]
-    chosen: list[tuple[Fraction, Fraction]] = []
-
-    def rec(i, hull):
-        if i == m:
-            lows, highs = zip(*chosen)
-            yield volume(slice_polytope(columns, x_rep, lows, highs))
-            return
-        flo, fhi = _form_range(rows[i], hull)
-        for a, b in blocks[i]:
-            lo, hi = a - x_rep[i], b - x_rep[i]
-            if hi < flo or lo > fhi:
-                continue
-            new_hull = _tighten(hull, rows[i], lo, hi)
-            if new_hull is None:
-                continue
-            chosen.append((a, b))
-            yield from rec(i + 1, new_hull)
-            chosen.pop()
-
-    yield from rec(0, comp.hull)
-
-
-def _first_full_dimensional(decomp: KernelDecomposition, comp, blocks):
-    """The first leaf of the slice that is full-dimensional, or None."""
-    return next((res for res in _component_leaves(decomp, comp, blocks) if res.is_full_dimensional), None)
-
-
-def _closed_blocks(sets) -> list[list[tuple[Fraction, Fraction]]]:
-    return [[(a, b) for a, b in s.intervals] for s in sets]
-
-
 def _grid_box_sum(mat: IntMatrix, decomp: KernelDecomposition, sets, q: int) -> Fraction:
-    """Cell-by-cell summation over the q-grid (small q only)."""
-    discrete = [s.to_discrete(q) for s in sets]
-    total = Fraction(0)
-    for j in product(*[d.indices() for d in discrete]):
-        total += box_measure(decomp, j, q)
-    return total
+    """The measure re-derived with every set split into its q-grid cells."""
+    cells = [[(Fraction(k, q), Fraction(k + 1, q)) for k in s.to_discrete(q).indices()] for s in sets]
+    return product_measure(decomp, cells)
 
 
 def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
@@ -184,18 +89,10 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
-    blocks = _closed_blocks(sets)
-    total = Fraction(0)
-    for comp in decomp.components:
-        total += sum((res.volume for res in _component_leaves(decomp, comp, blocks)), Fraction(0))
-    value = total * decomp.c_param
+    value = product_measure(decomp, [s.intervals for s in sets])
 
-    q = 1
-    for s in sets:
-        for a, b in s.intervals:
-            q = q * a.denominator // math.gcd(q, a.denominator)
-            q = q * b.denominator // math.gcd(q, b.denominator)
-    if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT and not analyze_matrix(mat).degenerate_columns:
+    q = math.lcm(*(v.denominator for s in sets for pair in s.intervals for v in pair))
+    if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
         alt = _grid_box_sum(mat, decomp, sets, q)
         if alt != value:
             raise InternalInvariantError(
@@ -344,18 +241,26 @@ def approximation_bound(mat: IntMatrix, originals, approximants) -> Fraction:
 def find_positive_witness(mat: IntMatrix, sets):
     """A rational point x of the product of sets with Lx integral, or None.
 
-    Searches the same slice/block restrictions as the geometric route and
-    returns the centroid of the first full-dimensional one whose point
-    verifies exact membership in every (half-open) set.
+    Walks each slice with slice_leaves, as the geometric route does, takes
+    the vertex centroid of its first full-dimensional leaf, and returns the
+    first such point that verifies exact membership in every (half-open)
+    set.
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
-    blocks = _closed_blocks(sets)
+    columns = decomp.basis_columns
+    blocks = [s.intervals for s in sets]
     for comp in decomp.components:
-        res = _first_full_dimensional(decomp, comp, blocks)
+        leaves = slice_leaves(decomp, comp, blocks)
+        res = next((res for res in leaves if res.is_full_dimensional), None)
         if res is None:
             continue
-        x = slice_point(decomp, comp, res)
+        n = len(res.vertices)
+        centroid = [sum((v[k] for v in res.vertices), Fraction(0)) / n for k in range(len(columns))]
+        x = [
+            xi + sum(c[i] * t for c, t in zip(columns, centroid))
+            for i, xi in enumerate(comp.representative)
+        ]
         if all(s.contains(v % 1) for s, v in zip(sets, x)):
             return tuple(v % 1 for v in x)
     return None

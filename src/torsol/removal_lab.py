@@ -20,8 +20,8 @@ from fractions import Fraction
 from .discrete import kernel_elements, parametrize_kernel
 from .errors import InvalidInputError, PositiveMeasureError, PreconditionError
 from .intmat import IntMatrix, analyze_matrix
-from .kernel_geometry import box_slices, enumerate_components, shift_cover, slice_point
-from .measures import _first_full_dimensional, find_positive_witness, solution_measure
+from .kernel_geometry import enumerate_components, shift_cover, slice_leaves
+from .measures import find_positive_witness, solution_measure
 from .torus_sets import DiscreteSet, IntervalUnion
 
 __all__ = [
@@ -79,19 +79,6 @@ def _violating(mat: IntMatrix, p: int, members):
     return out
 
 
-def _box_witness(mat: IntMatrix, p: int, j, sets):
-    """Rational interior point of the kernel inside the box at j, verified
-    to lie in every (half-open) set; None when only degenerate contact."""
-    decomp = enumerate_components(mat)
-    for comp, res in box_slices(decomp, j, p):
-        if not res.is_full_dimensional:
-            continue
-        x = slice_point(decomp, comp, res)
-        if all(s.contains(v % 1) for s, v in zip(sets, x)):
-            return tuple(v % 1 for v in x)
-    return None
-
-
 def find_violating_boxes(mat: IntMatrix, p: int, sets):
     """Positive-weight boxes inside the product, plus a rational witness.
 
@@ -103,7 +90,8 @@ def find_violating_boxes(mat: IntMatrix, p: int, sets):
     boxes = _violating(mat, p, members)
     witness = None
     for j, _lam in boxes:
-        witness = _box_witness(mat, p, j, sets)
+        cells = [IntervalUnion([(Fraction(v, p), Fraction(v + 1, p))]) for v in j]
+        witness = find_positive_witness(mat, cells)
         if witness is not None:
             break
     return boxes, witness
@@ -153,8 +141,8 @@ def zero_measure_check(mat: IntMatrix, sets):
     rational witness solution).  Returns the per-set density points (open
     intervals, wrapping blocks reported with right endpoint > 1) and the
     exact emptiness of the open product's intersection with the kernel:
-    the product meets the kernel iff some slice restricted to the closures
-    is full-dimensional, which is checked slice by slice.
+    the product meets the kernel iff some slice restricted to the density
+    blocks is full-dimensional, which slice_leaves checks slice by slice.
     """
     rep = solution_measure(mat, sets)
     if rep.value != 0:
@@ -165,7 +153,7 @@ def zero_measure_check(mat: IntMatrix, sets):
             value=rep.value,
         )
     density_sets = [s.density_points() for s in sets]
-    closed_blocks = []
+    density_blocks = []
     for pairs in density_sets:
         blocks = []
         for a, b in pairs:
@@ -174,9 +162,13 @@ def zero_measure_check(mat: IntMatrix, sets):
             else:
                 blocks.append((a, Fraction(1)))
                 blocks.append((Fraction(0), b - 1))
-        closed_blocks.append(blocks)
+        density_blocks.append(blocks)
     decomp = enumerate_components(mat)
-    empty = all(_first_full_dimensional(decomp, comp, closed_blocks) is None for comp in decomp.components)
+    empty = not any(
+        res.is_full_dimensional
+        for comp in decomp.components
+        for res in slice_leaves(decomp, comp, density_blocks)
+    )
     return density_sets, empty
 
 

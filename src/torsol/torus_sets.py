@@ -227,9 +227,11 @@ def sets_from_json(data) -> list[IntervalUnion]:
         raise InvalidInputError("sets JSON must be a list of sets")
     out = []
     for entry in data:
+        if not isinstance(entry, list):
+            raise InvalidInputError(f"set {entry!r} must be a list of intervals")
         pairs = []
         for pair in entry:
-            if len(pair) != 2:
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise InvalidInputError(f"interval {pair!r} must have two endpoints")
             pairs.append((parse_rational(pair[0]), parse_rational(pair[1])))
         out.append(IntervalUnion(pairs))

@@ -7,6 +7,7 @@ from torsol.cli import main
 
 SUM3 = {"rows": 1, "cols": 3, "entries": [[1, 1, -1]]}
 AP3 = {"rows": 1, "cols": 3, "entries": [[1, -2, 1]]}
+PINNED = {"entries": [[1, 1, 0], [0, 0, 2]]}
 HALVES = [[["0", "1/2"]]] * 3
 TWO_FIFTHS = [[["0", "2/5"]]] * 3
 
@@ -222,6 +223,27 @@ def test_invalid_input_exit_2(files, capsys, tmp_path):
     malformed.write_text("{not json")
     code, _, _ = run(capsys, ["profile", "--matrix", str(malformed)])
     assert code == 2
+
+
+def test_malformed_json_shapes_exit_2(files, capsys):
+    for matrix in ({"entries": 5}, {"entries": [1, 2]}):
+        code, out, err = run(capsys, ["profile", "--matrix", files("m.json", matrix)])
+        assert (code, out) == (2, "")
+        assert "entries" in err
+    for sets in ([5, 5, 5], [[5], [5], [5]]):
+        argv = ["measure", "--matrix", files("m.json", SUM3), "--sets", files("s.json", sets)]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "invalid input" in err
+
+
+def test_measure_pinned_coordinate_half_open(files, capsys):
+    mpath = files("m.json", PINNED)
+    for third, value in ((["0", "1/2"], "1/2"), (["1/4", "1/2"], "0")):
+        sets = [[["0", "1"]], [["0", "1"]], [third]]
+        code, out, _ = run(capsys, ["measure", "--matrix", mpath, "--sets", files("s.json", sets)])
+        assert code == 0
+        assert json.loads(out)["value"] == value
 
 
 def test_bad_p_exit_3(files, capsys):

@@ -142,6 +142,9 @@ def test_rank_drop_rejected():
 def test_membership_arrays_must_have_length_p(count, length):
     with pytest.raises(InvalidInputError, match="length"):
         count(SUM3, 5, [[True] * length] * 3)
+    # so must shift vectors have length m = 3: (1,) and (1, 2, 3, 4) are refused
+    with pytest.raises(InvalidInputError, match="length"):
+        count(SUM3, 5, [[True] * 5] * 3, shifts=(1, 2, 3, 4)[: length // 2])
 
 
 def test_shifts_wrap_modulo_p():

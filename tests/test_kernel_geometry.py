@@ -145,7 +145,7 @@ def test_ap3_weight_at_two_primes():
 
 def test_partition_of_mass_over_all_boxes():
     # boxes tile the m-torus, so measures must sum to exactly 1 (any modulus)
-    for mat, p in ((SUM3, 3), (SUM3, 4), (AP3, 5)):
+    for mat, p in ((SUM3, 3), (SUM3, 4), (AP3, 5), (PINNED, 4)):
         d = enumerate_components(mat)
         total = sum(
             (box_measure(d, j, p) for j in product(range(p), repeat=mat.cols)),

@@ -16,11 +16,13 @@ from torsol.errors import DegenerateColumnsError, GridAlignmentError, InvalidInp
 from torsol.measures import _grid_box_sum
 from torsol.kernel_geometry import enumerate_components
 
-from oracles import random_block_sets, random_grid_sets
+from oracles import random_block_sets, random_grid_sets, random_pinned_matrix
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
 AP4 = IntMatrix([[1, -2, 1, 0], [0, 1, -2, 1]])
+PINNED = IntMatrix([[1, 1, 0], [0, 0, 2]])
+PINNED_SCALED = IntMatrix([[2, 2, 0], [0, 0, 4]])
 
 
 def iv(*pairs):
@@ -82,11 +84,30 @@ def test_route_agreement_randomized():
 
 def test_grid_box_sum_matches_block_sum():
     rng = random.Random(9)
-    for mat, q in ((SUM3, 5), (AP3, 6), (SUM3, 7)):
+    for mat, q in ((SUM3, 5), (AP3, 6), (SUM3, 7), (PINNED, 4), (PINNED_SCALED, 4)):
         decomp = enumerate_components(mat)
         for _ in range(3):
             sets = random_grid_sets(rng, q, mat.cols)
             assert _grid_box_sum(mat, decomp, sets, q) == solution_measure(mat, sets).value
+
+
+def test_pinned_coordinate_is_tested_half_open():
+    # x_3 is pinned to {0, 1/2}: only x_3 = 0 lies in [0, 1/2), neither in [1/4, 1/2)
+    full = IntervalUnion.full()
+    assert solution_measure(PINNED, [full, full, HALF]).value == F(1, 2)
+    assert solution_measure(PINNED, [full, full, iv((F(1, 4), F(1, 2)))]).value == 0
+
+
+def test_monte_carlo_agrees_on_pinned_matrices():
+    rng = random.Random(23)
+    n = 20000
+    for _ in range(10):
+        r = rng.choice((1, 2))
+        mat = random_pinned_matrix(rng, r, r + 2)
+        sets = random_grid_sets(rng, 6, mat.cols, density=0.6)
+        exact = solution_measure(mat, sets).value
+        est = monte_carlo_estimate(mat, sets, n, seed=1).value
+        assert abs(est - exact) <= 3 * (float(exact * (1 - exact)) / n) ** 0.5, (mat.entries, sets)
 
 
 def test_multilinear_additivity():
