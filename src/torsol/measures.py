@@ -5,8 +5,9 @@ geometric      exact: sum over kernel slices of parameter-polytope volumes,
                with interval-hull pruning.  Works for any rational interval
                unions.
 decomposition  exact: weighted sum of shifted counting densities over Z_p,
-               for p-grid-aligned sets at a suitable prime p.  Independently
-               coded from the geometric route; the two agree exactly.
+               for p-grid-aligned sets at a suitable prime p, all read off
+               one count vector.  Independently coded from the geometric
+               route; the two agree exactly.
 monte_carlo    statistical: samples from the normalized Haar measure on the
                kernel subgroup by component choice plus rejection inside the
                parameter polytope.  The only floating-point code in the
@@ -22,7 +23,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 
 from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInputError
@@ -35,7 +38,7 @@ from .kernel_geometry import (
     slice_leaves,
 )
 from .torus_sets import IntervalUnion
-from .discrete import solution_density
+from .discrete import residue_counts
 
 __all__ = [
     "MeasureReport",
@@ -51,12 +54,12 @@ __all__ = [
 _BOX_CROSS_CHECK_LIMIT = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MeasureReport:
     value: object  # Fraction for exact routes, float for monte_carlo
     route: str
     p_used: int | None = None
-    per_shift: tuple | None = None  # (j, lambda, density) triples
+    per_shift: Sequence | None = None  # (j, lambda, density) triples
     ci99: float | None = None
     n_samples: int | None = None
     seed: int | None = None
@@ -101,24 +104,63 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     return MeasureReport(value=value, route="geometric")
 
 
+class PerShift(Sequence):
+    """The (j, lambda, density) triples of a decomposition, built on access.
+
+    Holds the shift cover, shared by every decomposition at the same L and
+    p, and one count per shift packed into a single int, so a report takes
+    a fifth of the memory that the triples themselves would.
+    """
+
+    __slots__ = ("cover", "packed", "width", "size")
+
+    def __init__(self, cover, counts, size):
+        self.cover, self.size = cover, size
+        self.width = max(counts, default=0).bit_length()
+        self.packed = sum(c << (i * self.width) for i, c in enumerate(counts))
+
+    def __len__(self):
+        return len(self.cover)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(len(self))[i])
+        i = range(len(self))[i]
+        count = (self.packed >> (i * self.width)) & ((1 << self.width) - 1)
+        return (self.cover[i].j, self.cover[i].lam, Fraction(count, self.size))
+
+    def __eq__(self, other):
+        return tuple(self) == (tuple(other) if isinstance(other, PerShift) else other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+@lru_cache(maxsize=128)
+def _shift_cover(mat: IntMatrix, p: int) -> tuple:
+    return tuple(shift_cover(enumerate_components(mat), p))
+
+
 def decompose(mat: IntMatrix, p: int, sets) -> MeasureReport:
     """Exact solution measure via the weighted shift cover over Z_p.
 
     Requires p-grid-aligned sets and a prime p accepted by shift_cover.
-    The report carries every (shift, weight, shifted density) triple; the
-    value is their weighted sum and equals the geometric route exactly.
+    One count vector N(c) of the discretized sets gives every shifted
+    density: the shift j of level b solves L j = -b (mod p), so its
+    density is N(-b) / p^(m-r).  The report carries every (shift, weight,
+    shifted density) triple; the value is their weighted sum and equals
+    the geometric route exactly.
     """
     sets = _check_sets(mat, sets)
-    decomp = enumerate_components(mat)
-    cover = shift_cover(decomp, p)
-    discrete_sets = [s.to_discrete(p) for s in sets]
-    per = []
-    value = Fraction(0)
-    for sh in cover:
-        dens = solution_density(mat, p, discrete_sets, shifts=sh.j)
-        per.append((sh.j, sh.lam, dens))
-        value += sh.lam * dens
-    return MeasureReport(value=value, route="decomposition", p_used=p, per_shift=tuple(per))
+    cover = _shift_cover(mat, p)
+    count = residue_counts(mat, p, [s.to_discrete(p).members for s in sets])
+    counts = [count([-b for b in sh.level]) for sh in cover]
+    per = PerShift(cover, counts, p ** (mat.cols - mat.rows))
+    value = sum((lam * dens for _j, lam, dens in per), Fraction(0))
+    return MeasureReport(value=value, route="decomposition", p_used=p, per_shift=per)
 
 
 def _float_membership(sets):

@@ -245,3 +245,16 @@ def random_block_sets(rng: random.Random, p, m, max_blocks=6):
                 pairs.append((F(a, p), F(b, p)))
         out.append(IntervalUnion(pairs))
     return out
+
+
+def random_run_sets(rng: random.Random, p, counts):
+    """p-grid-aligned sets, the i-th a union of exactly counts[i] separated cell runs."""
+    from fractions import Fraction as F
+
+    from torsol import IntervalUnion
+
+    out = []
+    for k in counts:
+        cuts = sorted(rng.sample(range(p + 1), 2 * k))
+        out.append(IntervalUnion([(F(a, p), F(b, p)) for a, b in zip(cuts[::2], cuts[1::2])]))
+    return out

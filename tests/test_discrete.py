@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from fractions import Fraction as F
 
 import pytest
@@ -11,7 +12,7 @@ from torsol import (
     parametrize_kernel,
     solution_density,
 )
-from torsol.discrete import _count_by_dp
+from torsol.discrete import residue_counts
 from torsol.errors import BadModulusError, InvalidInputError
 
 from oracles import naive_density
@@ -19,6 +20,9 @@ from oracles import naive_density
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
 AP4 = IntMatrix([[1, -2, 1, 0], [0, 1, -2, 1]])
+AP5 = IntMatrix([[1, -2, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -2, 1]])
+PINNED = IntMatrix([[1, 1, 0], [0, 0, 2]])
+ZERO_COLUMN = IntMatrix([[5, 1, 1]])  # column 0 vanishes mod 5
 
 
 def dset(p, idx):
@@ -71,6 +75,13 @@ def test_limit_truncates():
     sols = list_solutions(SUM3, 5, sets, limit=7)
     assert len(sols) == 7
     assert sols == sorted(sols)
+    assert list_solutions(SUM3, 5, sets, limit=0) == []
+
+
+def test_negative_limit_refused():
+    # limit=-1 once sliced off the last solution: 2 of the 3 for {0,1}^3
+    with pytest.raises(InvalidInputError, match="limit"):
+        list_solutions(SUM3, 5, [dset(5, [0, 1])] * 3, limit=-1)
 
 
 def test_agrees_with_naive_oracle():
@@ -90,18 +101,23 @@ def test_agrees_with_naive_oracle():
                 assert ours == theirs
 
 
-def test_dp_path_matches_enumeration():
+def test_residue_counts_match_naive_oracle():
+    """N(c) for every residue class c, against brute force at a shift s with Ls = c."""
     rng = random.Random(19)
-    for mat, p in ((SUM3, 11), (AP3, 13), (AP4, 7)):
-        for _ in range(3):
-            members = [
-                tuple(rng.random() < 0.5 for _ in range(p)) for _ in range(mat.cols)
-            ]
-            count = _count_by_dp(mat, p, members)
-            dens = solution_density(
-                mat, p, [DiscreteSet(p, mem) for mem in members]
-            )
-            assert F(count, p ** (mat.cols - mat.rows)) == dens
+    cases = ((SUM3, 11), (AP3, 13), (AP4, 7), (AP5, 5), (PINNED, 5), (ZERO_COLUMN, 5))
+    for mat, p in cases:
+        m, r = mat.cols, mat.rows
+        shift_of = {}
+        for s in product(range(p), repeat=m):
+            shift_of.setdefault(tuple(v % p for v in mat.apply_int(s)), s)
+        assert len(shift_of) == p**r
+        drawn = [tuple(rng.random() < 0.5 for _ in range(p)) for _ in range(m)]
+        empty_first = [(False,) * p] + drawn[1:]
+        full_last = drawn[:-1] + [(True,) * p]
+        for members in (drawn, empty_first, full_last):
+            counts = residue_counts(mat, p, members)
+            for c, s in shift_of.items():
+                assert F(counts(c), p ** (m - r)) == naive_density(mat.entries, p, members, s)
 
 
 def test_additive_in_disjoint_union_of_one_argument():
@@ -152,3 +168,24 @@ def test_shifts_wrap_modulo_p():
     assert solution_density(SUM3, 5, sets, shifts=(5, 10, 6)) == solution_density(
         SUM3, 5, sets, shifts=(0, 0, 1)
     )
+
+
+@pytest.mark.parametrize("count", [solution_density, list_solutions])
+def test_non_integral_shifts_refused(count):
+    sets = [dset(5, [0, 1])] * 3
+    # (0.5, 0, 1) was once truncated to (0, 0, 1)
+    for bad in ((0.5, 0, 1), (1.0, 0, 1), (F(1, 2), 0, 1), ("1", 0, 0), (None, 0, 0)):
+        with pytest.raises(InvalidInputError, match="shifts"):
+            count(SUM3, 5, sets, shifts=bad)
+    assert count(SUM3, 5, sets, shifts=(F(5), -5, True)) == count(SUM3, 5, sets, shifts=(0, 0, 1))
+
+
+@pytest.mark.parametrize("count", [solution_density, list_solutions])
+def test_membership_entries_must_be_bool_or_01(count):
+    # any truthy entry once counted as a member, so "abcde" read as a full set
+    for bad in (["abcde"] * 3, [[2, 0, 0, 0, 0]] * 3, [[0.5, 1, 0, 0, 0]] * 3, [[None] * 5] * 3):
+        with pytest.raises(InvalidInputError, match="membership"):
+            count(SUM3, 5, bad)
+    as_ints = [[1, 1, 0, 0, 0]] * 3
+    as_bools = [[True, True, False, False, False]] * 3
+    assert count(SUM3, 5, as_ints) == count(SUM3, 5, as_bools) == count(SUM3, 5, [dset(5, [0, 1])] * 3)

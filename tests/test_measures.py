@@ -16,7 +16,7 @@ from torsol.errors import DegenerateColumnsError, GridAlignmentError, InvalidInp
 from torsol.measures import _grid_box_sum
 from torsol.kernel_geometry import enumerate_components
 
-from oracles import random_block_sets, random_grid_sets, random_pinned_matrix
+from oracles import random_block_sets, random_grid_sets, random_pinned_matrix, random_run_sets
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
@@ -56,11 +56,19 @@ def test_benchmark_two_fifths_both_routes():
     per = {tuple(j): (lam, s) for j, lam, s in dec.per_shift}
     assert per[(0, 0, 0)] == (F(1, 2), F(3, 25))
     assert per[(0, 0, 1)] == (F(1, 2), F(1, 25))
+    # per_shift is a read-only sequence of the triples, equal to their tuple
+    triples = tuple(dec.per_shift)
+    assert len(dec.per_shift) == 2 and dec.per_shift[-1] == triples[-1]
+    assert dec.per_shift[::-1] == triples[::-1]
+    again = decompose(SUM3, 5, [TWO_FIFTHS] * 3)
+    assert again == dec and hash(again) == hash(dec) and dec.per_shift == triples
 
 
 def test_decompose_full_and_empty():
     assert decompose(SUM3, 5, [IntervalUnion.full()] * 3).value == 1
-    assert decompose(SUM3, 5, [IntervalUnion.empty()] * 3).value == 0
+    empty = decompose(SUM3, 5, [IntervalUnion.empty()] * 3)
+    assert empty.value == 0
+    assert [dens for _j, _lam, dens in empty.per_shift] == [0, 0]
 
 
 def test_decompose_requires_aligned_sets():
@@ -80,6 +88,19 @@ def test_route_agreement_randomized():
         assert solution_measure(AP4, sets).value == decompose(AP4, 5, sets).value
     sets = random_block_sets(rng, 101, 3)
     assert solution_measure(SUM3, sets).value == decompose(SUM3, 101, sets).value
+
+
+def test_route_agreement_at_large_moduli():
+    """Both exact routes at the benchmark's moduli, with up to 3 blocks per set."""
+    rng = random.Random(307)
+    for mat, p, counts in ((SUM3, 307, (1, 2, 3)), (AP4, 101, (1, 2, 2, 3))):
+        for _ in range(2):
+            order = rng.sample(counts, len(counts))
+            sets = random_run_sets(rng, p, order)
+            assert [len(s.intervals) for s in sets] == order
+            dec = decompose(mat, p, sets)
+            assert dec.value == solution_measure(mat, sets).value
+            assert sum(lam for _j, lam, _s in dec.per_shift) == 1
 
 
 def test_grid_box_sum_matches_block_sum():
