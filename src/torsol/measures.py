@@ -5,8 +5,8 @@ geometric      exact: sum over kernel slices of parameter-polytope volumes,
                with interval-hull pruning.  Works for any rational interval
                unions.
 decomposition  exact: weighted sum of shifted counting densities over Z_p,
-               for p-grid-aligned sets at a suitable prime p, all read off
-               one count vector.  Independently coded from the geometric
+               for p-grid-aligned sets at a suitable prime p, all from one
+               call of the Z_p counter.  Independently coded from the geometric
                route; the two agree exactly.
 monte_carlo    statistical: samples from the normalized Haar measure on the
                kernel subgroup by component choice plus rejection inside the
@@ -25,7 +25,6 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 
 from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInputError
@@ -107,27 +106,29 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
 class PerShift(Sequence):
     """The (j, lambda, density) triples of a decomposition, built on access.
 
-    Holds the shift cover, shared by every decomposition at the same L and
-    p, and one count per shift packed into a single int, so a report takes
-    a fifth of the memory that the triples themselves would.
+    Keeps only the count of each shift, packed into one int.  The shifts
+    and weights come back from shift_cover on the cached kernel
+    decomposition, so a caller that keeps many reports holds a fifth of
+    the memory that tuples of triples would take.
     """
 
-    __slots__ = ("cover", "packed", "width", "size")
+    __slots__ = ("mat", "p", "n", "packed", "width")
 
-    def __init__(self, cover, counts, size):
-        self.cover, self.size = cover, size
+    def __init__(self, mat: IntMatrix, p: int, counts):
+        self.mat, self.p, self.n = mat, p, len(counts)
         self.width = max(counts, default=0).bit_length()
         self.packed = sum(c << (i * self.width) for i, c in enumerate(counts))
 
+    def __iter__(self):
+        size, top = self.p ** (self.mat.cols - self.mat.rows), (1 << self.width) - 1
+        for i, sh in enumerate(shift_cover(enumerate_components(self.mat), self.p)):
+            yield sh.j, sh.lam, Fraction(self.packed >> (i * self.width) & top, size)
+
     def __len__(self):
-        return len(self.cover)
+        return self.n
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(len(self))[i])
-        i = range(len(self))[i]
-        count = (self.packed >> (i * self.width)) & ((1 << self.width) - 1)
-        return (self.cover[i].j, self.cover[i].lam, Fraction(count, self.size))
+        return tuple(self)[i]
 
     def __eq__(self, other):
         return tuple(self) == (tuple(other) if isinstance(other, PerShift) else other)
@@ -139,27 +140,23 @@ class PerShift(Sequence):
         return repr(tuple(self))
 
 
-@lru_cache(maxsize=128)
-def _shift_cover(mat: IntMatrix, p: int) -> tuple:
-    return tuple(shift_cover(enumerate_components(mat), p))
-
-
 def decompose(mat: IntMatrix, p: int, sets) -> MeasureReport:
     """Exact solution measure via the weighted shift cover over Z_p.
 
     Requires p-grid-aligned sets and a prime p accepted by shift_cover.
-    One count vector N(c) of the discretized sets gives every shifted
-    density: the shift j of level b solves L j = -b (mod p), so its
-    density is N(-b) / p^(m-r).  The report carries every (shift, weight,
+    One call of residue_counts on the discretized sets gives every
+    shifted density: the shift j of level b solves L j = -b (mod p), so
+    its density is N(-b) / p^(m-r).  The report carries every (shift, weight,
     shifted density) triple; the value is their weighted sum and equals
     the geometric route exactly.
     """
     sets = _check_sets(mat, sets)
-    cover = _shift_cover(mat, p)
-    count = residue_counts(mat, p, [s.to_discrete(p).members for s in sets])
-    counts = [count([-b for b in sh.level]) for sh in cover]
-    per = PerShift(cover, counts, p ** (mat.cols - mat.rows))
-    value = sum((lam * dens for _j, lam, dens in per), Fraction(0))
+    cover = shift_cover(enumerate_components(mat), p)
+    members = [s.to_discrete(p).members for s in sets]
+    counts = residue_counts(mat, p, members, [[-b for b in sh.level] for sh in cover])
+    size = p ** (mat.cols - mat.rows)
+    value = sum((sh.lam * Fraction(c, size) for sh, c in zip(cover, counts)), Fraction(0))
+    per = PerShift(mat, p, counts)
     return MeasureReport(value=value, route="decomposition", p_used=p, per_shift=per)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import GridAlignmentError, InvalidInputError
 from .rationals import format_rational, parse_rational
@@ -179,9 +180,13 @@ class DiscreteSet:
     def __init__(self, p: int, members):
         if p < 1:
             raise InvalidInputError("modulus must be positive")
-        members = tuple(bool(v) for v in members)
+        members = tuple(members)
         if len(members) != p:
             raise InvalidInputError(f"membership array must have length {p}")
+        if not set(map(type, members)) <= {bool}:
+            if not all(isinstance(v, Integral) and v in (0, 1) for v in members):
+                raise InvalidInputError("membership entries must be bool or 0/1")
+            members = tuple(map(bool, members))
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "members", members)
 

@@ -12,7 +12,8 @@ from torsol import (
     parametrize_kernel,
     solution_density,
 )
-from torsol.discrete import residue_counts
+from torsol import discrete
+from torsol.discrete import _free_tuple_counts, _packed_counts, residue_counts
 from torsol.errors import BadModulusError, InvalidInputError
 
 from oracles import naive_density
@@ -20,6 +21,7 @@ from oracles import naive_density
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
 AP4 = IntMatrix([[1, -2, 1, 0], [0, 1, -2, 1]])
+R4 = IntMatrix([[1, 1, -1, -1]])
 AP5 = IntMatrix([[1, -2, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -2, 1]])
 PINNED = IntMatrix([[1, 1, 0], [0, 0, 2]])
 ZERO_COLUMN = IntMatrix([[5, 1, 1]])  # column 0 vanishes mod 5
@@ -102,7 +104,7 @@ def test_agrees_with_naive_oracle():
 
 
 def test_residue_counts_match_naive_oracle():
-    """N(c) for every residue class c, against brute force at a shift s with Ls = c."""
+    """N(c) for every residue class c, by both routes, against brute force at a shift s with Ls = c."""
     rng = random.Random(19)
     cases = ((SUM3, 11), (AP3, 13), (AP4, 7), (AP5, 5), (PINNED, 5), (ZERO_COLUMN, 5))
     for mat, p in cases:
@@ -111,13 +113,56 @@ def test_residue_counts_match_naive_oracle():
         for s in product(range(p), repeat=m):
             shift_of.setdefault(tuple(v % p for v in mat.apply_int(s)), s)
         assert len(shift_of) == p**r
+        targets = list(shift_of)
         drawn = [tuple(rng.random() < 0.5 for _ in range(p)) for _ in range(m)]
         empty_first = [(False,) * p] + drawn[1:]
         full_last = drawn[:-1] + [(True,) * p]
         for members in (drawn, empty_first, full_last):
-            counts = residue_counts(mat, p, members)
-            for c, s in shift_of.items():
-                assert F(counts(c), p ** (m - r)) == naive_density(mat.entries, p, members, s)
+            want = [naive_density(mat.entries, p, members, shift_of[c]) * p ** (m - r) for c in targets]
+            packed = _packed_counts(mat, p, members)
+            assert [packed(c) for c in targets] == want
+            assert _free_tuple_counts(mat, p, members, targets) == want
+            assert residue_counts(mat, p, members, targets) == want
+
+
+def test_residue_counts_r3_at_large_p(monkeypatch):
+    """AP5 at p = 307 counts over the free tuples; its packed vector would take ~0.6 GB."""
+
+    def refuse(*args):
+        raise AssertionError("packed count vector built")
+
+    monkeypatch.setattr(discrete, "_packed_counts", refuse)
+    rng = random.Random(29)
+    p = 307
+    runs = [rng.sample(range(p), 4) for _ in range(5)]
+    sets = [dset(p, [x for a in starts for x in range(a, a + 15)]) for starts in runs]
+    shifts = tuple(rng.randrange(p) for _ in range(5))
+    kernel_hits = list_solutions(AP5, p, sets, shifts, limit=p**2)
+    assert solution_density(AP5, p, sets, shifts) == F(len(kernel_hits), p**2)
+
+
+def test_counts_over_the_smaller_side(monkeypatch):
+    """R4 at p = 101 builds the packed vector; AP4 at p = 211, and R4 past the size limit, walk the free tuples."""
+
+    def refuse(*args):
+        raise AssertionError("counted over the larger side")
+
+    rng = random.Random(31)
+    cases = []
+    for mat, p in ((R4, 101), (AP4, 211)):
+        members = [tuple(rng.random() < 0.5 for _ in range(p)) for _ in range(mat.cols)]
+        targets = [tuple(rng.randrange(p) for _ in range(mat.rows)) for _ in range(8)]
+        cases.append((mat, p, members, targets))
+    want = [_free_tuple_counts(*case) for case in cases]
+    with monkeypatch.context() as patch:
+        patch.setattr(discrete, "_free_tuple_counts", refuse)
+        assert residue_counts(*cases[0]) == want[0]
+    packed = _packed_counts(*cases[1][:3])
+    assert [packed(c) for c in cases[1][3]] == want[1]
+    monkeypatch.setattr(discrete, "_packed_counts", refuse)
+    assert residue_counts(*cases[1]) == want[1]
+    monkeypatch.setattr(discrete, "_PACKED_BITS_LIMIT", 0)
+    assert residue_counts(*cases[0]) == want[0]
 
 
 def test_additive_in_disjoint_union_of_one_argument():
@@ -186,6 +231,10 @@ def test_membership_entries_must_be_bool_or_01(count):
     for bad in (["abcde"] * 3, [[2, 0, 0, 0, 0]] * 3, [[0.5, 1, 0, 0, 0]] * 3, [[None] * 5] * 3):
         with pytest.raises(InvalidInputError, match="membership"):
             count(SUM3, 5, bad)
+        # wrapping the array in a DiscreteSet does not get it past the check
+        with pytest.raises(InvalidInputError, match="membership"):
+            count(SUM3, 5, [DiscreteSet(5, arr) for arr in bad])
     as_ints = [[1, 1, 0, 0, 0]] * 3
     as_bools = [[True, True, False, False, False]] * 3
     assert count(SUM3, 5, as_ints) == count(SUM3, 5, as_bools) == count(SUM3, 5, [dset(5, [0, 1])] * 3)
+    assert DiscreteSet(5, as_ints[0]) == DiscreteSet(5, as_bools[0])

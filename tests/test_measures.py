@@ -21,6 +21,7 @@ from oracles import random_block_sets, random_grid_sets, random_pinned_matrix, r
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
 AP4 = IntMatrix([[1, -2, 1, 0], [0, 1, -2, 1]])
+AP5 = IntMatrix([[1, -2, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -2, 1]])
 PINNED = IntMatrix([[1, 1, 0], [0, 0, 2]])
 PINNED_SCALED = IntMatrix([[2, 2, 0], [0, 0, 4]])
 
@@ -91,9 +92,13 @@ def test_route_agreement_randomized():
 
 
 def test_route_agreement_at_large_moduli():
-    """Both exact routes at the benchmark's moduli, with up to 3 blocks per set."""
+    """Both exact routes at the benchmark's moduli, with up to 3 blocks per set.
+
+    AP5 at p = 307 (r = 3) would need a packed count vector of ~0.6 GB;
+    decompose counts it over the free tuples instead.
+    """
     rng = random.Random(307)
-    for mat, p, counts in ((SUM3, 307, (1, 2, 3)), (AP4, 101, (1, 2, 2, 3))):
+    for mat, p, counts in ((SUM3, 307, (1, 2, 3)), (AP4, 101, (1, 2, 2, 3)), (AP5, 307, (1, 2, 1, 2, 1))):
         for _ in range(2):
             order = rng.sample(counts, len(counts))
             sets = random_run_sets(rng, p, order)
