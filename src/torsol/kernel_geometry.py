@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from numbers import Rational
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
 from .intmat import IntMatrix, analyze_matrix, echelon, is_prime, rank_mod_p, solve
@@ -257,12 +258,14 @@ def box_measure(decomp: KernelDecomposition, j, p: int) -> Fraction:
     """Normalized Haar measure of the grid box j/p + [0, 1/p)^m.
 
     The product_measure of the one-block sets [j_i/p, (j_i+1)/p), exact
-    under the half-open rule of slice_leaves.
+    under the half-open rule of slice_leaves.  The entries of j must be
+    ints or integral Rationals; floats are refused, even 1.0.
     """
     m = decomp.matrix.cols
-    j = tuple(int(v) for v in j)
-    if len(j) != m or any(not (0 <= v < p) for v in j):
-        raise InvalidInputError(f"box index {j} not in [0, {p})^{m}")
+    j = tuple(j)
+    if len(j) != m or not all(isinstance(v, Rational) and v.denominator == 1 and 0 <= v < p for v in j):
+        raise InvalidInputError(f"box index {j} not an integer point of [0, {p})^{m}")
+    j = tuple(map(int, j))
     return product_measure(decomp, [[(Fraction(v, p), Fraction(v + 1, p))] for v in j])
 
 

@@ -8,10 +8,11 @@ decomposition  exact: weighted sum of shifted counting densities over Z_p,
                for p-grid-aligned sets at a suitable prime p, all from one
                call of the Z_p counter.  Independently coded from the geometric
                route; the two agree exactly.
-monte_carlo    statistical: samples from the normalized Haar measure on the
-               kernel subgroup by component choice plus rejection inside the
-               parameter polytope.  The only floating-point code in the
-               package lives here.
+monte_carlo    statistical: samples the normalized Haar measure on the
+               kernel subgroup directly, from uniform free coordinates and
+               a uniform coset of the pivot minor, and reads off the pivot
+               coordinates.  It shares no geometry with the exact routes.
+               The only floating-point code in the package lives here.
 
 The L1-continuity bound sum_i mu(C_i delta A_i) certifies how far the
 measure can move when each set is replaced by an approximant, provided every
@@ -23,12 +24,14 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInputError
-from .intmat import IntMatrix, analyze_matrix
+from .intmat import IntMatrix, _column_hnf, analyze_matrix, echelon, solve
 from .kernel_geometry import (
     KernelDecomposition,
     enumerate_components,
@@ -160,11 +163,11 @@ def decompose(mat: IntMatrix, p: int, sets) -> MeasureReport:
     return MeasureReport(value=value, route="decomposition", p_used=p, per_shift=per)
 
 
-def _float_membership(sets):
-    tables = []
-    for s in sets:
-        tables.append([(float(a), float(b)) for a, b in s.intervals])
-    return tables
+def _member(table, v) -> bool:
+    """Whether v lies in the half-open blocks [starts[i], ends[i]) of table."""
+    starts, ends = table
+    i = bisect_right(starts, v) - 1
+    return i >= 0 and v < ends[i]
 
 
 def monte_carlo_estimate(
@@ -172,71 +175,57 @@ def monte_carlo_estimate(
 ) -> MeasureReport:
     """Statistical estimate of the solution measure with a 99% interval.
 
-    Draws from the normalized Haar measure on the kernel subgroup: pick a
-    slice with probability proportional to its parameter volume, then
-    rejection-sample the parameter uniformly from the slice's bounding box.
+    Samples the normalized Haar measure on {x in T^m : Lx = 0} through the
+    pivot columns D of L (det L_D != 0) and the free columns F.  The map
+    x -> x_F takes the subgroup onto T^(m-r); its fibre over x_F is the
+    |det L_D| points x_D = L_D^-1 (k - L_F x_F) mod 1, one for each coset
+    k of Z^r / L_D Z^r, and the diagonal h of the column HNF of L_D lists
+    the cosets as 0 <= k_i < h_i.  Each sample draws x_F, one uniform per
+    free column in column order, then k_i uniformly for each i with
+    h_i > 1 in order, and reads off x_D.  A pivot coordinate whose row of
+    L_D^-1 L_F is zero is pinned to the exact rational (L_D^-1 k)_i mod 1
+    and tested half-open exactly; the other coordinates are floats.
+
     Deterministic for fixed (seed, n_samples, workers); each worker w uses
     the derived stream seed "seed:w".
     """
     sets = _check_sets(mat, sets)
-    if n_samples < 1:
-        raise InvalidInputError("need at least one sample")
-    if workers < 1:
-        raise InvalidInputError("workers must be >= 1")
-    decomp = enumerate_components(mat)
-    comps = [c for c in decomp.components if c.volume_param > 0]
-    weights = [float(c.volume_param / decomp.total_volume_param) for c in comps]
-    cum = []
-    acc = 0.0
-    for w in weights:
-        acc += w
-        cum.append(acc)
-    cum[-1] = 1.0
+    for name, v in (("n_samples", n_samples), ("workers", workers)):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+            raise InvalidInputError(f"{name} must be an integer >= 1, got {v!r}")
+    r, rows = mat.rows, mat.entries
+    piv = echelon(rows)[1]
+    free = [c for c in range(mat.cols) if c not in piv]
+    l_d = [[row[c] for c in piv] for row in rows]
+    inv = list(zip(*(solve(l_d, [int(i == j) for i in range(r)]) for j in range(r))))
+    drawn = [(i, col[i]) for i, col in enumerate(_column_hnf(list(zip(*l_d)), r)) if col[i] > 1]
 
-    m = decomp.matrix.cols
-    d = len(decomp.basis_columns)
-    cols_f = [[float(v) for v in c] for c in decomp.basis_columns]
-    prepared = []
-    for comp in comps:
-        rep = [float(v) for v in comp.representative]
-        box = [(float(l), float(u)) for l, u in comp.hull]
-        prepared.append((rep, box))
-    tables = _float_membership(sets)
+    def table(s, kind):
+        return [kind(a) for a, _ in s.intervals], [kind(b) for _, b in s.intervals]
+
+    free_tables = [table(sets[c], float) for c in free]
+    pivots = []  # x_c = (q . k - s . x_F) mod 1 for pivot column c
+    for c, q in zip(piv, inv):
+        s = [sum(a * row[f] for a, row in zip(q, rows)) for f in free]
+        if any(s):
+            pivots.append((table(sets[c], float), [float(v) for v in q], [float(v) for v in s]))
+        else:
+            pivots.append((table(sets[c], Fraction), q, []))
 
     chunk = n_samples // workers
     counts = [chunk] * workers
     counts[-1] += n_samples - chunk * workers
-
     hits = 0
-    proposals = 0
-    accepted = 0
     for w, n_chunk in enumerate(counts):
         rng = random.Random(f"{seed}:{w}")
         for _ in range(n_chunk):
-            u = rng.random()
-            ci = next(i for i, c in enumerate(cum) if u <= c)
-            rep, box = prepared[ci]
-            while True:
-                proposals += 1
-                t = [rng.uniform(l, u2) for l, u2 in box]
-                x = [rep[i] + sum(cols_f[k][i] * t[k] for k in range(d)) for i in range(m)]
-                if all(-1e-12 <= xi <= 1 + 1e-12 for xi in x):
-                    accepted += 1
-                    break
-                if proposals > 5000 and accepted * 500 < proposals:
-                    raise InvalidInputError(
-                        "rejection sampling efficiency below 1/500; refine the "
-                        "component bounding boxes before sampling"
-                    )
-            x = [xi % 1.0 for xi in x]
-            ok = True
-            for i in range(m):
-                xi = x[i]
-                if not any(a <= xi < b for a, b in tables[i]):
-                    ok = False
-                    break
-            if ok:
-                hits += 1
+            xf = [rng.random() for _ in free]
+            k = [0] * r
+            for i, h in drawn:
+                k[i] = rng.randrange(h)
+            hits += all(_member(t, x) for t, x in zip(free_tables, xf)) and all(
+                _member(t, (sum(map(mul, q, k)) - sum(map(mul, s, xf))) % 1) for t, q, s in pivots
+            )
 
     mean = hits / n_samples
     sigma = math.sqrt(mean * (1.0 - mean) / n_samples)

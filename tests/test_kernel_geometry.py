@@ -14,7 +14,7 @@ from torsol import (
     shift_cover,
     weight,
 )
-from torsol.errors import BadModulusError
+from torsol.errors import BadModulusError, InvalidInputError
 from torsol.intmat import det, solve
 from torsol.polytope import enumerate_vertices, slice_polytope
 
@@ -135,6 +135,17 @@ def test_box_measure_examples():
     assert box_measure(d, (1, 0, 0), 5) == 0
     assert weight(d, (0, 0, 0), 5) == F(1, 2)
     assert weight(d, (4, 4, 3), 5) == F(1, 2)  # Lj = 5, the level-1 family
+
+
+def test_box_index_must_be_integral():
+    # (0.9, 0, 0) was once truncated to (0, 0, 0), a box of measure 1/50
+    d = enumerate_components(SUM3)
+    for bad in ((0.9, 0, 0), (1.0, 0, 0), (F(9, 10), 0, 0), ("1", 0, 0), (None, 0, 0)):
+        with pytest.raises(InvalidInputError, match="box index"):
+            box_measure(d, bad, 5)
+        with pytest.raises(InvalidInputError, match="box index"):
+            weight(d, bad, 5)
+    assert box_measure(d, (F(0), 0, False), 5) == box_measure(d, (0, 0, 0), 5) == F(1, 50)
 
 
 def test_ap3_weight_at_two_primes():

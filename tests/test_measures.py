@@ -236,8 +236,41 @@ def test_monte_carlo_workers_deterministic():
 
 
 def test_monte_carlo_validates_input():
-    with pytest.raises(InvalidInputError):
-        monte_carlo_estimate(SUM3, [HALF] * 3, 0, seed=1)
+    for n in (0, -1, 10.5, 100.0, True, F(100), "100", None):
+        with pytest.raises(InvalidInputError):
+            monte_carlo_estimate(SUM3, [HALF] * 3, n, seed=1)
+    for w in (0, 2.0, True, F(2), "2", None):
+        with pytest.raises(InvalidInputError):
+            monte_carlo_estimate(SUM3, [HALF] * 3, 100, seed=1, workers=w)
+
+
+def test_monte_carlo_shares_no_geometry(monkeypatch):
+    # the sampler must not read the slices of the geometric route
+    import torsol.kernel_geometry
+    import torsol.measures
+
+    def refuse(mat):
+        raise AssertionError("monte_carlo_estimate read enumerate_components")
+
+    for module in (torsol.measures, torsol.kernel_geometry):
+        monkeypatch.setattr(module, "enumerate_components", refuse)
+    for mat, sets in ((AP4, [HALF] * 4), (PINNED, [IntervalUnion.full(), IntervalUnion.full(), HALF])):
+        assert 0 < monte_carlo_estimate(mat, sets, 2000, seed=1).value < 1
+
+
+@pytest.mark.parametrize("q", [10, 6])
+def test_monte_carlo_tests_pinned_coordinates_exactly(q):
+    # x_3 takes the values k/q exactly; float rounding must not decide the
+    # half-open test (in floats (1/6) * 5 falls below 5/6)
+    mat = IntMatrix([[1, 1, 0], [0, 0, q]])
+    full = IntervalUnion.full()
+    eps = F(1, 10 * q)
+    below = IntervalUnion([(F(k, q) - eps, F(k, q)) for k in range(1, q + 1)])
+    above = IntervalUnion([(F(k, q), F(k, q) + eps) for k in range(q)])
+    assert solution_measure(mat, [full, full, below]).value == 0
+    assert solution_measure(mat, [full, full, above]).value == 1
+    assert monte_carlo_estimate(mat, [full, full, below], 5000, seed=3).value == 0.0
+    assert monte_carlo_estimate(mat, [full, full, above], 5000, seed=3).value == 1.0
 
 
 def test_find_positive_witness():
