@@ -27,7 +27,7 @@ from .measures import decompose, monte_carlo_estimate, solution_measure
 from .polytope import central_section_check
 from .rationals import format_rational
 from .removal_lab import density_search, density_trend, find_violating_boxes, greedy_removal
-from .discrete import kernel_elements, parametrize_kernel
+from .discrete import kernel_element, parametrize_kernel
 from .torus_sets import DiscreteSet, IntervalUnion, sets_from_json, sets_to_json
 
 __all__ = ["JobSpec", "run", "main"]
@@ -293,11 +293,13 @@ def _cmd_verify(spec: JobSpec) -> dict:
     results.append(("central_section_bound", central_section_check(mat).passes))
 
     param = parametrize_kernel(mat, p)
+    d = len(param.free_columns)
     constant = True
-    elements = list(kernel_elements(param, mat.cols))
     for sh in cover:
-        for _ in range(min(20, len(elements))):
-            k = rng.choice(elements)
+        for _ in range(min(20, p**d)):
+            # the free tuple at a uniform index of their lexicographic order
+            index = rng.randrange(p**d)
+            k = kernel_element(param, mat.cols, [index // p**i % p for i in reversed(range(d))])
             j = tuple((a + b) % p for a, b in zip(sh.j, k))
             if weight(decomp, j, p) != sh.lam:
                 constant = False

@@ -10,8 +10,9 @@ coefficient at once.  The other side walks the free coordinates through
 their own sets; the dependent ones follow from the target, and the last
 free coordinate runs as a bit mask.  A shifted density is one count over
 p^(m-r), the kernel size once L keeps full rank mod p.
-`parametrize_kernel` and `kernel_elements` list the kernel itself
-(dependent coordinates as linear functions of the free ones) for callers
+`parametrize_kernel` writes the kernel as dependent coordinates that are
+linear functions of the free ones; `kernel_element` maps one free tuple
+through it, and `kernel_elements` lists the whole kernel, for callers
 that need the solutions.  Everything is exact integer arithmetic.
 """
 
@@ -31,6 +32,7 @@ from .torus_sets import DiscreteSet
 __all__ = [
     "KernelParametrization",
     "parametrize_kernel",
+    "kernel_element",
     "kernel_elements",
     "residue_counts",
     "solution_density",
@@ -78,17 +80,20 @@ def parametrize_kernel(mat: IntMatrix, p: int) -> KernelParametrization:
     )
 
 
+def kernel_element(param: KernelParametrization, m: int, free_vals) -> tuple[int, ...]:
+    """The kernel element whose free coordinates take the values free_vals."""
+    x = [0] * m
+    for c, v in zip(param.free_columns, free_vals):
+        x[c] = v
+    for row, c in zip(param.coefficients, param.dependent_columns):
+        x[c] = sum(a * v for a, v in zip(row, free_vals)) % param.p
+    return tuple(x)
+
+
 def kernel_elements(param: KernelParametrization, m: int):
     """Yield all kernel elements, free tuples in lexicographic order."""
-    p = param.p
-    d = len(param.free_columns)
-    for free_vals in product(range(p), repeat=d):
-        x = [0] * m
-        for c, v in zip(param.free_columns, free_vals):
-            x[c] = v
-        for i, c in enumerate(param.dependent_columns):
-            x[c] = sum(a * v for a, v in zip(param.coefficients[i], free_vals)) % p
-        yield tuple(x)
+    for free_vals in product(range(param.p), repeat=len(param.free_columns)):
+        yield kernel_element(param, m, free_vals)
 
 
 def _check_sets(mat: IntMatrix, p: int, sets) -> list[tuple[bool, ...]]:

@@ -3,11 +3,13 @@
 Inside the unit cube the subgroup splits into finitely many affine slices:
 one for each integer vector b (a "level") attained by Lx on [0,1)^m, the
 slice being {x in [0,1)^m : Lx = b}.  Each slice is parametrized over the
-canonical integer kernel basis B as x = x_b + B t, and all Haar-measure
-evaluations reduce to exact rational volumes of polytopes in the t
-parameters.  Because every measure is a ratio of such volumes in one fixed
-parametrization, the irrational Hausdorff normalization cancels and never
-appears.
+canonical integer kernel basis B as x = x_b + B t, and for r >= 2 all
+Haar-measure evaluations reduce to exact rational volumes of polytopes in
+the t parameters.  Because every measure is a ratio of such volumes in one
+fixed parametrization, the irrational Hausdorff normalization cancels and
+never appears.  A single equation (r = 1) needs no slices: the measure of
+a product of blocks is a sum of truncated powers over the integer levels
+(see product_measure).
 
 The same machinery yields the weight of a 1/p grid box (p^(m-r) times its
 normalized Haar measure) and the cover of all positive-weight boxes by at
@@ -17,6 +19,7 @@ counting in Z_p.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -241,12 +244,58 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
     yield from rec(0, comp.hull)
 
 
+def _single_row_measure(row, blocks) -> Fraction:
+    """product_measure for one equation l . x in Z, with no slices walked.
+
+    Zero entries leave their coordinates free, each contributing its
+    measure.  If one entry l_i is nonzero, x_i is pinned to the points
+    k/|l_i|, each of Haar weight 1/|l_i|, and the block [a, b) holds those
+    with ceil(a|l_i|) <= k < ceil(b|l_i|).  With n >= 2 nonzero entries,
+    the mass over the integer levels is a lattice sum of the univariate
+    box spline of the directions l_i (b_i - a_i): the density of l . x on
+    a block product is sum_c E_c (t - c)_+^(n-1) / ((n-1)! prod l_i), with
+    signed prod l_i, where E is the product of the factors
+    sum (z^(l_i a) - z^(l_i b)) over the blocks (de Boor, Hollig and
+    Riemenschneider, Box Splines, 1993).  It is continuous, so its values
+    at the integer levels lo..hi give the exact half-open measure.  All
+    exponents are integers on the common denominator q of the endpoints,
+    and only the final value is a Fraction.
+    """
+    moving = [i for i, l in enumerate(row) if l]
+    rest = math.prod(sum((b - a for a, b in blocks[i]), Fraction(0)) for i, l in enumerate(row) if not l)
+    if len(moving) == 1:
+        (i,) = moving
+        n = abs(row[i])
+        return rest * Fraction(sum(math.ceil(b * n) - math.ceil(a * n) for a, b in blocks[i]), n)
+    q = math.lcm(*(v.denominator for i in moving for pair in blocks[i] for v in pair))
+    poly = {0: 1}
+    for i in moving:
+        factor = {}
+        for a, b in blocks[i]:
+            for v, sign in ((a, 1), (b, -1)):
+                e = row[i] * q // v.denominator * v.numerator
+                factor[e] = factor.get(e, 0) + sign
+        merged = {}
+        for c, w in poly.items():
+            for e, s in factor.items():
+                merged[c + e] = merged.get(c + e, 0) + w * s
+        poly = {c: w for c, w in merged.items() if w}
+    n = len(moving)
+    lo, hi = sum(min(0, l) for l in row), sum(max(0, l) for l in row)
+    total = sum(w * (q * y - c) ** (n - 1) for c, w in poly.items() for y in range(lo, hi + 1) if q * y > c)
+    return rest * Fraction(total, math.factorial(n - 1) * math.prod(row[i] for i in moving) * q ** (n - 1))
+
+
 def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
     """Normalized Haar measure of the subgroup inside the product of blocks.
 
-    c_param times the parameter volumes of slice_leaves over all slices;
-    blocks[i] lists disjoint half-open blocks of the i-th coordinate.
+    blocks[i] lists disjoint half-open blocks of the i-th coordinate.  A
+    single equation (r = 1) has the closed form of _single_row_measure.
+    For r >= 2 the value is c_param times the parameter volumes of
+    slice_leaves over all slices.
     """
+    if decomp.matrix.rows == 1:
+        return _single_row_measure(decomp.matrix.entries[0], blocks)
     total = sum(
         (res.volume for comp in decomp.components for res in slice_leaves(decomp, comp, blocks)),
         Fraction(0),

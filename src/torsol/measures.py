@@ -1,9 +1,14 @@
 """Solution measures S_L(A_1, ..., A_m) by three independent routes.
 
-geometric      exact: sum over kernel slices of parameter-polytope volumes,
-               one polytope per combination of interval blocks of the sets,
-               with interval-hull pruning.  Works for any rational interval
-               unions.
+geometric      exact, for any rational interval unions.  A single equation
+               (r = 1) has a closed form: the mass of l . x over the
+               integer levels, a lattice sum of a univariate box spline
+               (de Boor, Hollig and Riemenschneider, 1993) taken from one
+               integer product of the sets' endpoint polynomials; a lone
+               nonzero l_i pins x_i to the points k/|l_i|, tested
+               half-open.  For r >= 2: a sum over kernel slices of
+               parameter-polytope volumes, one polytope per combination
+               of interval blocks, with interval-hull pruning.
 decomposition  exact: weighted sum of shifted counting densities over Z_p,
                for p-grid-aligned sets at a suitable prime p, all from one
                call of the Z_p counter.  Independently coded from the geometric
@@ -87,9 +92,10 @@ def _grid_box_sum(mat: IntMatrix, decomp: KernelDecomposition, sets, q: int) -> 
 def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     """Exact solution measure of rational interval unions, geometric route.
 
-    The value is c_param times the sum, over kernel slices and interval
-    block combinations, of the parameter volume of the restricted slice.
-    On small grids the same value is re-derived cell by cell and the two
+    The value is product_measure of the sets' blocks: closed form for a
+    single equation, otherwise c_param times the sum, over kernel slices
+    and interval block combinations, of the parameter volume of the
+    restricted slice.  On small grids the same value is re-derived cell by cell and the two
     summations are checked to agree.
     """
     sets = _check_sets(mat, sets)

@@ -18,7 +18,9 @@ _JSON_SAFE_INT = 2**53 - 1
 
 
 def parse_rational(value) -> Fraction:
-    """Parse "n/d" or "n" strings (ints and Fractions pass through)."""
+    """Parse "n/d" or "n" strings (ints and Fractions pass through, bools are refused)."""
+    if isinstance(value, bool):
+        raise InvalidInputError(f"expected a rational, got {value!r}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):

@@ -3,9 +3,11 @@
 Each oracle re-derives a quantity with a different algorithm than the
 package uses: brute-force tuple enumeration for counting, a sweep-line
 integrator for planar areas, exhaustive subset search for extremal
-densities, a direct rational check of lattice membership, and a lifted
-min-max program for whether a kernel slice meets the half-open cube.
-They are deliberately slow and simple.
+densities, a direct rational check of lattice membership, a lifted
+min-max program for whether a kernel slice meets the half-open cube, and
+the polytope walk over every slice for single equations, whose measure
+the package takes in closed form.  They are deliberately slow and
+simple.
 """
 
 from __future__ import annotations
@@ -77,6 +79,14 @@ def sweep_area(constraints):
             continue
         area += (l1 + l2) / 2 * (x2 - x1)
     return area
+
+
+def walker_measure(decomp, blocks):
+    """c_param times the leaf volumes of slice_leaves, summed over all slices."""
+    from torsol.kernel_geometry import slice_leaves
+
+    leaves = (res.volume for comp in decomp.components for res in slice_leaves(decomp, comp, blocks))
+    return decomp.c_param * sum(leaves, Fraction(0))
 
 
 def brute_max_free_density(entries, p):

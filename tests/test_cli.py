@@ -205,6 +205,13 @@ def test_verify_passes(files, capsys):
     assert all(prop["pass"] for prop in data["properties"])
 
 
+def test_verify_r4_at_13_passes(files, capsys):
+    r4 = {"entries": [[2, 3, -1, 5]]}
+    code, out, _ = run(capsys, ["verify", "--matrix", files("m.json", r4), "--p", "13"])
+    assert code == 0
+    assert json.loads(out)["all_pass"] is True
+
+
 def test_usage_error_exit_1(files, capsys):
     code, _, err = run(capsys, ["measure", "--matrix", "x.json"])  # missing --sets
     assert code == 1
@@ -230,7 +237,7 @@ def test_malformed_json_shapes_exit_2(files, capsys):
         code, out, err = run(capsys, ["profile", "--matrix", files("m.json", matrix)])
         assert (code, out) == (2, "")
         assert "entries" in err
-    for sets in ([5, 5, 5], [[5], [5], [5]]):
+    for sets in ([5, 5, 5], [[5], [5], [5]], [[[False, True]], [[0, 1]], [[0, 1]]]):
         argv = ["measure", "--matrix", files("m.json", SUM3), "--sets", files("s.json", sets)]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")

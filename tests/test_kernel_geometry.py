@@ -16,9 +16,17 @@ from torsol import (
 )
 from torsol.errors import BadModulusError, InvalidInputError
 from torsol.intmat import det, solve
+from torsol.kernel_geometry import product_measure
 from torsol.polytope import enumerate_vertices, slice_polytope
 
-from oracles import lifted_half_open, random_pinned_matrix, suitable_prime, sweep_area
+from oracles import (
+    lifted_half_open,
+    random_pinned_matrix,
+    random_run_sets,
+    suitable_prime,
+    sweep_area,
+    walker_measure,
+)
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
@@ -248,3 +256,34 @@ def test_zero_weight_boxes_are_off_cover():
     d = enumerate_components(SUM3)
     assert box_measure(d, (1, 0, 0), 5) == 0
     assert box_measure(d, (0, 1, 0), 5) == 0
+
+
+def _rational_blocks(rng, m, most):
+    """Blocks with arbitrary rational endpoints, at most `most` per coordinate."""
+    out = []
+    for _ in range(m):
+        cuts = sorted({F(rng.randint(0, d), d) for d in rng.sample([5, 7, 12, 29, 60], 4)})
+        out.append(tuple(zip(cuts[::2], cuts[1::2]))[:most])
+    return out
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[1, 1, -1], [1, -2, 1], [2, 3, -1, 5], [2, -4, 6], [3, 0, -1], [1, 1, 1, 1, 1], [0, 0, 2], [0, 0, -3]],
+)
+def test_single_row_closed_form_matches_walker(row):
+    rng = random.Random(sum(row) + 10 * len(row))
+    d = enumerate_components(IntMatrix([row]))
+    m = len(row)
+    most = 1 if m > 4 else 2  # keeps the walker's block products few
+    for trial in range(6):
+        if trial % 2:
+            blocks = _rational_blocks(rng, m, most)
+        else:
+            # on the 1/6 grid the pinned points k/2 and k/3 are block ends
+            sets = random_run_sets(rng, 6, [rng.randint(1, most) for _ in range(m)])
+            blocks = [s.intervals for s in sets]
+        assert product_measure(d, blocks) == walker_measure(d, blocks), (row, blocks)
+    full = [((F(0), F(1)),)] * m
+    assert product_measure(d, full) == walker_measure(d, full) == 1
+    assert product_measure(d, [()] + full[1:]) == 0

@@ -7,6 +7,7 @@ from torsol import (
     IntMatrix,
     IntervalUnion,
     approximation_bound,
+    box_measure,
     decompose,
     find_positive_witness,
     monte_carlo_estimate,
@@ -21,6 +22,7 @@ from oracles import random_block_sets, random_grid_sets, random_pinned_matrix, r
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
 AP4 = IntMatrix([[1, -2, 1, 0], [0, 1, -2, 1]])
+R4 = IntMatrix([[2, 3, -1, 5]])
 AP5 = IntMatrix([[1, -2, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -2, 1]])
 PINNED = IntMatrix([[1, 1, 0], [0, 0, 2]])
 PINNED_SCALED = IntMatrix([[2, 2, 0], [0, 0, 4]])
@@ -256,6 +258,42 @@ def test_monte_carlo_shares_no_geometry(monkeypatch):
         monkeypatch.setattr(module, "enumerate_components", refuse)
     for mat, sets in ((AP4, [HALF] * 4), (PINNED, [IntervalUnion.full(), IntervalUnion.full(), HALF])):
         assert 0 < monte_carlo_estimate(mat, sets, 2000, seed=1).value < 1
+
+
+def test_single_equations_walk_no_slices(monkeypatch):
+    # r = 1 takes the closed form; only r >= 2 reaches the slice walker
+    import torsol.kernel_geometry
+    import torsol.measures
+    import torsol.polytope
+
+    rng = random.Random(9)
+    pinned = IntMatrix([[0, 0, 2]])
+    cases = [(mat, random_grid_sets(rng, 13, mat.cols)) for mat in (SUM3, AP3, R4, pinned, AP4)]
+    expected = [solution_measure(mat, sets).value for mat, sets in cases]
+    boxes = [box_measure(enumerate_components(mat), (1,) * mat.cols, 13) for mat, _ in cases]
+
+    def refuse(*args):
+        raise AssertionError("walked the slices")
+
+    for module, name in (
+        (torsol.kernel_geometry, "slice_leaves"),
+        (torsol.measures, "slice_leaves"),
+        (torsol.kernel_geometry, "volume"),
+        (torsol.polytope, "volume"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    for (mat, sets), value, box in list(zip(cases, expected, boxes))[:-1]:
+        assert solution_measure(mat, sets).value == value
+        assert box_measure(enumerate_components(mat), (1,) * mat.cols, 13) == box
+    with pytest.raises(AssertionError, match="walked the slices"):
+        solution_measure(AP4, cases[-1][1])
+
+
+def test_single_equation_with_many_blocks():
+    # 25 blocks per set: 25^3 block products for a walker, one merged product here
+    sets = random_run_sets(random.Random(25), 101, [25, 25, 25])
+    assert all(len(s.intervals) == 25 for s in sets)
+    assert solution_measure(SUM3, sets).value == decompose(SUM3, 101, sets).value
 
 
 @pytest.mark.parametrize("q", [10, 6])

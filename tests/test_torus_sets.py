@@ -160,3 +160,10 @@ def test_sets_json_roundtrip():
     assert sets_from_json(data) == sets
     with pytest.raises(InvalidInputError):
         sets_from_json([[["oops", "1/2"]]])
+
+
+def test_sets_json_refuses_booleans():
+    # [false, true] was once read as the full set [0, 1)
+    for pair in ([False, True], [0, True], ["0", False]):
+        with pytest.raises(InvalidInputError, match="rational"):
+            sets_from_json([[pair]])
