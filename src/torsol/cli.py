@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import asdict, dataclass
@@ -281,9 +282,7 @@ def _cmd_verify(spec: JobSpec) -> dict:
     decomp = enumerate_components(mat)
     results = []
 
-    expected = 1
-    for inv in prof.smith_invariants:
-        expected *= inv
+    expected = math.prod(prof.smith_invariants)
     results.append(("component_count_matches_smith", decomp.total_volume_param == expected))
 
     cover = shift_cover(decomp, p)

@@ -27,6 +27,7 @@ from numbers import Rational
 
 from .errors import BadModulusError, InvalidInputError
 from .intmat import IntMatrix, echelon, is_prime, solve
+from .rationals import require_int
 from .torus_sets import DiscreteSet
 
 __all__ = [
@@ -59,7 +60,7 @@ class KernelParametrization:
 def _pivots_mod_p(mat: IntMatrix, p: int) -> tuple[int, ...]:
     """Pivot columns of L over GF(p); refuses composite p and rank loss mod p."""
     if not is_prime(p):
-        raise BadModulusError(f"composite modulus {p}: counting works over prime fields only")
+        raise BadModulusError(f"modulus {p!r} is not prime: counting works over prime fields only")
     pivots = tuple(echelon(mat.entries, p)[1])
     if len(pivots) != mat.rows:
         raise BadModulusError(f"matrix loses rank mod p = {p}")
@@ -236,8 +237,7 @@ def solution_density(mat: IntMatrix, p: int, sets, shifts=None) -> Fraction:
 
 def list_solutions(mat: IntMatrix, p: int, sets, shifts=None, limit: int = 100) -> list[tuple[int, ...]]:
     """Up to `limit` admissible kernel elements, lexicographically sorted."""
-    if limit < 0:
-        raise InvalidInputError(f"limit must be >= 0, got {limit}")
+    require_int("limit", limit, 0)
     members = _check_sets(mat, p, sets)
     shifts = _check_shifts(mat, p, shifts)
     param = parametrize_kernel(mat, p)

@@ -8,13 +8,18 @@ deletion drops the rank.  There is no floating-point code in this module.
 
 `echelon` is the package's only row reduction, over Q or GF(p); `rank`,
 `det` and `solve` are built on it and serve every other module.
+`_column_hnf` is the only integer elimination: the kernel basis, the Smith
+invariants, the degenerate-column witnesses and the Monte Carlo coset
+ranges all come from it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
 
 from .errors import InvalidInputError, RankDeficientError
 from .rationals import int_from_json, int_to_json
@@ -36,7 +41,8 @@ __all__ = [
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
+    """Whether n is a prime int; floats, bools and other types never are."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         return False
     if n % 2 == 0:
         return n == 2
@@ -152,7 +158,11 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries):
-        rows = tuple(tuple(int(v) for v in row) for row in entries)
+        rows = tuple(tuple(row) for row in entries)
+        for v in (v for row in rows for v in row):
+            if isinstance(v, bool) or not (isinstance(v, Rational) and v.denominator == 1):
+                raise InvalidInputError(f"matrix entry {v!r} is not an integer")
+        rows = tuple(tuple(map(int, row)) for row in rows)
         if not rows or not rows[0]:
             raise InvalidInputError("matrix must have at least one row and one column")
         m = len(rows[0])
@@ -177,9 +187,6 @@ class IntMatrix:
     @property
     def cols(self) -> int:
         return len(self.entries[0])
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
 
     def apply_int(self, vec) -> tuple[int, ...]:
         """L @ vec for an integer vector."""
@@ -227,11 +234,12 @@ class MatrixProfile:
 
 
 def _column_hnf(cols: list[list[int]], m: int) -> list[tuple[int, ...]]:
-    """Canonical column Hermite normal form of a full-column-rank basis.
+    """Canonical column Hermite normal form of integer columns of length m.
 
     Pivots are positive, each column's first nonzero sits strictly below the
     previous column's, later columns vanish on earlier pivot rows, and
     entries of earlier columns on a pivot row are reduced into [0, pivot).
+    Columns beyond the rank come out zero, at the end.
     """
     cols = [list(c) for c in cols]
     d = len(cols)
@@ -279,71 +287,38 @@ def _integer_kernel(entries) -> list[tuple[int, ...]]:
 
 
 def _smith_invariants(entries: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """Elementary divisors of an integer matrix (nonzero ones only)."""
-    a = [list(row) for row in entries]
-    nr, nc = len(a), len(a[0])
-    s = 0
-    while s < min(nr, nc):
-        best = None
-        for i in range(s, nr):
-            for j in range(s, nc):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    """Elementary divisors d_1 | ... | d_r of a full-row-rank integer matrix.
+
+    Column Hermite forms of the columns and of the rows alternate until the
+    matrix is diagonal (Kannan and Bachem, SIAM J. Comput. 8(4), 1979).
+    Each form makes the corner entry the gcd of its row or of its column,
+    so the corner only shrinks until its row and column are clear; then it
+    stays, and the same holds for the block below it.  Pairwise gcd/lcm
+    exchanges put the diagonal in divisibility order.
+    """
+    r = len(entries)
+    a = list(zip(*entries))
+    while True:
+        a = _column_hnf(a, r)[:r]
+        if not any(a[k][i] for k in range(r) for i in range(k + 1, r)):
             break
-        i0, j0 = best
-        a[s], a[i0] = a[i0], a[s]
-        for row in a:
-            row[s], row[j0] = row[j0], row[s]
-        while True:
-            for i in range(s + 1, nr):
-                q = a[i][s] // a[s][s]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[s])]
-            for j in range(s + 1, nc):
-                q = a[s][j] // a[s][s]
-                if q:
-                    for row in a:
-                        row[j] -= q * row[s]
-            nz_col = [i for i in range(s + 1, nr) if a[i][s] != 0]
-            nz_row = [j for j in range(s + 1, nc) if a[s][j] != 0]
-            if not nz_col and not nz_row:
-                bad = None
-                for i in range(s + 1, nr):
-                    for j in range(s + 1, nc):
-                        if a[i][j] % a[s][s] != 0:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                a[s] = [x + y for x, y in zip(a[s], a[bad])]
-                continue
-            # remainder became the new smallest entry; re-pivot on it
-            cand = [(abs(a[i][s]), i, s) for i in nz_col] + [(abs(a[s][j]), s, j) for j in nz_row]
-            _, i0, j0 = min(cand)
-            if i0 != s:
-                a[s], a[i0] = a[i0], a[s]
-            if j0 != s:
-                for row in a:
-                    row[s], row[j0] = row[j0], row[s]
-        if a[s][s] < 0:
-            a[s] = [-x for x in a[s]]
-        s += 1
-    return tuple(a[i][i] for i in range(s))
+        a = list(zip(*a))
+    d = [a[k][k] for k in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            d[i], d[j] = math.gcd(d[i], d[j]), math.lcm(d[i], d[j])
+    return tuple(d)
 
 
-def _degenerate_columns(mat: IntMatrix) -> tuple[DegenerateColumn, ...]:
-    r, m = mat.rows, mat.cols
+def _degenerate_columns(mat: IntMatrix, basis_rows) -> tuple[DegenerateColumn, ...]:
+    """Columns j with e_j in the row space of L: row j of the kernel basis is zero."""
     found = []
-    for j in range(m):
-        sub = [[row[k] for k in range(m) if k != j] for row in mat.entries]
-        if rank(sub) == r:
+    for j, basis_row in enumerate(basis_rows):
+        if any(basis_row):
             continue
-        # 1-dimensional left kernel of the deleted submatrix, saturated
-        (v,) = _integer_kernel(tuple(zip(*sub)))
-        ell = sum(v[i] * mat.entries[i][j] for i in range(r))
+        # 1-dimensional left kernel of L without column j, saturated
+        (v,) = _integer_kernel([[row[k] for row in mat.entries] for k in range(mat.cols) if k != j])
+        ell = sum(a * row[j] for a, row in zip(v, mat.entries))
         if ell < 0:
             v = tuple(-x for x in v)
             ell = -ell
@@ -370,7 +345,7 @@ def analyze_matrix(mat: IntMatrix) -> MatrixProfile:
         kernel_basis=basis_rows,
         smith_invariants=_smith_invariants(mat.entries),
         is_invariant=all(sum(row) == 0 for row in mat.entries),
-        degenerate_columns=_degenerate_columns(mat),
+        degenerate_columns=_degenerate_columns(mat, basis_rows),
     )
 
 

@@ -29,6 +29,7 @@ from numbers import Rational
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
 from .intmat import IntMatrix, analyze_matrix, echelon, is_prime, rank_mod_p, solve
 from .polytope import slice_polytope, volume
+from .rationals import require_int
 
 __all__ = [
     "KernelComponent",
@@ -154,9 +155,7 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
         )
     comps.sort(key=lambda c: c.level)
     total = sum((c.volume_param for c in comps), Fraction(0))
-    expected = 1
-    for inv in profile.smith_invariants:
-        expected *= inv
+    expected = math.prod(profile.smith_invariants)
     if total != expected:
         raise InternalInvariantError(
             f"total parameter volume {total} != product of Smith invariants {expected}"
@@ -307,10 +306,11 @@ def box_measure(decomp: KernelDecomposition, j, p: int) -> Fraction:
     """Normalized Haar measure of the grid box j/p + [0, 1/p)^m.
 
     The product_measure of the one-block sets [j_i/p, (j_i+1)/p), exact
-    under the half-open rule of slice_leaves.  The entries of j must be
-    ints or integral Rationals; floats are refused, even 1.0.
+    under the half-open rule of slice_leaves.  p must be an int, and the
+    entries of j ints or integral Rationals; floats are refused, even 1.0.
     """
     m = decomp.matrix.cols
+    require_int("grid modulus", p, 1)
     j = tuple(j)
     if len(j) != m or not all(isinstance(v, Rational) and v.denominator == 1 and 0 <= v < p for v in j):
         raise InvalidInputError(f"box index {j} not an integer point of [0, {p})^{m}")

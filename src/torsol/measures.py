@@ -44,6 +44,7 @@ from .kernel_geometry import (
     shift_cover,
     slice_leaves,
 )
+from .rationals import require_int
 from .torus_sets import IntervalUnion
 from .discrete import residue_counts
 
@@ -196,9 +197,8 @@ def monte_carlo_estimate(
     the derived stream seed "seed:w".
     """
     sets = _check_sets(mat, sets)
-    for name, v in (("n_samples", n_samples), ("workers", workers)):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-            raise InvalidInputError(f"{name} must be an integer >= 1, got {v!r}")
+    require_int("n_samples", n_samples, 1)
+    require_int("workers", workers, 1)
     r, rows = mat.rows, mat.entries
     piv = echelon(rows)[1]
     free = [c for c in range(mat.cols) if c not in piv]

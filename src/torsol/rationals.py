@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 
-__all__ = ["parse_rational", "format_rational", "int_to_json", "int_from_json"]
+__all__ = ["parse_rational", "format_rational", "int_to_json", "int_from_json", "require_int"]
 
 _JSON_SAFE_INT = 2**53 - 1
 
@@ -43,6 +43,13 @@ def format_rational(x: Fraction) -> str:
 def int_to_json(n: int):
     """Integers as JSON numbers within the safe range, else decimal strings."""
     return n if abs(n) <= _JSON_SAFE_INT else str(n)
+
+
+def require_int(name: str, value, least: int) -> int:
+    """value itself if it is an int >= least; floats, bools and the rest are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+    return value
 
 
 def int_from_json(value) -> int:

@@ -22,6 +22,7 @@ from .errors import InvalidInputError, PositiveMeasureError, PreconditionError
 from .intmat import IntMatrix, analyze_matrix
 from .kernel_geometry import enumerate_components, shift_cover, slice_leaves
 from .measures import find_positive_witness, solution_measure
+from .rationals import require_int
 from .torus_sets import DiscreteSet, IntervalUnion
 
 __all__ = [
@@ -186,8 +187,7 @@ def szemeredi_probe(mat: IntMatrix, alpha, trials: int, seed: int):
     alpha = Fraction(alpha)
     if not (0 < alpha <= 1):
         raise InvalidInputError("alpha must be in (0, 1]")
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
+    require_int("trials", trials, 1)
     rng = random.Random(seed)
     m = mat.cols
     best = None

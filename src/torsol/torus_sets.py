@@ -15,7 +15,7 @@ from fractions import Fraction
 from numbers import Integral
 
 from .errors import GridAlignmentError, InvalidInputError
-from .rationals import format_rational, parse_rational
+from .rationals import format_rational, parse_rational, require_int
 
 __all__ = ["IntervalUnion", "DiscreteSet", "from_discrete", "sets_to_json", "sets_from_json"]
 
@@ -45,10 +45,6 @@ class IntervalUnion:
 
     def __init__(self, pairs=()):
         object.__setattr__(self, "intervals", _normalize(pairs))
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "IntervalUnion":
-        return cls(pairs)
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
@@ -116,8 +112,7 @@ class IntervalUnion:
         The symmetric difference with the original has measure at most
         2 * (number of intervals) / n.
         """
-        if n < 1:
-            raise InvalidInputError("grid modulus must be positive")
+        require_int("grid modulus", n, 1)
         out = []
         for a, b in self.intervals:
             first = math.ceil(a * n)
@@ -131,8 +126,7 @@ class IntervalUnion:
 
     def to_discrete(self, p: int) -> "DiscreteSet":
         """Subset of Z_p matching a p-grid-aligned set cell by cell."""
-        if p < 1:
-            raise InvalidInputError("grid modulus must be positive")
+        require_int("grid modulus", p, 1)
         members = [False] * p
         for a, b in self.intervals:
             lo, hi = a * p, b * p
@@ -178,8 +172,7 @@ class DiscreteSet:
     members: tuple[bool, ...]
 
     def __init__(self, p: int, members):
-        if p < 1:
-            raise InvalidInputError("modulus must be positive")
+        require_int("modulus", p, 1)
         members = tuple(members)
         if len(members) != p:
             raise InvalidInputError(f"membership array must have length {p}")
@@ -192,7 +185,7 @@ class DiscreteSet:
 
     @classmethod
     def from_indices(cls, p: int, indices) -> "DiscreteSet":
-        members = [False] * p
+        members = [False] * require_int("modulus", p, 1)
         for x in indices:
             members[x % p] = True
         return cls(p, members)

@@ -4,14 +4,16 @@ Each oracle re-derives a quantity with a different algorithm than the
 package uses: brute-force tuple enumeration for counting, a sweep-line
 integrator for planar areas, exhaustive subset search for extremal
 densities, a direct rational check of lattice membership, a lifted
-min-max program for whether a kernel slice meets the half-open cube, and
+min-max program for whether a kernel slice meets the half-open cube,
 the polytope walk over every slice for single equations, whose measure
-the package takes in closed form.  They are deliberately slow and
+the package takes in closed form, and Smith invariants from gcds of
+minors, which the package gets by alternating Hermite forms.  They are deliberately slow and
 simple.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -87,6 +89,40 @@ def walker_measure(decomp, blocks):
 
     leaves = (res.volume for comp in decomp.components for res in slice_leaves(decomp, comp, blocks))
     return decomp.c_param * sum(leaves, Fraction(0))
+
+
+def _laplace_det(rows):
+    """Integer determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** k * v * _laplace_det([row[:k] + row[k + 1 :] for row in rows[1:]])
+        for k, v in enumerate(rows[0])
+        if v
+    )
+
+
+def smith_by_minors(entries):
+    """Nonzero Smith invariants d_k = g_k / g_(k-1), g_k the gcd of all k x k minors.
+
+    g_0 = 1, and the invariants stop at the rank, the last k with g_k != 0.
+    """
+    r, m = len(entries), len(entries[0])
+    g = [1]
+    for k in range(1, min(r, m) + 1):
+        g.append(
+            math.gcd(
+                *(
+                    _laplace_det([[entries[i][j] for j in cols] for i in rows])
+                    for rows in combinations(range(r), k)
+                    for cols in combinations(range(m), k)
+                )
+            )
+        )
+        if not g[-1]:
+            g.pop()
+            break
+    return tuple(b // a for a, b in zip(g, g[1:]))
 
 
 def brute_max_free_density(entries, p):

@@ -9,13 +9,23 @@ matrices is a strong integration oracle.
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from torsol import (
+    DiscreteSet,
+    IntervalUnion,
     IntMatrix,
     decompose,
     enumerate_components,
     shift_cover,
     solution_measure,
 )
+from torsol.discrete import list_solutions, solution_density
+from torsol.errors import BadModulusError, InvalidInputError
+from torsol.intmat import is_prime
+from torsol.kernel_geometry import weight
+from torsol.measures import monte_carlo_estimate
+from torsol.removal_lab import density_search, density_trend, find_violating_boxes, szemeredi_probe
 
 from oracles import random_full_rank_matrix, random_grid_sets, suitable_prime
 
@@ -56,3 +66,83 @@ def test_random_matrices_full_stack():
         r = rng.randint(1, 2)
         m = rng.randint(r + 1, 5)
         _full_stack(random_full_rank_matrix(rng, r, m), rng)
+
+
+_SUM3 = IntMatrix([[1, 1, -1]])
+_AP3 = IntMatrix([[1, -2, 1]])
+_GRID = [IntervalUnion([(F(0), F(2, 5))])] * 3
+_MEMBERS = [DiscreteSet(5, [1, 1, 0, 0, 0])] * 3
+_LISTS = [[1, 1, 0, 0, 0]] * 3
+
+
+def _decomp():
+    return enumerate_components(_SUM3)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: decompose(_SUM3, 5.0, _GRID), BadModulusError, id="decompose-p"),
+        pytest.param(lambda: shift_cover(_decomp(), 7.0), BadModulusError, id="shift_cover-p"),
+        pytest.param(
+            lambda: shift_cover(_decomp(), True),
+            BadModulusError,
+            id="shift_cover-bool-p",
+        ),
+        pytest.param(
+            lambda: solution_density(_SUM3, 5.0, _MEMBERS),
+            BadModulusError,
+            id="solution_density-p",
+        ),
+        pytest.param(
+            lambda: solution_density(_SUM3, 5.0, _LISTS),
+            InvalidInputError,
+            id="solution_density-p-of-lists",
+        ),
+        pytest.param(lambda: density_search(_SUM3, 7.0), BadModulusError, id="density_search-p"),
+        pytest.param(lambda: density_trend(_SUM3, [5.0]), BadModulusError, id="density_trend-p"),
+        pytest.param(
+            lambda: find_violating_boxes(_SUM3, 5.0, _GRID),
+            InvalidInputError,
+            id="find_violating_boxes-p",
+        ),
+        pytest.param(lambda: weight(_decomp(), (0, 0, 0), 5.0), InvalidInputError, id="weight-p"),
+        pytest.param(lambda: DiscreteSet(5.0, [1] * 5), InvalidInputError, id="DiscreteSet-p"),
+        pytest.param(
+            lambda: DiscreteSet.from_indices(5.0, [1]),
+            InvalidInputError,
+            id="from_indices-p",
+        ),
+        pytest.param(lambda: _GRID[0].to_discrete(5.0), InvalidInputError, id="to_discrete-p"),
+        pytest.param(lambda: _GRID[0].snap_to_grid(5.0), InvalidInputError, id="snap_to_grid-n"),
+        pytest.param(
+            lambda: szemeredi_probe(_AP3, F(1, 2), 1.5, 0),
+            InvalidInputError,
+            id="szemeredi_probe-trials",
+        ),
+        pytest.param(
+            lambda: szemeredi_probe(_AP3, F(1, 2), True, 0),
+            InvalidInputError,
+            id="szemeredi_probe-bool-trials",
+        ),
+        pytest.param(
+            lambda: list_solutions(_SUM3, 5, _MEMBERS, limit=2.5),
+            InvalidInputError,
+            id="list_solutions-limit",
+        ),
+        pytest.param(
+            lambda: list_solutions(_SUM3, 5, _MEMBERS, limit=True),
+            InvalidInputError,
+            id="list_solutions-bool-limit",
+        ),
+        pytest.param(
+            lambda: monte_carlo_estimate(_SUM3, _GRID, 10.5, 0),
+            InvalidInputError,
+            id="monte_carlo-n_samples",
+        ),
+    ],
+)
+def test_non_integer_moduli_and_counts_are_refused(call, error):
+    with pytest.raises(error):
+        call()
+    assert not any(is_prime(v) for v in (5.0, 2.0, True, F(5), "5"))

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 import pytest
 
@@ -14,7 +15,7 @@ from torsol import (
 from torsol.errors import InvalidInputError, RankDeficientError
 from torsol.intmat import det, echelon, rank, solve
 
-from oracles import in_lattice, random_full_rank_matrix
+from oracles import in_lattice, random_full_rank_matrix, random_pinned_matrix, smith_by_minors
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
@@ -121,6 +122,48 @@ def test_degenerate_witness_content_and_sign():
         for v in dc.witness:
             g = gcd(g, v)
         assert g == 1
+
+
+def test_smith_invariants_match_minors_oracle():
+    rng = random.Random(19)
+    nontrivial = 0
+    for _ in range(80):
+        r = rng.randint(1, 4)
+        mat = random_full_rank_matrix(rng, r, rng.randint(r + 1, r + 3))
+        scaled = IntMatrix([[v * rng.choice((1, 2, 3, 4, 6, 12)) for v in row] for row in mat.entries])
+        for x in (mat, scaled):
+            inv = analyze_matrix(x).smith_invariants
+            assert inv == smith_by_minors(x.entries)
+            assert len(inv) == x.rows and all(b % a == 0 for a, b in zip(inv, inv[1:]))
+            nontrivial += inv[-1] > 1
+    assert nontrivial > 40
+
+
+def test_degenerate_columns_match_rank_drop_on_pinned_matrices():
+    rng = random.Random(23)
+    flagged_total = 0
+    for _ in range(80):
+        r = rng.randint(1, 3)
+        m = rng.randint(r + 1, r + 3)
+        mat = random_pinned_matrix(rng, r, m)
+        found = {dc.column: dc for dc in analyze_matrix(mat).degenerate_columns}
+        for j in range(m):
+            sub = [[row[k] for k in range(m) if k != j] for row in mat.entries]
+            # deleting column j drops the rank exactly when it is degenerate
+            assert (j + 1 in found) == (len(smith_by_minors(sub)) < r)
+        for j, dc in found.items():
+            combo = [sum(v * row[k] for v, row in zip(dc.witness, mat.entries)) for k in range(m)]
+            assert combo == [dc.multiplier if k == j - 1 else 0 for k in range(m)]
+            assert dc.multiplier > 0 and gcd(*dc.witness) == 1
+        flagged_total += len(found)
+    assert flagged_total > 20
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "3", None])
+def test_matrix_entries_must_be_integers(bad):
+    with pytest.raises(InvalidInputError, match="not an integer"):
+        IntMatrix([[bad, 1, -1]])
+    assert IntMatrix([[Fraction(4, 2), 1, -1]]).entries == ((2, 1, -1),)
 
 
 def test_rank_deficient_rejected_with_minor_diagnostic():
