@@ -10,7 +10,8 @@ deletion drops the rank.  There is no floating-point code in this module.
 `det` and `solve` are built on it and serve every other module.
 `_column_hnf` is the only integer elimination: the kernel basis, the Smith
 invariants, the degenerate-column witnesses and the Monte Carlo coset
-ranges all come from it.
+ranges all come from it.  `_bareiss` is the fraction-free rank and
+determinant that the slice geometry runs on, in place of `det` over Q.
 """
 
 from __future__ import annotations
@@ -131,6 +132,34 @@ def solve(rows, rhs, p=None):
         s = row[n] - sum(row[k] * x[k] for k in range(i + 1, n))
         x[i] = Fraction(s) / row[i] if p is None else s * _inverse(row[i], p) % p
     return tuple(x)
+
+
+def _bareiss(rows) -> tuple[int, int]:
+    """Rank and determinant of an integer matrix by fraction-free elimination.
+
+    Every intermediate entry is a minor of the input (Bareiss, Math. Comp.
+    22, 1968), so each division is exact and no Fraction is made.  The
+    determinant is 0 unless the matrix is square of full rank.
+    """
+    work = [list(row) for row in rows]
+    n = len(work)
+    ncols = len(work[0]) if n else 0
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        piv = next((i for i in range(rank, n) if work[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            work[rank], work[piv] = work[piv], work[rank]
+            sign = -sign
+        top = work[rank]
+        p = top[col]
+        for i in range(rank + 1, n):
+            f = work[i][col]
+            work[i] = [(p * a - f * b) // prev for a, b in zip(work[i], top)]
+        prev = p
+        rank += 1
+    return rank, (sign * prev if rank == n == ncols else 0)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ never appears.  A single equation (r = 1) needs no slices: the measure of
 a product of blocks is a sum of truncated powers over the integer levels
 (see product_measure).
 
+Each such polytope is the slice of a box, {x : Lx = b, lo <= x <= hi},
+and slice_leaf computes it in integers: its vertices are the basic
+solutions of the bounded-variable LP (one bound choice per coordinate
+outside an invertible r x r minor, solved with the minor's cached
+adjugate), and its volume is taken in the free coordinates x_F of
+echelon(L) and divided by |det B_F|.  No H-polytope is built and only the
+volume is a Fraction.
+
 The same machinery yields the weight of a 1/p grid box (p^(m-r) times its
 normalized Haar measure) and the cover of all positive-weight boxes by at
 most one shift per level, which is what connects the continuous measure to
@@ -23,19 +31,23 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from numbers import Rational
+from operator import mul
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
-from .intmat import IntMatrix, analyze_matrix, echelon, is_prime, rank_mod_p, solve
-from .polytope import slice_polytope, volume
+from .intmat import IntMatrix, _bareiss, analyze_matrix, echelon, is_prime, rank_mod_p, solve
+# not called here: tests patch kernel_geometry.volume to show that no walk reaches it
+from .polytope import volume  # noqa: F401
 from .rationals import require_int
 
 __all__ = [
     "KernelComponent",
     "KernelDecomposition",
     "WeightedShift",
+    "SliceLeaf",
     "enumerate_components",
+    "slice_leaf",
     "slice_leaves",
     "product_measure",
     "box_measure",
@@ -104,15 +116,152 @@ class WeightedShift:
     level: tuple[int, ...]
 
 
-def _particular_solution(mat: IntMatrix, pivots: list[int], b, p=None) -> tuple:
-    """A solution of Lx = b over Q (p None) or GF(p), zero outside the pivot columns."""
-    sol = solve([[row[c] for c in pivots] for row in mat.entries], b, p)
-    if sol is None:
-        raise InternalInvariantError(f"columns {pivots} give a singular minor")
-    x = [Fraction(0) if p is None else 0] * mat.cols
-    for c, v in zip(pivots, sol):
-        x[c] = v
-    return tuple(x)
+def _adjugate(rows) -> list[list[int]]:
+    """The integer adjugate of a square integer matrix, from its cofactors."""
+    n = len(rows)
+    return [
+        [
+            (-1) ** (i + j) * _bareiss([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])[1]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+@lru_cache(maxsize=128)
+def _slice_data(mat: IntMatrix):
+    """Integer data of L shared by every box slice {Lx = b, lo <= x <= hi}.
+
+    Returns (minors, unit, free, free_det, free_adj):
+    minors: one (D, S, M_D, gains) per r-subset D of columns with
+        delta_D = det L_D != 0, where S is the complement of D,
+        M_D = (unit / delta_D) adj L_D and gains lists M_D L_s for s in S;
+        a point with Lx = b has unit * x_D = M_D b - sum_s (M_D L_s) x_s.
+    unit: lcm of the |delta_D|, the common denominator of every vertex of
+        the slice of an integer box.
+    free: the non-pivot columns F of echelon(L); x_F is a coordinate
+        system on each slice, with x_F = x_b,F + B_F t.
+    free_det, free_adj: det B_F and the adjugate of B_F.
+    """
+    r, m = mat.rows, mat.cols
+    rows = [list(row) for row in mat.entries]
+    found = []
+    for cols in combinations(range(m), r):
+        l_d = [[row[c] for c in cols] for row in rows]
+        delta = _bareiss(l_d)[1]
+        if delta:
+            found.append((cols, delta, _adjugate(l_d)))
+    unit = math.lcm(*(abs(delta) for _, delta, _ in found))
+    minors = []
+    for cols, delta, adj in found:
+        m_d = [[unit // delta * v for v in row] for row in adj]
+        rest = tuple(c for c in range(m) if c not in cols)
+        gains = tuple(tuple(sum(a * row[s] for a, row in zip(m_row, rows)) for m_row in m_d) for s in rest)
+        minors.append((cols, rest, m_d, gains))
+    pivots = echelon(mat.entries)[1]
+    free = tuple(c for c in range(m) if c not in pivots)
+    columns = analyze_matrix(mat).kernel_columns()
+    b_f = [[col[i] for col in columns] for i in free]
+    return minors, unit, free, _bareiss(b_f)[1], _adjugate(b_f)
+
+
+@dataclass(frozen=True)
+class SliceLeaf:
+    """The polytope {x : Lx = b, lows <= x <= highs} of one slice and one box.
+
+    points are its vertices as integer vectors, scale * x for each vertex
+    x, sorted (so lexicographically by x); volume is its (m-r)-volume in
+    the kernel-basis parameters t of x = x_b + B t.
+    """
+
+    volume: Fraction
+    points: tuple[tuple[int, ...], ...]
+    scale: int
+
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The vertices as rational points x of the slice."""
+        return tuple(tuple(Fraction(v, self.scale) for v in pt) for pt in self.points)
+
+    @property
+    def is_full_dimensional(self) -> bool:
+        return self.volume > 0
+
+
+def _simplices(points, facets, k):
+    """Fan triangulation of a k-dimensional face into k-simplices.
+
+    points are the vertices of the face, sorted.  Each facet of the face
+    is its set of points on some bounding hyperplane x_i = c; the fan is
+    anchored at the smallest point.  A tight set of lower dimension is
+    recursed into as well, but it adds only simplices of volume zero.
+    """
+    if len(points) == k + 1:
+        return [tuple(points)]
+    if k == 1:
+        return [(min(points), max(points))]
+    v0 = min(points)
+    out = []
+    seen = set()
+    for i, c in facets:
+        if v0[i] == c:
+            continue
+        face = [v for v in points if v[i] == c]
+        if len(face) < k:
+            continue
+        key = tuple(face)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.extend((v0,) + s for s in _simplices(face, facets, k - 1))
+    return out
+
+
+def slice_leaf(mat: IntMatrix, level, lows, highs) -> SliceLeaf:
+    """Vertices and parameter volume of {x : Lx = level, lows <= x <= highs}.
+
+    A vertex is a basic solution of a bounded-variable LP (Chvatal, Linear
+    Programming, 1983, ch. 8): for some r-subset D of columns with
+    det L_D != 0, the other m - r coordinates sit at a bound and L_D fixes
+    x_D.  With the box scaled to integers by the common denominator q of
+    its bounds, each of the 2^(m-r) bound choices of each such D is one
+    integer matrix-vector product and r integer comparisons.  The volume
+    comes in the free coordinates x_F from a fan triangulation with
+    fraction-free determinants, and is divided by |det B_F| to give the
+    parameter volume; only that last value is a Fraction.
+    """
+    minors, unit, free, free_det, _ = _slice_data(mat)
+    m = mat.cols
+    q = math.lcm(*(v.denominator for v in (*lows, *highs)))
+    scale = q * unit
+    lo_q = [v.numerator * (q // v.denominator) for v in lows]
+    hi_q = [v.numerator * (q // v.denominator) for v in highs]
+    lo_s = [v * unit for v in lo_q]
+    hi_s = [v * unit for v in hi_q]
+    found = set()
+    for cols, rest, m_d, gains in minors:
+        base = [q * sum(a * v for a, v in zip(m_row, level)) for m_row in m_d]
+        for choice in product(*[(lo_q[s], hi_q[s]) for s in rest]):
+            y_d = base
+            for x, g in zip(choice, gains):
+                if x:
+                    y_d = [y - x * a for y, a in zip(y_d, g)]
+            if all(lo_s[c] <= y <= hi_s[c] for c, y in zip(cols, y_d)):
+                pt = [0] * m
+                for c, y in zip(cols, y_d):
+                    pt[c] = y
+                for s, x in zip(rest, choice):
+                    pt[s] = x * unit
+                found.add(tuple(pt))
+    points = sorted(found)
+    d = len(free)
+    total = 0
+    if len(points) > d and _bareiss([[a - b for a, b in zip(pt, points[0])] for pt in points[1:]])[0] == d:
+        facets = [(i, c) for i in range(m) for c in (lo_s[i], hi_s[i])]
+        for v0, *rest in _simplices(points, facets, d):
+            total += abs(_bareiss([[v[i] - v0[i] for i in free] for v in rest])[1])
+    vol = Fraction(total, math.factorial(d) * scale**d * abs(free_det))
+    return SliceLeaf(volume=vol, points=tuple(points), scale=scale)
 
 
 @lru_cache(maxsize=128)
@@ -124,36 +273,33 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
     half-open cube [0,1)^m; slices meeting only the closed cube boundary
     belong to other slices modulo 1 and are discarded.
 
-    Everything comes from one vertex enumeration of the closed slice per
-    candidate level.  A convex subset of [0,1]^m misses [0,1)^m only when
-    one coordinate equals 1 on all of it (a relative-interior point with
+    Everything comes from the slice_leaf of the unit cube per candidate
+    level.  A convex subset of [0,1]^m misses [0,1)^m only when one
+    coordinate equals 1 on all of it (a relative-interior point with
     x_i = 1 pins x_i = 1 throughout), hence on all of its vertices: the
-    level is kept unless some coordinate is 1 at every vertex.
+    level is kept unless some coordinate is 1 at every vertex.  The
+    representative is the smallest vertex, and the hull is the bounding
+    box of t = B_F^-1 (x_F - x_b,F) over the vertices.
     """
     profile = analyze_matrix(mat)
     columns = tuple(profile.kernel_columns())
-    pivots = echelon(mat.entries)[1]
-    m = mat.cols
+    _, _, free, free_det, free_adj = _slice_data(mat)
+    m, d = mat.cols, len(columns)
+    sign = 1 if free_det > 0 else -1
     comps = []
-    ranges = mat.row_ranges()
-    for b in product(*[range(lo, hi + 1) for lo, hi in ranges]):
-        x_any = _particular_solution(mat, pivots, b)
-        res = volume(slice_polytope(columns, x_any, [0] * m, [1] * m))
-        points = sorted(
-            (tuple(x_any[i] + sum(Fraction(c[i]) * t[k] for k, c in enumerate(columns)) for i in range(m)), t)
-            for t in res.vertices
-        )
-        if not points or any(all(x[i] == 1 for x, _ in points) for i in range(m)):
+    for b in product(*[range(lo, hi + 1) for lo, hi in mat.row_ranges()]):
+        leaf = slice_leaf(mat, b, [0] * m, [1] * m)
+        points, scale = leaf.points, leaf.scale
+        if not points or any(all(pt[i] == scale for pt in points) for i in range(m)):
             continue
-        x_rep, t0 = points[0]
+        diffs = [[pt[i] - points[0][i] for i in free] for pt in points]
+        ts = [[sign * sum(map(mul, adj_row, diff)) for adj_row in free_adj] for diff in diffs]
+        den = abs(free_det) * scale
         hull = tuple(
-            (min(t[k] for _, t in points) - t0[k], max(t[k] for _, t in points) - t0[k])
-            for k in range(len(columns))
+            (Fraction(min(t[k] for t in ts), den), Fraction(max(t[k] for t in ts), den)) for k in range(d)
         )
-        comps.append(
-            KernelComponent(level=tuple(b), representative=x_rep, volume_param=res.volume, hull=hull)
-        )
-    comps.sort(key=lambda c: c.level)
+        rep = tuple(Fraction(v, scale) for v in points[0])
+        comps.append(KernelComponent(level=tuple(b), representative=rep, volume_param=leaf.volume, hull=hull))
     total = sum((c.volume_param for c in comps), Fraction(0))
     expected = math.prod(profile.smith_invariants)
     if total != expected:
@@ -204,7 +350,7 @@ def _tighten(hull, row, lo, hi):
 
 
 def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
-    """Yield the VolumeResult of the slice restricted to each block product.
+    """Yield the SliceLeaf of the slice restricted to each block product.
 
     blocks[i] lists the blocks (a, b) of the i-th coordinate, each standing
     for the half-open [a, b).  A coordinate whose row of B is zero (a
@@ -214,9 +360,11 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
     Block combinations whose interval hull misses the slice are pruned,
     starting from the slice's bounding box comp.hull.  The parameter
     volumes of the leaves sum to that of the slice inside the product of
-    the half-open blocks.
+    the half-open blocks.  Each leaf is the slice_leaf of the closed
+    blocks, so it carries its vertices as points x of the slice.
     """
-    m = decomp.matrix.cols
+    mat = decomp.matrix
+    m = mat.cols
     columns = decomp.basis_columns
     x_rep = comp.representative
     rows = [tuple(Fraction(c[i]) for c in columns) for i in range(m)]
@@ -225,7 +373,7 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
     def rec(i, hull):
         if i == m:
             lows, highs = zip(*chosen)
-            yield volume(slice_polytope(columns, x_rep, lows, highs))
+            yield slice_leaf(mat, comp.level, lows, highs)
             return
         flo, fhi = _form_range(rows[i], hull)
         pinned = not any(rows[i])
@@ -291,12 +439,29 @@ def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
     blocks[i] lists disjoint half-open blocks of the i-th coordinate.  A
     single equation (r = 1) has the closed form of _single_row_measure.
     For r >= 2 the value is c_param times the parameter volumes of
-    slice_leaves over all slices.
+    slice_leaves over the slices of positive volume whose level lies in
+    the range of Lx over the blocks' bounding box prod [min a_i, max b_i]:
+    no other slice meets the closed blocks.  A box of side 1/p with p
+    above every row sum of |entries| meets at most 2^r of them.
     """
-    if decomp.matrix.rows == 1:
-        return _single_row_measure(decomp.matrix.entries[0], blocks)
+    mat = decomp.matrix
+    if mat.rows == 1:
+        return _single_row_measure(mat.entries[0], blocks)
+    if not all(blocks):
+        return Fraction(0)
+    box = [(min(a for a, _ in bl), max(b for _, b in bl)) for bl in blocks]
+    levels = []
+    for row in mat.entries:
+        lo = sum(l * (a if l > 0 else b) for l, (a, b) in zip(row, box))
+        hi = sum(l * (b if l > 0 else a) for l, (a, b) in zip(row, box))
+        levels.append((math.ceil(lo), math.floor(hi)))
     total = sum(
-        (res.volume for comp in decomp.components for res in slice_leaves(decomp, comp, blocks)),
+        (
+            leaf.volume
+            for comp in decomp.components
+            if comp.volume_param and all(lo <= v <= hi for v, (lo, hi) in zip(comp.level, levels))
+            for leaf in slice_leaves(decomp, comp, blocks)
+        ),
         Fraction(0),
     )
     return total * decomp.c_param
@@ -335,7 +500,10 @@ def _lex_min_solution_mod_p(mat: IntMatrix, target, p: int) -> tuple[int, ...]:
     """
     m = mat.cols
     pivots = [m - 1 - c for c in echelon([row[::-1] for row in mat.entries], p)[1]]
-    return _particular_solution(mat, pivots, target, p)
+    j = [0] * m
+    for c, v in zip(pivots, solve([[row[c] for c in pivots] for row in mat.entries], target, p)):
+        j[c] = v
+    return tuple(j)
 
 
 def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:

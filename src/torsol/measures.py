@@ -6,9 +6,11 @@ geometric      exact, for any rational interval unions.  A single equation
                (de Boor, Hollig and Riemenschneider, 1993) taken from one
                integer product of the sets' endpoint polynomials; a lone
                nonzero l_i pins x_i to the points k/|l_i|, tested
-               half-open.  For r >= 2: a sum over kernel slices of
-               parameter-polytope volumes, one polytope per combination
-               of interval blocks, with interval-hull pruning.
+               half-open.  For r >= 2: a sum over the kernel slices that
+               the sets' bounding box can reach of the parameter volumes
+               of box slices, one per combination of interval blocks,
+               with interval-hull pruning; each volume comes from integer
+               vertices (kernel_geometry.slice_leaf), with no H-polytope.
 decomposition  exact: weighted sum of shifted counting densities over Z_p,
                for p-grid-aligned sets at a suitable prime p, all from one
                call of the Z_p counter.  Independently coded from the geometric
@@ -276,25 +278,20 @@ def find_positive_witness(mat: IntMatrix, sets):
     """A rational point x of the product of sets with Lx integral, or None.
 
     Walks each slice with slice_leaves, as the geometric route does, takes
-    the vertex centroid of its first full-dimensional leaf, and returns the
-    first such point that verifies exact membership in every (half-open)
-    set.
+    the centroid of the vertices of its first full-dimensional leaf (points
+    x of the slice), and returns the first such point that verifies exact
+    membership in every (half-open) set.
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
-    columns = decomp.basis_columns
     blocks = [s.intervals for s in sets]
     for comp in decomp.components:
         leaves = slice_leaves(decomp, comp, blocks)
-        res = next((res for res in leaves if res.is_full_dimensional), None)
-        if res is None:
+        leaf = next((leaf for leaf in leaves if leaf.is_full_dimensional), None)
+        if leaf is None:
             continue
-        n = len(res.vertices)
-        centroid = [sum((v[k] for v in res.vertices), Fraction(0)) / n for k in range(len(columns))]
-        x = [
-            xi + sum(c[i] * t for c, t in zip(columns, centroid))
-            for i, xi in enumerate(comp.representative)
-        ]
+        verts = leaf.vertices
+        x = [sum(coords, Fraction(0)) / len(verts) for coords in zip(*verts)]
         if all(s.contains(v % 1) for s, v in zip(sets, x)):
             return tuple(v % 1 for v in x)
     return None

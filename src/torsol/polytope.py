@@ -7,6 +7,11 @@ of constraints solved exactly over the rationals; volumes from a fan
 triangulation anchored at the lexicographically smallest vertex.  Intrinsic
 (Hausdorff) quantities are only ever compared through their squares so the
 whole module stays inside the rationals.
+
+The measure routes do not build H-polytopes: their box slices come from
+kernel_geometry.slice_leaf in integers.  This module serves the central
+section check and general polytopes, and stays an independent check of
+slice_leaf.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from math import factorial, gcd
 
 from .errors import InvalidInputError, UnboundedPolytopeError
 from .intmat import IntMatrix, analyze_matrix, det, rank, solve
+from .rationals import parse_rational
 
 __all__ = [
     "HPolytope",
@@ -32,7 +38,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Intersection of half-spaces a . t <= c with exact rational data."""
+    """Intersection of half-spaces a . t <= c with exact rational data.
+
+    Entries are ints, Fractions or "n/d" strings; bools and floats raise
+    InvalidInputError.
+    """
 
     dim: int
     constraints: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
@@ -42,10 +52,10 @@ class HPolytope:
             raise InvalidInputError("polytope dimension must be >= 1")
         rows = []
         for a, c in constraints:
-            a = tuple(Fraction(x) for x in a)
+            a = tuple(parse_rational(x) for x in a)
             if len(a) != dim:
                 raise InvalidInputError("constraint normal has wrong length")
-            rows.append((a, Fraction(c)))
+            rows.append((a, parse_rational(c)))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "constraints", tuple(rows))
 

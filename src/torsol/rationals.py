@@ -18,7 +18,7 @@ _JSON_SAFE_INT = 2**53 - 1
 
 
 def parse_rational(value) -> Fraction:
-    """Parse "n/d" or "n" strings (ints and Fractions pass through, bools are refused)."""
+    """Parse "n/d" or "n" strings (ints and Fractions pass through; bools and floats are refused)."""
     if isinstance(value, bool):
         raise InvalidInputError(f"expected a rational, got {value!r}")
     if isinstance(value, Fraction):

@@ -22,7 +22,7 @@ from .errors import InvalidInputError, PositiveMeasureError, PreconditionError
 from .intmat import IntMatrix, analyze_matrix
 from .kernel_geometry import enumerate_components, shift_cover, slice_leaves
 from .measures import find_positive_witness, solution_measure
-from .rationals import require_int
+from .rationals import parse_rational, require_int
 from .torus_sets import DiscreteSet, IntervalUnion
 
 __all__ = [
@@ -184,7 +184,7 @@ def szemeredi_probe(mat: IntMatrix, alpha, trials: int, seed: int):
     profile = analyze_matrix(mat)
     if not profile.is_invariant:
         raise PreconditionError("matrix is not invariant (row sums do not vanish)")
-    alpha = Fraction(alpha)
+    alpha = parse_rational(alpha)
     if not (0 < alpha <= 1):
         raise InvalidInputError("alpha must be in (0, 1]")
     require_int("trials", trials, 1)

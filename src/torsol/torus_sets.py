@@ -23,7 +23,7 @@ __all__ = ["IntervalUnion", "DiscreteSet", "from_discrete", "sets_to_json", "set
 def _normalize(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
     items = []
     for a, b in pairs:
-        a, b = Fraction(a), Fraction(b)
+        a, b = parse_rational(a), parse_rational(b)
         if not (0 <= a < b <= 1):
             raise InvalidInputError(f"interval [{a}, {b}) not inside [0, 1]")
         items.append((a, b))
@@ -39,7 +39,11 @@ def _normalize(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Normalized finite union of half-open rational intervals in the circle."""
+    """Normalized finite union of half-open rational intervals in the circle.
+
+    Endpoints are ints, Fractions or "n/d" strings; bools and floats raise
+    InvalidInputError (0.1 is not 1/10, and (False, True) is no interval).
+    """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
 

@@ -13,6 +13,7 @@ import pytest
 
 from torsol import (
     DiscreteSet,
+    HPolytope,
     IntervalUnion,
     IntMatrix,
     decompose,
@@ -146,3 +147,34 @@ def test_non_integer_moduli_and_counts_are_refused(call, error):
     with pytest.raises(error):
         call()
     assert not any(is_prime(v) for v in (5.0, 2.0, True, F(5), "5"))
+
+
+_AP3_PROBE = IntMatrix([[1, -2, 1]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: IntervalUnion([(False, True)]), id="IntervalUnion-bools"),
+        pytest.param(lambda: IntervalUnion([(0.1, 0.5)]), id="IntervalUnion-floats"),
+        pytest.param(lambda: IntervalUnion([(0, 0.5)]), id="IntervalUnion-exact-float"),
+        pytest.param(lambda: IntervalUnion([(F(1, 4), 1.0)]), id="IntervalUnion-float-one"),
+        pytest.param(lambda: HPolytope(1, [((1,), 0.5)]), id="HPolytope-float-bound"),
+        pytest.param(lambda: HPolytope(1, [((1.0,), 1)]), id="HPolytope-float-normal"),
+        pytest.param(lambda: HPolytope(1, [((True,), 1)]), id="HPolytope-bool-normal"),
+        pytest.param(lambda: HPolytope(1, [((1,), False)]), id="HPolytope-bool-bound"),
+        pytest.param(lambda: szemeredi_probe(_AP3_PROBE, 0.5, 1, 0), id="szemeredi_probe-float-alpha"),
+        pytest.param(lambda: szemeredi_probe(_AP3_PROBE, True, 1, 0), id="szemeredi_probe-bool-alpha"),
+    ],
+)
+def test_bool_and_float_rationals_are_refused(call):
+    # (False, True) was once the full circle, and 0.1 became 3602879701896397/2^55
+    with pytest.raises(InvalidInputError):
+        call()
+
+
+def test_exact_rationals_still_accepted():
+    assert IntervalUnion([(0, "1/3"), (F(1, 2), 1)]).intervals == ((0, F(1, 3)), (F(1, 2), 1))
+    assert HPolytope(1, [((1,), "1/2"), ((F(-1),), 0)]).constraints == (((1,), F(1, 2)), ((-1,), 0))
+    best, _ = szemeredi_probe(_AP3_PROBE, "1/2", 1, 0)
+    assert best == szemeredi_probe(_AP3_PROBE, F(1, 2), 1, 0)[0] > 0

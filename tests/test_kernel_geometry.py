@@ -16,8 +16,8 @@ from torsol import (
 )
 from torsol.errors import BadModulusError, InvalidInputError
 from torsol.intmat import det, solve
-from torsol.kernel_geometry import product_measure
-from torsol.polytope import enumerate_vertices, slice_polytope
+from torsol.kernel_geometry import product_measure, slice_leaf
+from torsol.polytope import enumerate_vertices, slice_polytope, volume
 
 from oracles import (
     lifted_half_open,
@@ -287,3 +287,74 @@ def test_single_row_closed_form_matches_walker(row):
     full = [((F(0), F(1)),)] * m
     assert product_measure(d, full) == walker_measure(d, full) == 1
     assert product_measure(d, [()] + full[1:]) == 0
+
+
+def _random_box(rng, m):
+    """Rational bounds 0 <= lo < hi <= 1 per coordinate, on mixed denominators."""
+    lows, highs = [], []
+    for _ in range(m):
+        a, b = sorted(rng.sample([F(k, q) for q in (2, 3, 5, 7) for k in range(q + 1)], 2))
+        if a == b:
+            b = F(1)
+        lows.append(min(a, b))
+        highs.append(max(a, b))
+    return lows, highs
+
+
+def test_slice_leaf_matches_polytope_volume():
+    # integer vertices and volumes against the rational H-polytope route
+    rng = random.Random(31)
+    shapes = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (2, 6), (3, 6)]
+    negative = pinned = full = 0
+    for r, m in shapes * 4:
+        mat = random_pinned_matrix(rng, r, m)
+        pinned += bool(analyze_matrix(mat).degenerate_columns)
+        negative += any(
+            det([[row[c] for c in cols] for row in mat.entries]) < 0 for cols in combinations(range(m), r)
+        )
+        decomp = enumerate_components(mat)
+        basis = decomp.basis_columns
+        for _ in range(4):
+            comp = rng.choice(decomp.components)
+            lows, highs = _random_box(rng, m)
+            if rng.random() < 0.3:
+                lows, highs = [0] * m, [1] * m
+            leaf = slice_leaf(mat, comp.level, lows, highs)
+            res = volume(slice_polytope(basis, comp.representative, lows, highs))
+            assert leaf.volume == res.volume, (mat.entries, comp.level, lows, highs)
+            mapped = {
+                tuple(x + sum(c[i] * t for c, t in zip(basis, tv)) for i, x in enumerate(comp.representative))
+                for tv in res.vertices
+            }
+            assert set(leaf.vertices) == mapped, (mat.entries, comp.level, lows, highs)
+            assert list(leaf.vertices) == sorted(leaf.vertices)
+            assert all(mat.apply_fraction(x) == comp.level for x in leaf.vertices)
+            assert leaf.is_full_dimensional == res.is_full_dimensional
+            full += leaf.is_full_dimensional
+    assert negative >= 20 and pinned >= 10 and full >= 50, (negative, pinned, full)
+
+
+def test_box_measure_walks_at_most_two_to_the_r_levels(monkeypatch):
+    # [[6,4,2,0],[0,6,12,18]] has 356 slices; a 1/37 box reaches at most 4 levels
+    import torsol.kernel_geometry as kg
+
+    mat = IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]])
+    d = enumerate_components(mat)
+    assert len(d.components) == 356
+    rng = random.Random(37)
+    boxes = [tuple(rng.randrange(37) for _ in range(4)) for _ in range(40)]
+    cells = [[[(F(v, 37), F(v + 1, 37))] for v in j] for j in boxes]
+    expected = [walker_measure(d, blocks) for blocks in cells]
+    walked = []
+    real = kg.slice_leaves
+
+    def counting(decomp, comp, blocks):
+        walked[-1].add(comp.level)
+        return real(decomp, comp, blocks)
+
+    monkeypatch.setattr(kg, "slice_leaves", counting)
+    for j, value in zip(boxes, expected):
+        walked.append(set())
+        assert box_measure(d, j, 37) == value, j
+        assert len(walked[-1]) <= 2**mat.rows, (j, walked[-1])
+    assert sum(expected) > 0

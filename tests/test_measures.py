@@ -324,3 +324,58 @@ def test_exact_routes_equal_on_worked_pair():
     geo = solution_measure(AP3, [iv((0, F(2, 5)))] * 3)
     dec = decompose(AP3, 5, [iv((0, F(2, 5)))] * 3)
     assert geo.value == dec.value
+
+
+def test_measure_paths_build_no_polytope(monkeypatch):
+    # the slice geometry runs in integers: no H-polytope, no vertex enumeration
+    import torsol.kernel_geometry
+    import torsol.polytope
+    from torsol import zero_measure_check
+
+    def refuse(*args):
+        raise AssertionError("built an H-polytope")
+
+    for module in (torsol.kernel_geometry, torsol.polytope):
+        for name in ("volume", "enumerate_vertices", "slice_polytope"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    sets = [
+        iv((0, F(1, 2))),
+        iv((F(1, 3), F(5, 6))),
+        iv((0, F(1, 4)), (F(1, 2), F(3, 4))),
+        iv((F(1, 5), F(4, 5))),
+    ]
+    assert solution_measure(AP4, sets).value == F(41, 450)
+    ap5_sets = [HALF, iv((F(1, 4), F(3, 4))), HALF, iv((0, F(1, 3)), (F(2, 3), 1)), HALF]
+    assert solution_measure(AP5, ap5_sets).value == F(31, 864)
+    pinned_sets = [IntervalUnion.full(), iv((0, F(2, 3))), iv((0, F(1, 3)), (F(1, 2), F(3, 4)))]
+    assert solution_measure(PINNED, pinned_sets).value == F(2, 3)
+    assert find_positive_witness(AP4, sets) == (F(1, 16), F(193, 240), F(131, 240), F(23, 80))
+    zero = [iv((F(1, 6), F(1, 2))), iv((F(1, 3), F(1, 2))), iv((0, F(1, 6))), iv((F(1, 2), F(2, 3)))]
+    assert zero_measure_check(AP4, zero) == ([list(s.intervals) for s in zero], True)
+
+    # bypass the cache so that the slices are enumerated under the patch
+    decomp = enumerate_components.__wrapped__(IntMatrix([[1, 2, -1, 0], [0, 1, 1, -3]]))
+    rows = [
+        ((0, -2), "0 0 0 2/3", "1/18", "0:1/3 0:1/3"),
+        ((0, -1), "0 0 0 1/3", "1/12", "0:1/3 0:1/2"),
+        ((0, 0), "0 0 0 0", "1/12", "0:1/3 0:1/2"),
+        ((0, 1), "0 1/3 2/3 0", "1/36", "0:1/3 -1/3:1/6"),
+        ((1, -2), "0 1/2 0 5/6", "1/12", "0:1/3 -1/2:1/6"),
+        ((1, -1), "0 1/2 0 1/2", "1/6", "0:1/3 -1/2:1/2"),
+        ((1, 0), "0 1/2 0 1/6", "1/6", "0:1/3 -1/2:1/2"),
+        ((1, 1), "0 2/3 1/3 0", "1/12", "0:1/3 -1/3:1/3"),
+        ((2, -2), "0 1 0 1", "1/36", "0:1/3 -1/2:0"),
+        ((2, -1), "0 1 0 2/3", "1/12", "0:1/3 -1/2:0"),
+        ((2, 0), "0 1 0 1/3", "1/12", "0:1/3 -1/2:0"),
+        ((2, 1), "0 1 0 0", "1/18", "0:1/3 -1/3:0"),
+    ]
+    expected = [
+        (
+            level,
+            tuple(F(v) for v in rep.split()),
+            F(vol),
+            tuple(tuple(F(v) for v in pair.split(":")) for pair in hull.split()),
+        )
+        for level, rep, vol, hull in rows
+    ]
+    assert [(c.level, c.representative, c.volume_param, c.hull) for c in decomp.components] == expected
