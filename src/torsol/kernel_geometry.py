@@ -16,8 +16,9 @@ and slice_leaf computes it in integers: its vertices are the basic
 solutions of the bounded-variable LP (one bound choice per coordinate
 outside an invertible r x r minor, solved with the minor's cached
 adjugate), and its volume is taken in the free coordinates x_F of
-echelon(L) and divided by |det B_F|.  No H-polytope is built and only the
-volume is a Fraction.
+echelon(L) and divided by |det B_F|.  No H-polytope is built.  The walker
+over block products (slice_leaves) prunes in t-space in integers too,
+rounding outward, and product_measure makes one Fraction per call.
 
 The same machinery yields the weight of a 1/p grid box (p^(m-r) times its
 normalized Haar measure) and the cover of all positive-weight boxes by at
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from numbers import Rational
 from operator import mul
@@ -81,6 +82,12 @@ class KernelComponent:
     def is_flat(self) -> bool:
         return self.volume_param == 0
 
+    @cached_property
+    def _grid(self):
+        """(e, hull, x_b): the hull and the representative as integers over their common denominator e."""
+        e = math.lcm(*(v.denominator for v in (*sum(self.hull, ()), *self.representative)))
+        return e, [(int(l * e), int(u * e)) for l, u in self.hull], [int(v * e) for v in self.representative]
+
 
 @dataclass(frozen=True)
 class KernelDecomposition:
@@ -97,6 +104,11 @@ class KernelDecomposition:
     components: tuple[KernelComponent, ...]
     total_volume_param: Fraction
     c_param: Fraction
+
+    @cached_property
+    def _by_level(self):
+        """The components of positive volume, keyed by level."""
+        return {c.level: c for c in self.components if c.volume_param}
 
 
 @dataclass(frozen=True)
@@ -170,13 +182,18 @@ class SliceLeaf:
     """The polytope {x : Lx = b, lows <= x <= highs} of one slice and one box.
 
     points are its vertices as integer vectors, scale * x for each vertex
-    x, sorted (so lexicographically by x); volume is its (m-r)-volume in
-    the kernel-basis parameters t of x = x_b + B t.
+    x, sorted (so lexicographically by x); volume = size / den is its
+    (m-r)-volume in the parameters t of x = x_b + B t; den = d! scale^d |det B_F|.
     """
 
-    volume: Fraction
+    size: int
+    den: int
     points: tuple[tuple[int, ...], ...]
     scale: int
+
+    @property
+    def volume(self) -> Fraction:
+        return Fraction(self.size, self.den)
 
     @property
     def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -185,7 +202,7 @@ class SliceLeaf:
 
     @property
     def is_full_dimensional(self) -> bool:
-        return self.volume > 0
+        return self.size > 0
 
 
 def _simplices(points, facets, k):
@@ -227,15 +244,18 @@ def slice_leaf(mat: IntMatrix, level, lows, highs) -> SliceLeaf:
     its bounds, each of the 2^(m-r) bound choices of each such D is one
     integer matrix-vector product and r integer comparisons.  The volume
     comes in the free coordinates x_F from a fan triangulation with
-    fraction-free determinants, and is divided by |det B_F| to give the
-    parameter volume; only that last value is a Fraction.
+    fraction-free determinants, and is kept as an integer size over
+    den = d! scale^d |det B_F|, the parameter volume size / den.
     """
+    q = math.lcm(*(v.denominator for v in (*lows, *highs)))
+    return _box_slice(mat, level, [int(v * q) for v in lows], [int(v * q) for v in highs], q)
+
+
+def _box_slice(mat: IntMatrix, level, lo_q, hi_q, q: int) -> SliceLeaf:
+    """slice_leaf of the box with integer bounds lo_q / q and hi_q / q."""
     minors, unit, free, free_det, _ = _slice_data(mat)
     m = mat.cols
-    q = math.lcm(*(v.denominator for v in (*lows, *highs)))
     scale = q * unit
-    lo_q = [v.numerator * (q // v.denominator) for v in lows]
-    hi_q = [v.numerator * (q // v.denominator) for v in highs]
     lo_s = [v * unit for v in lo_q]
     hi_s = [v * unit for v in hi_q]
     found = set()
@@ -260,8 +280,8 @@ def slice_leaf(mat: IntMatrix, level, lows, highs) -> SliceLeaf:
         facets = [(i, c) for i in range(m) for c in (lo_s[i], hi_s[i])]
         for v0, *rest in _simplices(points, facets, d):
             total += abs(_bareiss([[v[i] - v0[i] for i in free] for v in rest])[1])
-    vol = Fraction(total, math.factorial(d) * scale**d * abs(free_det))
-    return SliceLeaf(volume=vol, points=tuple(points), scale=scale)
+    den = math.factorial(d) * scale**d * abs(free_det)
+    return SliceLeaf(size=total, den=den, points=tuple(points), scale=scale)
 
 
 @lru_cache(maxsize=128)
@@ -284,7 +304,7 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
     profile = analyze_matrix(mat)
     columns = tuple(profile.kernel_columns())
     _, _, free, free_det, free_adj = _slice_data(mat)
-    m, d = mat.cols, len(columns)
+    m = mat.cols
     sign = 1 if free_det > 0 else -1
     comps = []
     for b in product(*[range(lo, hi + 1) for lo, hi in mat.row_ranges()]):
@@ -295,9 +315,7 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
         diffs = [[pt[i] - points[0][i] for i in free] for pt in points]
         ts = [[sign * sum(map(mul, adj_row, diff)) for adj_row in free_adj] for diff in diffs]
         den = abs(free_det) * scale
-        hull = tuple(
-            (Fraction(min(t[k] for t in ts), den), Fraction(max(t[k] for t in ts), den)) for k in range(d)
-        )
+        hull = tuple((Fraction(min(t), den), Fraction(max(t), den)) for t in zip(*ts))
         rep = tuple(Fraction(v, scale) for v in points[0])
         comps.append(KernelComponent(level=tuple(b), representative=rep, volume_param=leaf.volume, hull=hull))
     total = sum((c.volume_param for c in comps), Fraction(0))
@@ -315,40 +333,6 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
     )
 
 
-def _form_range(row, hull):
-    """The range of row . t over the box hull."""
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for c, (l, u) in zip(row, hull):
-        if c >= 0:
-            lo += c * l
-            hi += c * u
-        else:
-            lo += c * u
-            hi += c * l
-    return lo, hi
-
-
-def _tighten(hull, row, lo, hi):
-    """Intersect the hull with lo <= row . t <= hi (one propagation pass)."""
-    hull = list(hull)
-    for k, c in enumerate(row):
-        if c == 0:
-            continue
-        omin, omax = _form_range(row[:k] + row[k + 1 :], hull[:k] + hull[k + 1 :])
-        num_lo, num_hi = lo - omax, hi - omin
-        if c > 0:
-            tk_lo, tk_hi = num_lo / c, num_hi / c
-        else:
-            tk_lo, tk_hi = num_hi / c, num_lo / c
-        l, u = hull[k]
-        l, u = max(l, tk_lo), min(u, tk_hi)
-        if l > u:
-            return None
-        hull[k] = (l, u)
-    return hull
-
-
 def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
     """Yield the SliceLeaf of the slice restricted to each block product.
 
@@ -357,38 +341,56 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
     degenerate column) is the constant x_b[i] on the slice, so its block is
     kept exactly when a <= x_b[i] < b.  Every other coordinate varies on
     the slice and its block is taken closed, which changes no volume.
-    Block combinations whose interval hull misses the slice are pruned,
-    starting from the slice's bounding box comp.hull.  The parameter
-    volumes of the leaves sum to that of the slice inside the product of
-    the half-open blocks.  Each leaf is the slice_leaf of the closed
-    blocks, so it carries its vertices as points x of the slice.
+    Block combinations whose t-space hull misses the slice are pruned,
+    starting from the slice's bounding box comp.hull, in integers over
+    the common denominator of the hull, x_b and the blocks.  Each block
+    narrows every t_k to (its row's range minus t_k's term) / coefficient
+    with lower bounds rounded down and upper bounds up; that outward
+    rounding keeps the hull a superset of the slice (Moore, Interval
+    Analysis, 1966).  The parameter volumes of the leaves sum to that of
+    the slice inside the product of the half-open blocks.  Each leaf is
+    the slice_leaf of the closed blocks on the blocks' common
+    denominator, so the leaves of one call share den.
     """
     mat = decomp.matrix
     m = mat.cols
-    columns = decomp.basis_columns
-    x_rep = comp.representative
-    rows = [tuple(Fraction(c[i]) for c in columns) for i in range(m)]
-    chosen: list[tuple[Fraction, Fraction]] = []
+    rows = [tuple(col[i] for col in decomp.basis_columns) for i in range(m)]
+    e, hull, x_b = comp._grid
+    q = math.lcm(*(v.denominator for bl in blocks for pair in bl for v in pair))
+    blocks = [[tuple(v.numerator * (q // v.denominator) for v in pair) for pair in bl] for bl in blocks]
+    chosen = []
 
     def rec(i, hull):
         if i == m:
-            lows, highs = zip(*chosen)
-            yield slice_leaf(mat, comp.level, lows, highs)
+            yield _box_slice(mat, comp.level, *zip(*chosen), q)
             return
-        flo, fhi = _form_range(rows[i], hull)
-        pinned = not any(rows[i])
+        row, x = rows[i], q * x_b[i]
+        terms = [(c * l, c * u) if c > 0 else (c * u, c * l) for c, (l, u) in zip(row, hull)]
+        flo, fhi = sum(t for t, _ in terms), sum(t for _, t in terms)
         for a, b in blocks[i]:
-            lo, hi = a - x_rep[i], b - x_rep[i]
-            if hi < flo or lo > fhi or (pinned and hi == 0):
+            lo, hi = a * e - x, b * e - x
+            if hi < flo or lo > fhi or (hi == 0 and not any(row)):
                 continue
-            new_hull = _tighten(hull, rows[i], lo, hi)
-            if new_hull is None:
-                continue
-            chosen.append((a, b))
-            yield from rec(i + 1, new_hull)
-            chosen.pop()
+            new, slo, shi = list(hull), flo, fhi
+            for k, c in enumerate(row):
+                if not c:
+                    continue
+                tlo, thi = terms[k]
+                bot, top = lo - shi + thi, hi - slo + tlo  # c * t_k lies in [bot, top]
+                if c < 0:
+                    bot, top = top, bot
+                l, u = max(new[k][0], bot // c), min(new[k][1], -(-top // c))
+                if l > u:
+                    break
+                new[k] = (l, u)
+                nlo, nhi = (c * l, c * u) if c > 0 else (c * u, c * l)
+                slo, shi = slo + nlo - tlo, shi + nhi - thi
+            else:
+                chosen.append((a, b))
+                yield from rec(i + 1, new)
+                chosen.pop()
 
-    yield from rec(0, comp.hull)
+    yield from rec(0, [(l * q, u * q) for l, u in hull])
 
 
 def _single_row_measure(row, blocks) -> Fraction:
@@ -441,8 +443,10 @@ def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
     For r >= 2 the value is c_param times the parameter volumes of
     slice_leaves over the slices of positive volume whose level lies in
     the range of Lx over the blocks' bounding box prod [min a_i, max b_i]:
-    no other slice meets the closed blocks.  A box of side 1/p with p
-    above every row sum of |entries| meets at most 2^r of them.
+    no other slice meets the closed blocks.  They are looked up in the
+    decomposition's index of positive-volume slices by level.  A box of
+    side 1/p with p above every row sum of |entries| reaches at most 2^r
+    of them.  The leaves share one den, so only the sum is a Fraction.
     """
     mat = decomp.matrix
     if mat.rows == 1:
@@ -454,17 +458,15 @@ def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
     for row in mat.entries:
         lo = sum(l * (a if l > 0 else b) for l, (a, b) in zip(row, box))
         hi = sum(l * (b if l > 0 else a) for l, (a, b) in zip(row, box))
-        levels.append((math.ceil(lo), math.floor(hi)))
-    total = sum(
-        (
-            leaf.volume
-            for comp in decomp.components
-            if comp.volume_param and all(lo <= v <= hi for v, (lo, hi) in zip(comp.level, levels))
-            for leaf in slice_leaves(decomp, comp, blocks)
-        ),
-        Fraction(0),
-    )
-    return total * decomp.c_param
+        levels.append(range(math.ceil(lo), math.floor(hi) + 1))
+    index = decomp._by_level
+    size = den = 0
+    for level in product(*levels):
+        if level in index:
+            for leaf in slice_leaves(decomp, index[level], blocks):
+                size, den = size + leaf.size, leaf.den
+    c = decomp.c_param
+    return Fraction(size * c.numerator, den * c.denominator) if size else Fraction(0)
 
 
 def box_measure(decomp: KernelDecomposition, j, p: int) -> Fraction:
@@ -536,9 +538,7 @@ def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:
             f"p = {p} too small: need p > {bound}, the largest row sum of absolute entries"
         )
     shifts = []
-    for comp in decomp.components:
-        if comp.volume_param == 0:
-            continue
+    for comp in decomp._by_level.values():
         target = tuple((-v) % p for v in comp.level)
         j = _lex_min_solution_mod_p(mat, target, p)
         lam = comp.volume_param * decomp.c_param

@@ -9,8 +9,9 @@ geometric      exact, for any rational interval unions.  A single equation
                half-open.  For r >= 2: a sum over the kernel slices that
                the sets' bounding box can reach of the parameter volumes
                of box slices, one per combination of interval blocks,
-               with interval-hull pruning; each volume comes from integer
-               vertices (kernel_geometry.slice_leaf), with no H-polytope.
+               pruned in integer t-space with outward rounding; each
+               volume comes from integer vertices
+               (kernel_geometry.slice_leaf), with no H-polytope.
 decomposition  exact: weighted sum of shifted counting densities over Z_p,
                for p-grid-aligned sets at a suitable prime p, all from one
                call of the Z_p counter.  Independently coded from the geometric
@@ -277,15 +278,18 @@ def approximation_bound(mat: IntMatrix, originals, approximants) -> Fraction:
 def find_positive_witness(mat: IntMatrix, sets):
     """A rational point x of the product of sets with Lx integral, or None.
 
-    Walks each slice with slice_leaves, as the geometric route does, takes
-    the centroid of the vertices of its first full-dimensional leaf (points
-    x of the slice), and returns the first such point that verifies exact
-    membership in every (half-open) set.
+    Walks each slice of positive volume with slice_leaves, as the
+    geometric route does (a flat slice has no full-dimensional leaf),
+    takes the centroid of the vertices of its first full-dimensional leaf
+    (points x of the slice), and returns the first such point that
+    verifies exact membership in every (half-open) set.
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
     blocks = [s.intervals for s in sets]
     for comp in decomp.components:
+        if comp.is_flat:
+            continue
         leaves = slice_leaves(decomp, comp, blocks)
         leaf = next((leaf for leaf in leaves if leaf.is_full_dimensional), None)
         if leaf is None:

@@ -6,7 +6,8 @@ integrator for planar areas, exhaustive subset search for extremal
 densities, a direct rational check of lattice membership, a lifted
 min-max program for whether a kernel slice meets the half-open cube,
 the polytope walk over every slice for single equations, whose measure
-the package takes in closed form, and Smith invariants from gcds of
+the package takes in closed form, every block combination of every
+slice with no pruning, and Smith invariants from gcds of
 minors, which the package gets by alternating Hermite forms.  They are deliberately slow and
 simple.
 """
@@ -89,6 +90,27 @@ def walker_measure(decomp, blocks):
 
     leaves = (res.volume for comp in decomp.components for res in slice_leaves(decomp, comp, blocks))
     return decomp.c_param * sum(leaves, Fraction(0))
+
+
+def unpruned_measure(decomp, blocks):
+    """c_param times the slice_leaf volumes of every block combination of every slice of positive volume.
+
+    No hull and no pruning: a coordinate whose row of the kernel basis is
+    zero is the constant x_b[i] on a slice and is tested half-open at x_b,
+    every other block is taken closed.
+    """
+    from torsol.kernel_geometry import slice_leaf
+
+    pinned = [not any(col[i] for col in decomp.basis_columns) for i in range(decomp.matrix.cols)]
+    total = Fraction(0)
+    for comp in decomp.components:
+        if not comp.volume_param:
+            continue
+        for combo in product(*blocks):
+            if all(a <= x < b for (a, b), x, pin in zip(combo, comp.representative, pinned) if pin):
+                lows, highs = zip(*combo)
+                total += slice_leaf(decomp.matrix, comp.level, lows, highs).volume
+    return decomp.c_param * total
 
 
 def _laplace_det(rows):

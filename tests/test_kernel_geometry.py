@@ -25,6 +25,7 @@ from oracles import (
     random_run_sets,
     suitable_prime,
     sweep_area,
+    unpruned_measure,
     walker_measure,
 )
 
@@ -358,3 +359,51 @@ def test_box_measure_walks_at_most_two_to_the_r_levels(monkeypatch):
         assert box_measure(d, j, 37) == value, j
         assert len(walked[-1]) <= 2**mat.rows, (j, walked[-1])
     assert sum(expected) > 0
+
+
+def _mixed_blocks(rng, m, most):
+    """Up to `most` blocks per coordinate, endpoints on denominators 2..12.
+
+    Half the draws put every endpoint on one grid 1/q, which keeps the
+    walker's common denominator small, so that rounding matters; the
+    other half mix the denominators.
+    """
+    grid = rng.randint(2, 12) if rng.random() < 0.5 else None
+    out = []
+    for _ in range(m):
+        dens = [grid] * 2 * most if grid else rng.sample(range(2, 13), 2 * most)
+        cuts = sorted({F(rng.randint(0, q), q) for q in dens})
+        out.append(tuple(zip(cuts[::2], cuts[1::2]))[: rng.randint(1, most)] or ((F(0), F(1, 2)),))
+    return out
+
+
+def test_pruned_walk_matches_unpruned_oracle():
+    # outward-rounded integer pruning loses no block combination that meets a slice
+    rng = random.Random(11)
+    cases = [
+        (AP4, 3, 14),
+        (IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]]), 1, 3),
+        (PINNED, 3, 14),
+        (PINNED_SCALED, 3, 14),
+        (IntMatrix([[2, 3, -3, 0, 2], [3, -2, -2, 3, -2], [-2, 2, 2, 2, 1]]), 1, 4),
+    ]
+    # slices whose leaves can be slivers between two points of the walker's grid,
+    # so that rounding the pruning bounds inward loses volume
+    slivers = [
+        [[-3, 1, 3], [-1, -1, 2]],
+        [[3, -2, 3], [-2, -3, 2]],
+        [[3, -1, 1, -2], [1, -1, 2, 2], [-3, -1, -2, -1]],
+        [[3, 3, 2, 2], [3, 3, 1, 3], [2, -3, 0, -1]],
+    ]
+    cases += [(IntMatrix(entries), 2, 15) for entries in slivers]
+    cases += [(random_pinned_matrix(rng, r, m), 2, 3) for r, m in [(2, 3), (2, 4), (3, 4), (2, 5)] * 3]
+    pinned = positive = 0
+    for mat, most, trials in cases:
+        d = enumerate_components(mat)
+        pinned += bool(analyze_matrix(mat).degenerate_columns)
+        for _ in range(trials):
+            blocks = _mixed_blocks(rng, mat.cols, most)
+            value = product_measure(d, blocks)
+            assert value == unpruned_measure(d, blocks), (mat.entries, blocks)
+            positive += value > 0
+    assert pinned >= 6 and positive >= 80, (pinned, positive)
