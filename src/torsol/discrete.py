@@ -138,7 +138,7 @@ def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
     it is the cheaper side and fits in _PACKED_BITS_LIMIT bits.
     """
     free = [c for c in range(mat.cols) if c not in _pivots_mod_p(mat, p)]
-    bits = p * (2 * p) ** (mat.rows - 1) * (math.prod(map(sum, members)).bit_length() + 1)
+    bits = _packed_bits(mat, p, members)
     tests = len(targets) * mat.rows * math.prod(sum(members[c]) for c in free[:-1])
     if bits <= _PACKED_BITS_LIMIT and sum(map(sum, members)) * (1 + bits // _BITS_PER_TEST) < tests:
         count = _packed_counts(mat, p, members)
@@ -180,6 +180,11 @@ def _free_tuple_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
                     hits = 0
             counts[i] += hits.bit_count()
     return counts
+
+
+def _packed_bits(mat: IntMatrix, p: int, members) -> int:
+    """Size in bits of the count vector that _packed_counts builds."""
+    return p * (2 * p) ** (mat.rows - 1) * (math.prod(map(sum, members)).bit_length() + 1)
 
 
 def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]], int]:

@@ -341,9 +341,12 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
     degenerate column) is the constant x_b[i] on the slice, so its block is
     kept exactly when a <= x_b[i] < b.  Every other coordinate varies on
     the slice and its block is taken closed, which changes no volume.
-    Block combinations whose t-space hull misses the slice are pruned,
-    starting from the slice's bounding box comp.hull, in integers over
-    the common denominator of the hull, x_b and the blocks.  Each block
+    Block combinations whose t-space hull misses the slice, or only
+    touches it (a row's range meets the block in one value, or some t_k is
+    pinned), are pruned: since m > r such a combination cuts the slice in
+    a set of volume 0.  Pruning starts from the slice's bounding box
+    comp.hull and runs in integers over the common denominator of the
+    hull, x_b and the blocks.  Each block
     narrows every t_k to (its row's range minus t_k's term) / coefficient
     with lower bounds rounded down and upper bounds up; that outward
     rounding keeps the hull a superset of the slice (Moore, Interval
@@ -369,7 +372,7 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
         flo, fhi = sum(t for t, _ in terms), sum(t for _, t in terms)
         for a, b in blocks[i]:
             lo, hi = a * e - x, b * e - x
-            if hi < flo or lo > fhi or (hi == 0 and not any(row)):
+            if (hi <= flo or lo >= fhi) if any(row) else not lo <= 0 < hi:
                 continue
             new, slo, shi = list(hull), flo, fhi
             for k, c in enumerate(row):
@@ -380,7 +383,7 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
                 if c < 0:
                     bot, top = top, bot
                 l, u = max(new[k][0], bot // c), min(new[k][1], -(-top // c))
-                if l > u:
+                if l >= u:
                     break
                 new[k] = (l, u)
                 nlo, nhi = (c * l, c * u) if c > 0 else (c * u, c * l)

@@ -7,6 +7,12 @@ geometric route), checking that zero-measure instances lose all solutions
 after passing to density points, probing the guaranteed-positive measure of
 invariant systems on random sets, and searching for the densest
 solution-free subset of Z_p.
+
+The boxes are listed coset by coset of the shift cover, with the free
+coordinates walked through their own sets, so the cost follows the sets'
+sizes rather than p^(m-r).  The greedy lists no boxes: it reads how many
+boxes lie on each cell off one packed count vector per coordinate
+(discrete._packed_counts, with that coordinate's set left out).
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
+from . import discrete
 from .discrete import kernel_elements, parametrize_kernel
 from .errors import InvalidInputError, PositiveMeasureError, PreconditionError
 from .intmat import IntMatrix, analyze_matrix
@@ -57,24 +65,30 @@ def _member_arrays(mat: IntMatrix, p: int, sets) -> list[list[bool]]:
     return [list(s.to_discrete(p).members) for s in sets]
 
 
-def _violating(mat: IntMatrix, p: int, members):
+def _violating(mat: IntMatrix, p: int, members, cover):
     """All grid boxes with positive weight inside the discrete product.
 
-    Enumerated coset by coset: for each shift of the cover, run through its
-    p^(m-r) coset members and keep those whose coordinates all belong to the
-    sets.  Sorted lexicographically within each coset.
+    The boxes of a shift j of the cover are its coset j + ker L.  The free
+    coordinates run through their own sets, each tuple y fixes the kernel
+    element with free part y - j_F (parametrize_kernel), and the box is
+    kept when its dependent coordinates lie in their sets too: prod |A_F|
+    tuples per coset, not p^(m-r).  Sorted lexicographically within each
+    coset.
     """
-    decomp = enumerate_components(mat)
-    cover = shift_cover(decomp, p)
     param = parametrize_kernel(mat, p)
-    m = mat.cols
+    free, dep, coeff = param.free_columns, param.dependent_columns, param.coefficients
+    choices = [[x for x in range(p) if members[c][x]] for c in free]
+    order = [(free + dep).index(c) for c in range(mat.cols)]
     out = []
     for sh in cover:
+        # j_D = j_D(shift) + K (y - j_F(shift))
+        base = [sh.j[c] - sum(a * sh.j[f] for a, f in zip(row, free)) for row, c in zip(coeff, dep)]
         coset = []
-        for k in kernel_elements(param, m):
-            j = tuple((a + b) % p for a, b in zip(sh.j, k))
-            if all(members[i][j[i]] for i in range(m)):
-                coset.append(j)
+        for y in product(*choices):
+            j_dep = tuple((b + sum(a * v for a, v in zip(row, y))) % p for b, row in zip(base, coeff))
+            if all(members[c][v] for c, v in zip(dep, j_dep)):
+                j = y + j_dep
+                coset.append(tuple(j[k] for k in order))
         coset.sort()
         out.extend((j, sh.lam) for j in coset)
     return out
@@ -84,11 +98,13 @@ def find_violating_boxes(mat: IntMatrix, p: int, sets):
     """Positive-weight boxes inside the product, plus a rational witness.
 
     Empty list exactly when the sets are essentially solution-free (the
-    product meets the kernel subgroup in a null set).  The witness, when
-    one exists, is an interior point of one box's slice with L x integral.
+    product meets the kernel subgroup in a null set).  The boxes are listed
+    coset by coset of the shift cover, walking the free coordinates through
+    their own sets.  The witness, when one exists, is an interior point of
+    one box's slice with L x integral.
     """
     members = _member_arrays(mat, p, sets)
-    boxes = _violating(mat, p, members)
+    boxes = _violating(mat, p, members, shift_cover(enumerate_components(mat), p))
     witness = None
     for j, _lam in boxes:
         cells = [IntervalUnion([(Fraction(v, p), Fraction(v + 1, p))]) for v in j]
@@ -98,27 +114,52 @@ def find_violating_boxes(mat: IntMatrix, p: int, sets):
     return boxes, witness
 
 
+def _incidences(mat: IntMatrix, p: int, members, cover) -> dict[tuple[int, int], int]:
+    """inc(i, x): the positive-weight boxes inside the product with j_i = x.
+
+    A box j lies in the coset of the level-b shift exactly when
+    L j = -b (mod p), so inc(i, x) = sum_b N_-i(-b - x L_i), where N_-i
+    counts L y over the product with A_i replaced by {0}: one packed count
+    vector per coordinate.  Where a vector would exceed _PACKED_BITS_LIMIT
+    bits, the boxes are listed by _violating and counted instead.  Cells
+    that lie on no box are left out.
+    """
+    zero = [True] + [False] * (p - 1)
+    rests = [members[:i] + [zero] + members[i + 1 :] for i in range(mat.cols)]
+    counts: dict[tuple[int, int], int] = {}
+    if max(discrete._packed_bits(mat, p, rest) for rest in rests) > discrete._PACKED_BITS_LIMIT:
+        for j, _lam in _violating(mat, p, members, cover):
+            for cell in enumerate(j):
+                counts[cell] = counts.get(cell, 0) + 1
+        return counts
+    for i, rest in enumerate(rests):
+        n = discrete._packed_counts(mat, p, rest)
+        col = [row[i] for row in mat.entries]
+        for x in range(p):
+            if members[i][x]:
+                c = sum(n([-b - x * a for b, a in zip(sh.level, col)]) for sh in cover)
+                if c:
+                    counts[(i, x)] = c
+    return counts
+
+
 def greedy_removal(mat: IntMatrix, p: int, sets) -> RemovalOutcome:
     """Delete grid cells until no positive-weight box survives.
 
     Each round removes the cell (coordinate i, cell x) lying on the most
-    currently-violating boxes, ties broken by smallest i then smallest x.
-    Terminates on the finite grid; the outcome is re-verified with an
-    independent geometric measure computation.  No optimality is claimed.
+    currently-violating boxes, ties broken by smallest i then smallest x;
+    the counts come from _incidences, with no box listed while the packed
+    count vectors fit.  The shift cover is computed once.  Terminates on
+    the finite grid; the outcome is re-verified with an independent
+    geometric measure computation.  No optimality is claimed.
     """
     members = _member_arrays(mat, p, sets)
+    cover = shift_cover(enumerate_components(mat), p)
     m = mat.cols
     removed: list[set[int]] = [set() for _ in range(m)]
     iterations = 0
-    while True:
-        boxes = _violating(mat, p, members)
-        if not boxes:
-            break
-        counts: dict[tuple[int, int], int] = {}
-        for j, _lam in boxes:
-            for i, x in enumerate(j):
-                counts[(i, x)] = counts.get((i, x), 0) + 1
-        (i, x), _ = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))[0]
+    while counts := _incidences(mat, p, members, cover):
+        i, x = min(counts, key=lambda cell: (-counts[cell], cell))
         members[i][x] = False
         removed[i].add(x)
         iterations += 1

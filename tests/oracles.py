@@ -7,9 +7,11 @@ densities, a direct rational check of lattice membership, a lifted
 min-max program for whether a kernel slice meets the half-open cube,
 the polytope walk over every slice for single equations, whose measure
 the package takes in closed form, every block combination of every
-slice with no pruning, and Smith invariants from gcds of
-minors, which the package gets by alternating Hermite forms.  They are deliberately slow and
-simple.
+slice with no pruning, Smith invariants from gcds of
+minors, which the package gets by alternating Hermite forms, and every
+member of every coset for the violating boxes and the greedy removal,
+which the package walks through the sets' members and counts with packed
+products.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -326,3 +328,51 @@ def random_run_sets(rng: random.Random, p, counts):
         cuts = sorted(rng.sample(range(p + 1), 2 * k))
         out.append(IntervalUnion([(F(a, p), F(b, p)) for a, b in zip(cuts[::2], cuts[1::2])]))
     return out
+
+
+def enumerated_violating(mat, p, sets):
+    """Positive-weight grid boxes inside the product, by listing every coset member.
+
+    For each shift of the cover, every one of the p^(m-r) kernel elements
+    is added to the shift and kept when all its coordinates lie in the
+    sets; sorted lexicographically within each coset.
+    """
+    from torsol.discrete import kernel_elements, parametrize_kernel
+    from torsol.kernel_geometry import enumerate_components, shift_cover
+
+    members = [s.to_discrete(p).members for s in sets]
+    param = parametrize_kernel(mat, p)
+    out = []
+    for sh in shift_cover(enumerate_components(mat), p):
+        coset = []
+        for k in kernel_elements(param, mat.cols):
+            j = tuple((a + b) % p for a, b in zip(sh.j, k))
+            if all(arr[v] for arr, v in zip(members, j)):
+                coset.append(j)
+        coset.sort()
+        out.extend((j, sh.lam) for j in coset)
+    return out
+
+
+def enumerated_greedy(mat, p, sets):
+    """The greedy removal loop on enumerated boxes: the removed cells (i, x) in order.
+
+    Each round lists the violating boxes of what is left, counts the boxes
+    on each cell, and removes the cell with the largest count, ties broken
+    by smallest coordinate, then smallest cell.
+    """
+    from torsol import DiscreteSet
+
+    members = [list(s.to_discrete(p).members) for s in sets]
+    removed = []
+    while True:
+        left = [DiscreteSet(p, arr).to_interval_union() for arr in members]
+        counts = {}
+        for j, _lam in enumerated_violating(mat, p, left):
+            for cell in enumerate(j):
+                counts[cell] = counts.get(cell, 0) + 1
+        if not counts:
+            return removed
+        (i, x), _ = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0][0], kv[0][1]))[0]
+        members[i][x] = False
+        removed.append((i, x))

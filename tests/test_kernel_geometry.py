@@ -16,7 +16,7 @@ from torsol import (
 )
 from torsol.errors import BadModulusError, InvalidInputError
 from torsol.intmat import det, solve
-from torsol.kernel_geometry import product_measure, slice_leaf
+from torsol.kernel_geometry import product_measure, slice_leaf, slice_leaves
 from torsol.polytope import enumerate_vertices, slice_polytope, volume
 
 from oracles import (
@@ -407,3 +407,16 @@ def test_pruned_walk_matches_unpruned_oracle():
             assert value == unpruned_measure(d, blocks), (mat.entries, blocks)
             positive += value > 0
     assert pinned >= 6 and positive >= 80, (pinned, positive)
+
+
+def test_block_touching_a_slice_only_at_a_corner_yields_no_leaf():
+    # [1/2, 1] x [1/2, 1] x [0, 1] meets x + y - z = 0 in the one point (1/2, 1/2, 1)
+    # and x + y - z = 1 in a triangle; on x = y, [0, 1/2] x [1/2, 1] meets only (1/2, 1/2)
+    d = enumerate_components(SUM3)
+    blocks = [[(F(1, 2), F(1))], [(F(1, 2), F(1))], [(F(0), F(1))]]
+    leaves = {comp.level: list(slice_leaves(d, comp, blocks)) for comp in d.components}
+    assert leaves[(0,)] == []
+    assert [leaf.volume for leaf in leaves[(1,)]] == [F(1, 4)]
+    diagonal = enumerate_components(IntMatrix([[1, -1]]))
+    (comp,) = diagonal.components
+    assert list(slice_leaves(diagonal, comp, [[(F(0), F(1, 2))], [(F(1, 2), F(1))]])) == []

@@ -16,12 +16,18 @@ from torsol import (
     szemeredi_probe,
     zero_measure_check,
 )
+from torsol import discrete, removal_lab
 from torsol.errors import PositiveMeasureError, PreconditionError
 
-from oracles import brute_max_free_density, random_grid_sets
+from oracles import brute_max_free_density, enumerated_greedy, enumerated_violating, random_grid_sets
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
+AP4 = IntMatrix([[1, -2, 1, 0], [0, 1, -2, 1]])
+R4 = IntMatrix([[2, 3, -1, 5]])
+AP5 = IntMatrix([[1, -2, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -2, 1]])
+PINNED = IntMatrix([[1, 1, 0], [0, 0, 2]])
+PINNED_SCALED = IntMatrix([[2, 2, 0], [0, 0, 4]])
 
 
 def iv(*pairs):
@@ -99,6 +105,65 @@ def test_greedy_removal_postcondition_random():
             assert solution_measure(SUM3, remaining).value == 0
             boxes, _ = find_violating_boxes(SUM3, p, remaining)
             assert boxes == []
+
+
+def _seeded_cases():
+    """Seeded grid sets, sparse and dense, on every matrix the removal lab is run on."""
+    rng = random.Random(12)
+    moduli = [
+        (SUM3, 5), (SUM3, 11), (AP3, 7), (AP4, 5), (AP4, 7), (R4, 13),
+        (AP5, 5), (AP5, 7), (PINNED, 3), (PINNED, 7), (PINNED_SCALED, 5), (PINNED_SCALED, 7),
+    ]
+    return [(mat, p, random_grid_sets(rng, p, mat.cols, density)) for mat, p in moduli for density in (0.4, 0.8)]
+
+
+def test_violating_boxes_match_enumeration():
+    # walking the free coordinates' members lists the same boxes, in the same order
+    listed = 0
+    for mat, p, sets in _seeded_cases():
+        boxes, _ = find_violating_boxes(mat, p, sets)
+        assert boxes == enumerated_violating(mat, p, sets), (mat.entries, p)
+        listed += len(boxes)
+    assert listed >= 500, listed
+
+
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "listed"])
+def test_greedy_removal_matches_enumeration(monkeypatch, packed):
+    # the counted greedy removes the cells that the enumerating greedy removes, in the same order
+    real_violating, real_incidences = removal_lab._violating, removal_lab._incidences
+    listings, snapshots = [], []
+
+    def violating(*args):
+        assert not packed, "boxes listed while the packed counts fit"
+        listings.append(args)
+        return real_violating(*args)
+
+    def incidences(mat, p, members, cover):
+        snapshots.append([list(arr) for arr in members])
+        return real_incidences(mat, p, members, cover)
+
+    monkeypatch.setattr(removal_lab, "_violating", violating)
+    monkeypatch.setattr(removal_lab, "_incidences", incidences)
+    if not packed:
+        monkeypatch.setattr(discrete, "_PACKED_BITS_LIMIT", 0)
+    rounds = 0
+    for mat, p, sets in _seeded_cases():
+        snapshots.clear()
+        out = greedy_removal(mat, p, sets)
+        cells = enumerated_greedy(mat, p, sets)
+        order = [
+            next((i, x) for i, (a, b) in enumerate(zip(before, after)) for x in range(p) if a[x] != b[x])
+            for before, after in zip(snapshots, snapshots[1:])
+        ]
+        assert order == cells, (mat.entries, p)
+        assert out.iterations == len(cells)
+        assert [set(e.to_discrete(p).indices()) for e in out.removed] == [
+            {x for i, x in cells if i == k} for k in range(mat.cols)
+        ]
+        assert out.verified_free
+        rounds += len(cells)
+    assert rounds >= 50, rounds
+    assert packed or len(listings) == rounds + len(_seeded_cases())
 
 
 def test_zero_measure_check_worked_example():
