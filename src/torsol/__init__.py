@@ -27,7 +27,6 @@ from .intmat import (
     analyze_matrix,
     matrix_from_json,
     matrix_to_json,
-    rank_mod_p,
 )
 from .polytope import (
     CentralSectionResult,

@@ -8,12 +8,13 @@ of the r residue digits, and the running product is packed into one big
 int (Kronecker substitution), so each shift and add of it works on every
 coefficient at once.  The other side walks the free coordinates through
 their own sets; the dependent ones follow from the target, and the last
-free coordinate runs as a bit mask.  A shifted density is one count over
+free coordinate runs as a bit mask, whose set bits list_solutions and
+removal_lab expand into points.  A shifted density is one count over
 p^(m-r), the kernel size once L keeps full rank mod p.
-`parametrize_kernel` writes the kernel as dependent coordinates that are
-linear functions of the free ones; `kernel_element` maps one free tuple
-through it, and `kernel_elements` lists the whole kernel, for callers
-that need the solutions.  Everything is exact integer arithmetic.
+`parametrize_kernel`, the package's one mod-p elimination, writes the
+solutions of L x = c as linear functions of the free coordinates and c;
+`kernel_element` maps one free tuple through it, and `kernel_elements`
+lists the whole kernel.  Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from numbers import Rational
 
@@ -45,49 +47,54 @@ __all__ = [
 class KernelParametrization:
     """ker L over Z_p as dependent coordinates of free ones.
 
-    dependent_columns are the first r columns (in lexicographic subset
-    order) with an invertible minor mod p; coefficients give each dependent
-    coordinate as a linear map of the free tuple, so iterating all p^(m-r)
-    free tuples hits every kernel element exactly once.
+    dependent_columns are the pivots of L eliminated from the right: each
+    column outside the span of the columns after it.  Every other column
+    lies in that span, so the solution of L x = c with free part 0 is the
+    lexicographically smallest.  inverse is M^-1 mod p for the minor M on
+    the dependent columns, and coefficients K = -M^-1 L_F, so
+    x_D = M^-1 c + K x_F and the p^(m-r) free tuples give the kernel once.
     """
 
     p: int
     free_columns: tuple[int, ...]
     dependent_columns: tuple[int, ...]
     coefficients: tuple[tuple[int, ...], ...]  # r x (m-r), dependent = coeff @ free mod p
+    inverse: tuple[tuple[int, ...], ...]  # r x r, M^-1 mod p
 
 
-def _pivots_mod_p(mat: IntMatrix, p: int) -> tuple[int, ...]:
-    """Pivot columns of L over GF(p); refuses composite p and rank loss mod p."""
+@lru_cache(maxsize=256, typed=True)
+def parametrize_kernel(mat: IntMatrix, p: int) -> KernelParametrization:
+    """Parametrization of ker L over Z_p, the package's one mod-p elimination.
+
+    Refuses a p that is not a prime int, or at which L loses rank.  The
+    cache keys on the type of p, so 5.0 or True never reads the entry of 5 or 1.
+    """
     if not is_prime(p):
         raise BadModulusError(f"modulus {p!r} is not prime: counting works over prime fields only")
-    pivots = tuple(echelon(mat.entries, p)[1])
-    if len(pivots) != mat.rows:
+    m, r = mat.cols, mat.rows
+    pivots = echelon([row[::-1] for row in mat.entries], p)[1]
+    if len(pivots) != r:
         raise BadModulusError(f"matrix loses rank mod p = {p}")
-    return pivots
-
-
-def parametrize_kernel(mat: IntMatrix, p: int) -> KernelParametrization:
-    """Deterministic parametrization of ker L over Z_p (p prime)."""
-    # the greedy pivots are the lexicographically first invertible r-minor
-    dependent = _pivots_mod_p(mat, p)
+    dependent = tuple(sorted(m - 1 - c for c in pivots))
+    free = tuple(c for c in range(m) if c not in dependent)
     minor = [[row[c] for c in dependent] for row in mat.entries]
-    free = tuple(c for c in range(mat.cols) if c not in dependent)
-    # M y_f = L_f for each free column f, so dependent = -sum_f y_f * free_f
-    sols = [solve(minor, [row[f] for row in mat.entries], p) for f in free]
-    coeff = tuple(tuple((-y[i]) % p for y in sols) for i in range(mat.rows))
+    inverse = tuple(zip(*(solve(minor, [int(i == k) for i in range(r)], p) for k in range(r))))
+    coeff = tuple(
+        tuple(-sum(a * row[f] for a, row in zip(inv, mat.entries)) % p for f in free) for inv in inverse
+    )
     return KernelParametrization(
-        p=p, free_columns=free, dependent_columns=dependent, coefficients=coeff
+        p=p, free_columns=free, dependent_columns=dependent, coefficients=coeff, inverse=inverse
     )
 
 
-def kernel_element(param: KernelParametrization, m: int, free_vals) -> tuple[int, ...]:
-    """The kernel element whose free coordinates take the values free_vals."""
+def kernel_element(param: KernelParametrization, m: int, free_vals, target=()) -> tuple[int, ...]:
+    """The x with L x = target (mod p), by default 0, whose free coordinates are free_vals."""
     x = [0] * m
     for c, v in zip(param.free_columns, free_vals):
         x[c] = v
-    for row, c in zip(param.coefficients, param.dependent_columns):
-        x[c] = sum(a * v for a, v in zip(row, free_vals)) % param.p
+    for c, row, inv in zip(param.dependent_columns, param.coefficients, param.inverse):
+        dep = sum(a * v for a, v in zip(row, free_vals)) + sum(a * t for a, t in zip(inv, target))
+        x[c] = dep % param.p
     return tuple(x)
 
 
@@ -137,7 +144,7 @@ def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
     timing SUM3 to AP5 at p = 37 to 1009).  The vector is built only when
     it is the cheaper side and fits in _PACKED_BITS_LIMIT bits.
     """
-    free = [c for c in range(mat.cols) if c not in _pivots_mod_p(mat, p)]
+    free = parametrize_kernel(mat, p).free_columns
     bits = _packed_bits(mat, p, members)
     tests = len(targets) * mat.rows * math.prod(sum(members[c]) for c in free[:-1])
     if bits <= _PACKED_BITS_LIMIT and sum(map(sum, members)) * (1 + bits // _BITS_PER_TEST) < tests:
@@ -146,18 +153,17 @@ def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
     return _free_tuple_counts(mat, p, members, targets)
 
 
-def _free_tuple_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
-    """N(c) by walking the free coordinates through their own sets.
+def _line_masks(param: KernelParametrization, members, targets):
+    """Walk the free coordinates but the last through their own sets.
 
-    With the free coordinates y_F fixed, L y = c has the one solution
-    y_D = M^-1 c + K y_F (K from parametrize_kernel).  The last free
-    coordinate t runs as a bit mask: dependent coordinate k lies in A_k
-    for the t in {t : K_kt t in A_k} rotated by (M^-1 c + K y_F)_k / K_kt,
-    so each tuple of the other free coordinates costs r ands and one
-    popcount per target.
+    Yields (i, y, hits) for each such tuple y and each target index i
+    with hits nonzero: bit t of hits is set exactly when the solution x of
+    L x = targets[i] with free part (y, t) lies in A_1 x ... x A_m.  Its
+    dependent coordinate k is b_k + o_k + K_kt t, with b = M^-1 c and
+    o = K y, so it lies in A_k for the t in {t : K_kt t in A_k} rotated by
+    (b_k + o_k) / K_kt: r ands per target and tuple.
     """
-    param = parametrize_kernel(mat, p)
-    minor = [[row[c] for c in param.dependent_columns] for row in mat.entries]
+    p = param.p
     *outer, last = param.free_columns
     rotations = []  # per dependent coordinate: its doubled mask and 1 / K_kt, or its set and 0
     for row, arr in zip(param.coefficients, (members[c] for c in param.dependent_columns)):
@@ -167,8 +173,7 @@ def _free_tuple_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
         else:
             rotations.append((arr, 0))
     last_mask = sum(1 << t for t in range(p) if members[last][t])
-    bases = [solve(minor, [v % p for v in c], p) for c in targets]
-    counts = [0] * len(targets)
+    bases = [[sum(a * v for a, v in zip(inv, c)) for inv in param.inverse] for c in targets]
     for y in product(*([x for x in range(p) if members[c][x]] for c in outer)):
         offsets = [sum(a * v for a, v in zip(row, y)) for row in param.coefficients]
         for i, base in enumerate(bases):
@@ -178,8 +183,26 @@ def _free_tuple_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
                     hits &= arr >> ((b + o) * inv % p)
                 elif not arr[(b + o) % p]:
                     hits = 0
-            counts[i] += hits.bit_count()
+            if hits:
+                yield i, y, hits
+
+
+def _free_tuple_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
+    """N(c) by walking the free coordinates through their own sets: the popcounts of _line_masks."""
+    counts = [0] * len(targets)
+    for i, _, hits in _line_masks(parametrize_kernel(mat, p), members, targets):
+        counts[i] += hits.bit_count()
     return counts
+
+
+def _solutions(param: KernelParametrization, members, targets):
+    """(i, x) for each x in A_1 x ... x A_m with L x = targets[i] (mod p): _line_masks' set bits."""
+    m = len(members)
+    for i, y, hits in _line_masks(param, members, targets):
+        while hits:
+            t = (hits & -hits).bit_length() - 1
+            hits ^= 1 << t
+            yield i, kernel_element(param, m, (*y, t), targets[i])
 
 
 def _packed_bits(mat: IntMatrix, p: int, members) -> int:
@@ -235,20 +258,14 @@ def solution_density(mat: IntMatrix, p: int, sets, shifts=None) -> Fraction:
     """
     members = _check_sets(mat, p, sets)
     shifts = _check_shifts(mat, p, shifts)
-    target = [sum(a * s for a, s in zip(row, shifts)) for row in mat.entries]
-    (count,) = residue_counts(mat, p, members, [target])
+    (count,) = residue_counts(mat, p, members, [mat.apply_int(shifts)])
     return Fraction(count, p ** (mat.cols - mat.rows))
 
 
 def list_solutions(mat: IntMatrix, p: int, sets, shifts=None, limit: int = 100) -> list[tuple[int, ...]]:
-    """Up to `limit` admissible kernel elements, lexicographically sorted."""
+    """Up to `limit` admissible kernel elements x (x + shifts in the product), sorted."""
     require_int("limit", limit, 0)
     members = _check_sets(mat, p, sets)
     shifts = _check_shifts(mat, p, shifts)
-    param = parametrize_kernel(mat, p)
-    out = []
-    for x in kernel_elements(param, mat.cols):
-        if all(members[i][(x[i] + shifts[i]) % p] for i in range(mat.cols)):
-            out.append(x)
-    out.sort()
-    return out[:limit]
+    solutions = _solutions(parametrize_kernel(mat, p), members, [mat.apply_int(shifts)])
+    return sorted(tuple((v - s) % p for v, s in zip(y, shifts)) for _, y in solutions)[:limit]

@@ -35,7 +35,6 @@ __all__ = [
     "det",
     "solve",
     "is_prime",
-    "rank_mod_p",
     "matrix_to_json",
     "matrix_from_json",
 ]
@@ -376,11 +375,6 @@ def analyze_matrix(mat: IntMatrix) -> MatrixProfile:
         is_invariant=all(sum(row) == 0 for row in mat.entries),
         degenerate_columns=_degenerate_columns(mat, basis_rows),
     )
-
-
-def rank_mod_p(mat: IntMatrix, p: int) -> int:
-    """Rank of the matrix with entries reduced mod p (p prime)."""
-    return rank(mat.entries, p)
 
 
 def matrix_to_json(mat: IntMatrix) -> dict:

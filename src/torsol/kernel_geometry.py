@@ -23,7 +23,7 @@ rounding outward, and product_measure makes one Fraction per call.
 The same machinery yields the weight of a 1/p grid box (p^(m-r) times its
 normalized Haar measure) and the cover of all positive-weight boxes by at
 most one shift per level, which is what connects the continuous measure to
-counting in Z_p.
+counting in Z_p; the shifts come from discrete.parametrize_kernel.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from numbers import Rational
 from operator import mul
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
-from .intmat import IntMatrix, _bareiss, analyze_matrix, echelon, is_prime, rank_mod_p, solve
-# not called here: tests patch kernel_geometry.volume to show that no walk reaches it
-from .polytope import volume  # noqa: F401
+from .discrete import kernel_element, parametrize_kernel
+from .intmat import IntMatrix, _bareiss, analyze_matrix, echelon
 from .rationals import require_int
 
 __all__ = [
@@ -494,23 +493,6 @@ def weight(decomp: KernelDecomposition, j, p: int) -> Fraction:
     return box_measure(decomp, j, p) * Fraction(p) ** (mat.cols - mat.rows)
 
 
-def _lex_min_solution_mod_p(mat: IntMatrix, target, p: int) -> tuple[int, ...]:
-    """Lexicographically smallest j in [0,p)^m with L j = target (mod p).
-
-    Eliminating L with its columns reversed picks, from the right, each
-    column outside the span of the columns after it.  Every other column
-    lies in that span, so its coordinate can be 0 without losing
-    solvability; the r picked columns form an invertible minor, which
-    fixes their coordinates uniquely.  Requires full rank mod p.
-    """
-    m = mat.cols
-    pivots = [m - 1 - c for c in echelon([row[::-1] for row in mat.entries], p)[1]]
-    j = [0] * m
-    for c, v in zip(pivots, solve([[row[c] for c in pivots] for row in mat.entries], target, p)):
-        j[c] = v
-    return tuple(j)
-
-
 def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:
     """One weighted shift per positive-weight residue class of grid boxes.
 
@@ -526,24 +508,21 @@ def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:
     Ly = b exactly.  The box therefore holds the level-b slice scaled by
     1/p, of measure c_param * vol_b / p^(m-r).
 
-    Requires p prime, full rank mod p, and p strictly larger than every row
-    sum of absolute entries (so distinct levels stay distinct mod p and
-    each box meets a single slice family).
+    Requires p prime, full rank mod p (both checked by parametrize_kernel,
+    whose solution with free part 0 is each representative), and p strictly
+    larger than every row sum of absolute entries (so distinct levels stay
+    distinct mod p and each box meets a single slice family).
     """
     mat = decomp.matrix
-    if not is_prime(p):
-        raise BadModulusError(f"p = {p} is not prime")
-    if rank_mod_p(mat, p) != mat.rows:
-        raise BadModulusError(f"matrix loses rank mod p = {p}")
+    param = parametrize_kernel(mat, p)
     bound = mat.max_row_abs_sum()
     if p <= bound:
         raise BadModulusError(
             f"p = {p} too small: need p > {bound}, the largest row sum of absolute entries"
         )
+    zero = (0,) * len(param.free_columns)
     shifts = []
     for comp in decomp._by_level.values():
-        target = tuple((-v) % p for v in comp.level)
-        j = _lex_min_solution_mod_p(mat, target, p)
-        lam = comp.volume_param * decomp.c_param
-        shifts.append(WeightedShift(p=p, j=j, lam=lam, level=comp.level))
+        j = kernel_element(param, mat.cols, zero, [-v for v in comp.level])
+        shifts.append(WeightedShift(p=p, j=j, lam=comp.volume_param * decomp.c_param, level=comp.level))
     return shifts

@@ -8,11 +8,13 @@ after passing to density points, probing the guaranteed-positive measure of
 invariant systems on random sets, and searching for the densest
 solution-free subset of Z_p.
 
-The boxes are listed coset by coset of the shift cover, with the free
-coordinates walked through their own sets, so the cost follows the sets'
-sizes rather than p^(m-r).  The greedy lists no boxes: it reads how many
-boxes lie on each cell off one packed count vector per coordinate
-(discrete._packed_counts, with that coordinate's set left out).
+The boxes are listed coset by coset of the shift cover by the walk that
+counts over the free tuples (discrete._solutions): the free coordinates
+but the last run through their own sets and the last as a bit mask, so
+the cost follows the sets' sizes and the number of boxes rather than
+p^(m-r).  The greedy lists no boxes: it reads how many boxes lie on each
+cell off one packed count vector per coordinate (discrete._packed_counts,
+with that coordinate's set left out).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from . import discrete
 from .discrete import kernel_elements, parametrize_kernel
@@ -68,30 +69,17 @@ def _member_arrays(mat: IntMatrix, p: int, sets) -> list[list[bool]]:
 def _violating(mat: IntMatrix, p: int, members, cover):
     """All grid boxes with positive weight inside the discrete product.
 
-    The boxes of a shift j of the cover are its coset j + ker L.  The free
-    coordinates run through their own sets, each tuple y fixes the kernel
-    element with free part y - j_F (parametrize_kernel), and the box is
-    kept when its dependent coordinates lie in their sets too: prod |A_F|
-    tuples per coset, not p^(m-r).  Sorted lexicographically within each
-    coset.
+    The boxes of the level-b shift of the cover are the j in the product
+    with L j = -b (mod p): the solutions that discrete._solutions walks
+    for the target -b, with the free coordinates but the last through
+    their own sets and the last as a bit mask.  Sorted lexicographically
+    within each coset.
     """
-    param = parametrize_kernel(mat, p)
-    free, dep, coeff = param.free_columns, param.dependent_columns, param.coefficients
-    choices = [[x for x in range(p) if members[c][x]] for c in free]
-    order = [(free + dep).index(c) for c in range(mat.cols)]
-    out = []
-    for sh in cover:
-        # j_D = j_D(shift) + K (y - j_F(shift))
-        base = [sh.j[c] - sum(a * sh.j[f] for a, f in zip(row, free)) for row, c in zip(coeff, dep)]
-        coset = []
-        for y in product(*choices):
-            j_dep = tuple((b + sum(a * v for a, v in zip(row, y))) % p for b, row in zip(base, coeff))
-            if all(members[c][v] for c, v in zip(dep, j_dep)):
-                j = y + j_dep
-                coset.append(tuple(j[k] for k in order))
-        coset.sort()
-        out.extend((j, sh.lam) for j in coset)
-    return out
+    cosets = [[] for _ in cover]
+    targets = [[-b for b in sh.level] for sh in cover]
+    for i, j in discrete._solutions(parametrize_kernel(mat, p), members, targets):
+        cosets[i].append(j)
+    return [(j, sh.lam) for sh, coset in zip(cover, cosets) for j in sorted(coset)]
 
 
 def find_violating_boxes(mat: IntMatrix, p: int, sets):

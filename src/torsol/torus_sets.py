@@ -41,8 +41,9 @@ def _normalize(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
 class IntervalUnion:
     """Normalized finite union of half-open rational intervals in the circle.
 
-    Endpoints are ints, Fractions or "n/d" strings; bools and floats raise
-    InvalidInputError (0.1 is not 1/10, and (False, True) is no interval).
+    Endpoints, points and shifts are ints, Fractions or "n/d" strings; bools
+    and floats raise InvalidInputError (0.1 is not 1/10, and (False, True)
+    is no interval).
     """
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -64,8 +65,8 @@ class IntervalUnion:
     def measure(self) -> Fraction:
         return sum((b - a for a, b in self.intervals), Fraction(0))
 
-    def contains(self, x: Fraction) -> bool:
-        x = Fraction(x) % 1
+    def contains(self, x) -> bool:
+        x = parse_rational(x) % 1
         return any(a <= x < b for a, b in self.intervals)
 
     def complement(self) -> "IntervalUnion":
@@ -97,7 +98,7 @@ class IntervalUnion:
 
     def shift(self, t) -> "IntervalUnion":
         """Rotate the set by t around the circle (wraps modulo 1)."""
-        t = Fraction(t) % 1
+        t = parse_rational(t) % 1
         out = []
         for a, b in self.intervals:
             a, b = a + t, b + t
@@ -191,6 +192,8 @@ class DiscreteSet:
     def from_indices(cls, p: int, indices) -> "DiscreteSet":
         members = [False] * require_int("modulus", p, 1)
         for x in indices:
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise InvalidInputError(f"index {x!r} is not an integer")
             members[x % p] = True
         return cls(p, members)
 

@@ -279,10 +279,10 @@ def random_pinned_matrix(rng: random.Random, r, m, lo=-2, hi=2):
 
 def suitable_prime(mat):
     """The smallest odd prime above L's largest absolute row sum at which L keeps full rank."""
-    from torsol.intmat import is_prime, rank_mod_p
+    from torsol.intmat import is_prime, rank
 
     q = max(mat.max_row_abs_sum() + 1, 3)
-    while not (is_prime(q) and rank_mod_p(mat, q) == mat.rows):
+    while not (is_prime(q) and rank(mat.entries, q) == mat.rows):
         q += 1
     return q
 

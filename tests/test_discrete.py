@@ -16,7 +16,7 @@ from torsol import discrete
 from torsol.discrete import _free_tuple_counts, _packed_counts, residue_counts
 from torsol.errors import BadModulusError, InvalidInputError
 
-from oracles import naive_density
+from oracles import naive_density, random_full_rank_matrix, random_pinned_matrix, suitable_prime
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
@@ -88,19 +88,31 @@ def test_negative_limit_refused():
 
 def test_agrees_with_naive_oracle():
     rng = random.Random(13)
-    for mat in (SUM3, AP3, AP4):
-        for p in (5, 7, 11, 13):
-            for _ in range(3):
-                sets = [
-                    DiscreteSet(p, [rng.random() < 0.5 for _ in range(p)])
-                    for _ in range(mat.cols)
-                ]
-                shifts = tuple(rng.randrange(p) for _ in range(mat.cols))
-                ours = solution_density(mat, p, sets, shifts)
-                theirs = naive_density(
-                    mat.entries, p, [s.members for s in sets], shifts
-                )
-                assert ours == theirs
+    cases = [(mat, p) for mat in (SUM3, AP3, AP4) for p in (5, 7, 11, 13)]
+    for r, m in ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
+        for draw in (random_full_rank_matrix, random_pinned_matrix):
+            mat = draw(rng, r, m, -2, 2)
+            cases.append((mat, suitable_prime(mat)))
+    for mat, p in cases:
+        for _ in range(3):
+            sets = [
+                DiscreteSet(p, [rng.random() < 0.5 for _ in range(p)])
+                for _ in range(mat.cols)
+            ]
+            shifts = tuple(rng.randrange(p) for _ in range(mat.cols))
+            ours = solution_density(mat, p, sets, shifts)
+            theirs = naive_density(
+                mat.entries, p, [s.members for s in sets], shifts
+            )
+            assert ours == theirs
+            # every admissible kernel element, against all p^m points in lexicographic order
+            brute = [
+                x
+                for x in product(range(p), repeat=mat.cols)
+                if not any(v % p for v in mat.apply_int(x))
+                and all(s.members[(v + t) % p] for s, v, t in zip(sets, x, shifts))
+            ]
+            assert list_solutions(mat, p, sets, shifts, limit=p**mat.cols) == brute, (mat.entries, p)
 
 
 def test_residue_counts_match_naive_oracle():

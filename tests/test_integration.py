@@ -18,6 +18,7 @@ from torsol import (
     IntMatrix,
     decompose,
     enumerate_components,
+    parametrize_kernel,
     shift_cover,
     solution_measure,
 )
@@ -114,6 +115,25 @@ def _decomp():
             InvalidInputError,
             id="from_indices-p",
         ),
+        pytest.param(
+            lambda: DiscreteSet.from_indices(5, [1.0]),
+            InvalidInputError,
+            id="from_indices-float-index",
+        ),
+        pytest.param(
+            lambda: DiscreteSet.from_indices(5, ["1"]),
+            InvalidInputError,
+            id="from_indices-str-index",
+        ),
+        pytest.param(
+            lambda: DiscreteSet.from_indices(5, [True]),
+            InvalidInputError,
+            id="from_indices-bool-index",
+        ),
+        pytest.param(lambda: _GRID[0].contains(0.1), InvalidInputError, id="contains-float"),
+        pytest.param(lambda: _GRID[0].contains(True), InvalidInputError, id="contains-bool"),
+        pytest.param(lambda: _GRID[0].shift(0.1), InvalidInputError, id="shift-float"),
+        pytest.param(lambda: _GRID[0].shift(True), InvalidInputError, id="shift-bool"),
         pytest.param(lambda: _GRID[0].to_discrete(5.0), InvalidInputError, id="to_discrete-p"),
         pytest.param(lambda: _GRID[0].snap_to_grid(5.0), InvalidInputError, id="snap_to_grid-n"),
         pytest.param(
@@ -147,6 +167,26 @@ def test_non_integer_moduli_and_counts_are_refused(call, error):
     with pytest.raises(error):
         call()
     assert not any(is_prime(v) for v in (5.0, 2.0, True, F(5), "5"))
+
+
+def test_cached_parametrizations_admit_no_float_or_bool_moduli():
+    # an untyped cache let 5.0 read the entry of 5, and True that of 1, past the prime check
+    parametrize_kernel(_SUM3, 5)
+    shift_cover(_decomp(), 5)
+    decompose(_SUM3, 5, _GRID)
+    solution_density(_SUM3, 5, _MEMBERS)
+    with pytest.raises(BadModulusError):
+        parametrize_kernel(_SUM3, 1)
+    for bad, members in ((5.0, _MEMBERS), (True, [DiscreteSet(1, [True])] * 3)):
+        calls = (
+            lambda: parametrize_kernel(_SUM3, bad),
+            lambda: shift_cover(_decomp(), bad),
+            lambda: decompose(_SUM3, bad, _GRID),
+            lambda: solution_density(_SUM3, bad, members),
+        )
+        for call in calls:
+            with pytest.raises(BadModulusError):
+                call()
 
 
 _AP3_PROBE = IntMatrix([[1, -2, 1]])

@@ -10,7 +10,6 @@ from torsol import (
     analyze_matrix,
     matrix_from_json,
     matrix_to_json,
-    rank_mod_p,
 )
 from torsol.errors import InvalidInputError, RankDeficientError
 from torsol.intmat import det, echelon, rank, solve
@@ -179,10 +178,10 @@ def test_shape_validation():
 
 
 def test_rank_mod_p():
-    assert rank_mod_p(SUM3, 5) == 1
-    assert rank_mod_p(AP4, 101) == 2
-    assert rank_mod_p(IntMatrix([[5, 1, 0], [0, 0, 1]]), 5) == 2
-    assert rank_mod_p(IntMatrix([[5, 0, 1], [0, 5, 1]]), 5) == 1
+    assert rank(SUM3.entries, 5) == 1
+    assert rank(AP4.entries, 101) == 2
+    assert rank(IntMatrix([[5, 1, 0], [0, 0, 1]]).entries, 5) == 2
+    assert rank(IntMatrix([[5, 0, 1], [0, 5, 1]]).entries, 5) == 1
 
 
 def test_canonical_basis_reproducible():

@@ -21,6 +21,7 @@ from torsol.polytope import enumerate_vertices, slice_polytope, volume
 
 from oracles import (
     lifted_half_open,
+    random_full_rank_matrix,
     random_pinned_matrix,
     random_run_sets,
     suitable_prime,
@@ -196,6 +197,11 @@ def test_shift_cover_ap3_weights():
 def test_shift_representatives_are_lex_minimal():
     cases = [(AP3, 5)] + [(mat, 13) for mat in (SUM3, AP3, AP4, R4)]
     cases += [(mat, p) for mat in (PINNED, PINNED_SCALED) for p in (5, 7)]
+    rng = random.Random(41)
+    for r, m in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)):
+        for draw in (random_full_rank_matrix, random_pinned_matrix):
+            mat = draw(rng, r, m, -2, 2)
+            cases.append((mat, suitable_prime(mat)))
     for mat, p in cases:
         first = {}
         for j in product(range(p), repeat=mat.cols):

@@ -260,6 +260,25 @@ def test_monte_carlo_shares_no_geometry(monkeypatch):
         assert 0 < monte_carlo_estimate(mat, sets, 2000, seed=1).value < 1
 
 
+def _polytope_names_bound_outside_polytope():
+    """(module, name) for every torsol module but polytope and the root that binds a polytope routine.
+
+    Patching torsol.polytope then reaches every caller: none can hold its own reference.
+    """
+    import importlib
+    import pkgutil
+
+    import torsol
+
+    found = []
+    for info in pkgutil.iter_modules(torsol.__path__):
+        if info.name == "polytope":
+            continue
+        module = importlib.import_module(f"torsol.{info.name}")
+        found += [(info.name, n) for n in ("volume", "enumerate_vertices", "slice_polytope") if hasattr(module, n)]
+    return found
+
+
 def test_single_equations_walk_no_slices(monkeypatch):
     # r = 1 takes the closed form; only r >= 2 reaches the slice walker
     import torsol.kernel_geometry
@@ -278,10 +297,10 @@ def test_single_equations_walk_no_slices(monkeypatch):
     for module, name in (
         (torsol.kernel_geometry, "slice_leaves"),
         (torsol.measures, "slice_leaves"),
-        (torsol.kernel_geometry, "volume"),
         (torsol.polytope, "volume"),
     ):
         monkeypatch.setattr(module, name, refuse)
+    assert _polytope_names_bound_outside_polytope() == []
     for (mat, sets), value, box in list(zip(cases, expected, boxes))[:-1]:
         assert solution_measure(mat, sets).value == value
         assert box_measure(enumerate_components(mat), (1,) * mat.cols, 13) == box
@@ -328,16 +347,15 @@ def test_exact_routes_equal_on_worked_pair():
 
 def test_measure_paths_build_no_polytope(monkeypatch):
     # the slice geometry runs in integers: no H-polytope, no vertex enumeration
-    import torsol.kernel_geometry
     import torsol.polytope
     from torsol import zero_measure_check
 
     def refuse(*args):
         raise AssertionError("built an H-polytope")
 
-    for module in (torsol.kernel_geometry, torsol.polytope):
-        for name in ("volume", "enumerate_vertices", "slice_polytope"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+    for name in ("volume", "enumerate_vertices", "slice_polytope"):
+        monkeypatch.setattr(torsol.polytope, name, refuse)
+    assert _polytope_names_bound_outside_polytope() == []
     sets = [
         iv((0, F(1, 2))),
         iv((F(1, 3), F(5, 6))),
