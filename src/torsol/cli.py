@@ -33,20 +33,6 @@ from .torus_sets import DiscreteSet, IntervalUnion, sets_from_json, sets_to_json
 
 __all__ = ["JobSpec", "run", "main"]
 
-COMMANDS = (
-    "profile",
-    "kernel",
-    "weights",
-    "measure",
-    "decompose",
-    "sample",
-    "check-free",
-    "remove",
-    "density",
-    "verify",
-)
-
-
 class UsageError(Exception):
     pass
 
@@ -73,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="torsol", description=__doc__)
     sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument(
             "--matrix", dest="matrix_path", metavar="MATRIX", required=True, help="path to matrix JSON"
@@ -108,17 +94,6 @@ def _load_json(path: str):
         raise InvalidInputError(f"malformed JSON in {path}: {exc}")
 
 
-def _load_matrix(spec: JobSpec) -> IntMatrix:
-    return matrix_from_json(_load_json(spec.matrix_path))
-
-
-def _load_sets(spec: JobSpec, mat: IntMatrix) -> list[IntervalUnion]:
-    sets = sets_from_json(_load_json(spec.sets_path))
-    if len(sets) != mat.cols:
-        raise InvalidInputError(f"need {mat.cols} sets, got {len(sets)}")
-    return sets
-
-
 def _spec_echo(spec: JobSpec) -> dict:
     return {k: v for k, v in asdict(spec).items() if v is not None}
 
@@ -127,8 +102,7 @@ def _frac(x: Fraction) -> dict:
     return {"value": format_rational(x), "decimal": float(x)}
 
 
-def _cmd_profile(spec: JobSpec) -> dict:
-    mat = _load_matrix(spec)
+def _cmd_profile(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None) -> dict:
     prof = analyze_matrix(mat)
     return {
         "rank": prof.rank,
@@ -142,8 +116,7 @@ def _cmd_profile(spec: JobSpec) -> dict:
     }
 
 
-def _cmd_kernel(spec: JobSpec) -> dict:
-    mat = _load_matrix(spec)
+def _cmd_kernel(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None) -> dict:
     decomp = enumerate_components(mat)
     return {
         "levels": [list(c.level) for c in decomp.components],
@@ -157,8 +130,7 @@ def _cmd_kernel(spec: JobSpec) -> dict:
     }
 
 
-def _cmd_weights(spec: JobSpec) -> dict:
-    mat = _load_matrix(spec)
+def _cmd_weights(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None) -> dict:
     decomp = enumerate_components(mat)
     cover = shift_cover(decomp, spec.p)
     return {
@@ -172,16 +144,12 @@ def _cmd_weights(spec: JobSpec) -> dict:
     }
 
 
-def _cmd_measure(spec: JobSpec) -> dict:
-    mat = _load_matrix(spec)
-    sets = _load_sets(spec, mat)
+def _cmd_measure(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None) -> dict:
     rep = solution_measure(mat, sets)
     return {"route": rep.route, **_frac(rep.value)}
 
 
-def _cmd_decompose(spec: JobSpec) -> dict:
-    mat = _load_matrix(spec)
-    sets = _load_sets(spec, mat)
+def _cmd_decompose(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None) -> dict:
     rep = decompose(mat, spec.p, sets)
     return {
         "route": rep.route,
@@ -194,9 +162,7 @@ def _cmd_decompose(spec: JobSpec) -> dict:
     }
 
 
-def _cmd_sample(spec: JobSpec) -> dict:
-    mat = _load_matrix(spec)
-    sets = _load_sets(spec, mat)
+def _cmd_sample(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None) -> dict:
     rep = monte_carlo_estimate(mat, sets, spec.samples, spec.seed, spec.workers)
     return {
         "route": rep.route,
@@ -208,9 +174,7 @@ def _cmd_sample(spec: JobSpec) -> dict:
     }
 
 
-def _cmd_check_free(spec: JobSpec) -> dict:
-    mat = _load_matrix(spec)
-    sets = _load_sets(spec, mat)
+def _cmd_check_free(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None) -> dict:
     boxes, witness = find_violating_boxes(mat, spec.p, sets)
     return {
         "p": spec.p,
@@ -223,9 +187,7 @@ def _cmd_check_free(spec: JobSpec) -> dict:
     }
 
 
-def _cmd_remove(spec: JobSpec) -> dict:
-    mat = _load_matrix(spec)
-    sets = _load_sets(spec, mat)
+def _cmd_remove(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None) -> dict:
     outcome = greedy_removal(mat, spec.p, sets)
     return {
         "p": spec.p,
@@ -236,8 +198,7 @@ def _cmd_remove(spec: JobSpec) -> dict:
     }
 
 
-def _cmd_density(spec: JobSpec):
-    mat = _load_matrix(spec)
+def _cmd_density(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None):
     if spec.trend:
         try:
             ps = [int(v) for v in spec.trend.split(",") if v.strip()]
@@ -274,8 +235,7 @@ def _random_aligned_sets(mat: IntMatrix, p: int, rng: random.Random) -> list[Int
     return sets
 
 
-def _cmd_verify(spec: JobSpec) -> dict:
-    mat = _load_matrix(spec)
+def _cmd_verify(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None) -> dict:
     p = spec.p
     rng = random.Random(spec.seed)
     prof = analyze_matrix(mat)
@@ -333,7 +293,12 @@ _DISPATCH = {
 
 
 def run(spec: JobSpec, out=None) -> int:
-    """Execute a job and print its report; returns the exit code."""
+    """Execute a job and print its report; returns the exit code.
+
+    The matrix file, and the sets file where the command takes one, are
+    read here once and handed to the command; the library checks that
+    there is one set per column.
+    """
     out = out or sys.stdout
     if spec.command not in _DISPATCH:
         raise UsageError(f"unknown command {spec.command!r}")
@@ -341,7 +306,9 @@ def run(spec: JobSpec, out=None) -> int:
         raise UsageError("csv output is only available for density trend tables")
     if spec.command == "density" and spec.trend and spec.mode != "exhaustive":
         raise UsageError("density trend tables are exhaustive only; drop --mode")
-    result = _DISPATCH[spec.command](spec)
+    mat = matrix_from_json(_load_json(spec.matrix_path))
+    sets = None if spec.sets_path is None else sets_from_json(_load_json(spec.sets_path))
+    result = _DISPATCH[spec.command](spec, mat, sets)
     if isinstance(result, str):
         out.write(result)
     else:

@@ -84,10 +84,6 @@ def _dot(a, t) -> Fraction:
     return sum((x * y for x, y in zip(a, t)), Fraction(0))
 
 
-def _feasible_point(P: HPolytope, t) -> bool:
-    return all(_dot(a, t) <= c for a, c in P.constraints)
-
-
 def _vertices_raw(dim: int, constraints) -> list[tuple[Fraction, ...]]:
     """Basic feasible solutions from all d-subsets; no boundedness check."""
     seen = {}

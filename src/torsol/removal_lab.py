@@ -29,8 +29,8 @@ from . import discrete
 from .discrete import kernel_elements, parametrize_kernel
 from .errors import InvalidInputError, PositiveMeasureError, PreconditionError
 from .intmat import IntMatrix, analyze_matrix
-from .kernel_geometry import enumerate_components, shift_cover, slice_leaves
-from .measures import find_positive_witness, solution_measure
+from .kernel_geometry import enumerate_components, shift_cover
+from .measures import _check_sets, find_positive_witness, solution_measure
 from .rationals import parse_rational, require_int
 from .torus_sets import DiscreteSet, IntervalUnion
 
@@ -61,9 +61,7 @@ class RemovalOutcome:
 
 
 def _member_arrays(mat: IntMatrix, p: int, sets) -> list[list[bool]]:
-    if len(sets) != mat.cols:
-        raise InvalidInputError(f"need {mat.cols} sets, got {len(sets)}")
-    return [list(s.to_discrete(p).members) for s in sets]
+    return [list(s.to_discrete(p).members) for s in _check_sets(mat, sets)]
 
 
 def _violating(mat: IntMatrix, p: int, members, cover):
@@ -172,7 +170,8 @@ def zero_measure_check(mat: IntMatrix, sets):
     intervals, wrapping blocks reported with right endpoint > 1) and the
     exact emptiness of the open product's intersection with the kernel:
     the product meets the kernel iff some slice restricted to the density
-    blocks is full-dimensional, which slice_leaves checks slice by slice.
+    blocks is full-dimensional, and then find_positive_witness returns the
+    centroid of such a leaf, which lies inside it.
     """
     rep = solution_measure(mat, sets)
     if rep.value != 0:
@@ -183,23 +182,12 @@ def zero_measure_check(mat: IntMatrix, sets):
             value=rep.value,
         )
     density_sets = [s.density_points() for s in sets]
-    density_blocks = []
-    for pairs in density_sets:
-        blocks = []
-        for a, b in pairs:
-            if b <= 1:
-                blocks.append((a, b))
-            else:
-                blocks.append((a, Fraction(1)))
-                blocks.append((Fraction(0), b - 1))
-        density_blocks.append(blocks)
-    decomp = enumerate_components(mat)
-    empty = not any(
-        res.is_full_dimensional
-        for comp in decomp.components
-        for res in slice_leaves(decomp, comp, density_blocks)
-    )
-    return density_sets, empty
+    # a wrapping block (a, b), b > 1, stands for [a, 1) and [0, b - 1)
+    density_blocks = [
+        IntervalUnion([(a, min(b, 1)) for a, b in pairs] + [(0, b - 1) for a, b in pairs if b > 1])
+        for pairs in density_sets
+    ]
+    return density_sets, find_positive_witness(mat, density_blocks) is None
 
 
 def szemeredi_probe(mat: IntMatrix, alpha, trials: int, seed: int):
@@ -353,14 +341,14 @@ def density_search(mat: IntMatrix, p: int, mode: str = "exhaustive", seed: int =
     admit only the empty set: a warning is issued and density 0 returned.
     Exhaustive mode (p <= 22) is optimal by construction; local mode runs
     seeded hill climbing with restarts and reports the best set found.
-    The mode and the modulus (prime, full rank mod p, the exhaustive size
-    limit) are checked first, for invariant systems too.
+    The mode, the modulus (a prime int, full rank mod p) and then the
+    exhaustive size limit are checked first, for invariant systems too.
     """
     if mode not in ("exhaustive", "local"):
         raise InvalidInputError(f"unknown mode {mode!r}")
+    param = parametrize_kernel(mat, p)
     if mode == "exhaustive" and p > 22:
         raise PreconditionError(f"exhaustive search limited to p <= 22, got {p}")
-    param = parametrize_kernel(mat, p)
     if analyze_matrix(mat).is_invariant:
         warnings.warn(
             "invariant system: every diagonal point is a solution, so no nonempty "

@@ -253,6 +253,25 @@ def test_measure_pinned_coordinate_half_open(files, capsys):
         assert json.loads(out)["value"] == value
 
 
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("measure", []),
+        ("decompose", ["--p", "5"]),
+        ("sample", ["--samples", "10"]),
+        ("check-free", ["--p", "5"]),
+        ("remove", ["--p", "5"]),
+    ],
+)
+def test_wrong_set_count_exit_2(files, capsys, command, extra):
+    # the library checks the count; the CLI reads the sets file and passes it on
+    sets = files("s.json", TWO_FIFTHS[:2])
+    argv = [command, "--matrix", files("m.json", SUM3), "--sets", sets, *extra]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "need 3 sets, got 2" in err
+
+
 def test_bad_p_exit_3(files, capsys):
     code, _, err = run(
         capsys, ["weights", "--matrix", files("m.json", SUM3), "--p", "4"]
@@ -267,7 +286,10 @@ def test_verify_failure_exit_4(files, capsys, monkeypatch):
     monkeypatch.setitem(
         cli._DISPATCH,
         "verify",
-        lambda spec: {"properties": [{"name": "rigged", "pass": False}], "all_pass": False},
+        lambda spec, mat, sets: {
+            "properties": [{"name": "rigged", "pass": False}],
+            "all_pass": False,
+        },
     )
     code, out, _ = run(capsys, ["verify", "--matrix", files("m.json", SUM3), "--p", "5"])
     assert code == 4

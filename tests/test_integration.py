@@ -27,7 +27,13 @@ from torsol.errors import BadModulusError, InvalidInputError
 from torsol.intmat import is_prime
 from torsol.kernel_geometry import weight
 from torsol.measures import monte_carlo_estimate
-from torsol.removal_lab import density_search, density_trend, find_violating_boxes, szemeredi_probe
+from torsol.removal_lab import (
+    density_search,
+    density_trend,
+    find_violating_boxes,
+    greedy_removal,
+    szemeredi_probe,
+)
 
 from oracles import random_full_rank_matrix, random_grid_sets, suitable_prime
 
@@ -103,6 +109,36 @@ def _decomp():
         ),
         pytest.param(lambda: density_search(_SUM3, 7.0), BadModulusError, id="density_search-p"),
         pytest.param(lambda: density_trend(_SUM3, [5.0]), BadModulusError, id="density_trend-p"),
+        # the modulus is checked before the exhaustive limit compares it with 22
+        pytest.param(
+            lambda: density_search(_SUM3, "7"), BadModulusError, id="density_search-str-p"
+        ),
+        pytest.param(
+            lambda: density_search(_SUM3, None), BadModulusError, id="density_search-none-p"
+        ),
+        pytest.param(
+            lambda: density_trend(_SUM3, ["7"]), BadModulusError, id="density_trend-str-p"
+        ),
+        pytest.param(
+            lambda: find_violating_boxes(_SUM3, 5, _MEMBERS),
+            InvalidInputError,
+            id="find_violating_boxes-discrete-sets",
+        ),
+        pytest.param(
+            lambda: find_violating_boxes(_SUM3, 5, [[(0, F(2, 5))]] * 3),
+            InvalidInputError,
+            id="find_violating_boxes-pair-lists",
+        ),
+        pytest.param(
+            lambda: greedy_removal(_SUM3, 5, _MEMBERS),
+            InvalidInputError,
+            id="greedy_removal-discrete-sets",
+        ),
+        pytest.param(
+            lambda: greedy_removal(_SUM3, 5, [[(0, F(2, 5))]] * 3),
+            InvalidInputError,
+            id="greedy_removal-pair-lists",
+        ),
         pytest.param(
             lambda: find_violating_boxes(_SUM3, 5.0, _GRID),
             InvalidInputError,
