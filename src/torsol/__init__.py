@@ -28,20 +28,14 @@ from .intmat import (
     matrix_from_json,
     matrix_to_json,
 )
-from .polytope import (
-    CentralSectionResult,
-    HPolytope,
-    VolumeResult,
-    central_section_check,
-    enumerate_vertices,
-    volume,
-)
 from .torus_sets import DiscreteSet, IntervalUnion, from_discrete, sets_from_json, sets_to_json
 from .kernel_geometry import (
+    CentralSectionResult,
     KernelComponent,
     KernelDecomposition,
     WeightedShift,
     box_measure,
+    central_section_check,
     enumerate_components,
     shift_cover,
     weight,

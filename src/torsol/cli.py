@@ -23,9 +23,8 @@ from fractions import Fraction
 
 from .errors import InvalidInputError, PreconditionError, TorsolError
 from .intmat import IntMatrix, analyze_matrix, matrix_from_json
-from .kernel_geometry import enumerate_components, shift_cover, weight
+from .kernel_geometry import central_section_check, enumerate_components, shift_cover, weight
 from .measures import decompose, monte_carlo_estimate, solution_measure
-from .polytope import central_section_check
 from .rationals import format_rational
 from .removal_lab import density_search, density_trend, find_violating_boxes, greedy_removal
 from .discrete import kernel_element, parametrize_kernel
@@ -306,6 +305,8 @@ def run(spec: JobSpec, out=None) -> int:
         raise UsageError("csv output is only available for density trend tables")
     if spec.command == "density" and spec.trend and spec.mode != "exhaustive":
         raise UsageError("density trend tables are exhaustive only; drop --mode")
+    if spec.command == "density" and spec.trend and spec.p is not None:
+        raise UsageError("density trend tables take their moduli from --trend; drop --p")
     mat = matrix_from_json(_load_json(spec.matrix_path))
     sets = None if spec.sets_path is None else sets_from_json(_load_json(spec.sets_path))
     result = _DISPATCH[spec.command](spec, mat, sets)

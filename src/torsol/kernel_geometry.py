@@ -18,7 +18,9 @@ outside an invertible r x r minor, solved with the minor's cached
 adjugate), and its volume is taken in the free coordinates x_F of
 echelon(L) and divided by |det B_F|.  No H-polytope is built.  The walker
 over block products (slice_leaves) prunes in t-space in integers too,
-rounding outward, and product_measure makes one Fraction per call.
+rounding outward, over the slices the blocks can reach (_reachable), and
+product_measure makes one Fraction per call.  The central cube section is
+one more slice_leaf: [-1/2, 1/2]^m at level 0.
 
 The same machinery yields the weight of a 1/p grid box (p^(m-r) times its
 normalized Haar measure) and the cover of all positive-weight boxes by at
@@ -46,6 +48,7 @@ __all__ = [
     "KernelDecomposition",
     "WeightedShift",
     "SliceLeaf",
+    "CentralSectionResult",
     "enumerate_components",
     "slice_leaf",
     "slice_leaves",
@@ -53,6 +56,7 @@ __all__ = [
     "box_measure",
     "weight",
     "shift_cover",
+    "central_section_check",
 ]
 
 
@@ -437,36 +441,41 @@ def _single_row_measure(row, blocks) -> Fraction:
     return rest * Fraction(total, math.factorial(n - 1) * math.prod(row[i] for i in moving) * q ** (n - 1))
 
 
+def _reachable(decomp: KernelDecomposition, blocks):
+    """The slices of positive volume whose level Lx takes on the blocks' bounding box.
+
+    No other slice meets the closed blocks.  Levels are looked up in the
+    decomposition's index, in lexicographic order; an empty set reaches none.
+    """
+    if not all(blocks):
+        return
+    box = [(min(a for a, _ in bl), max(b for _, b in bl)) for bl in blocks]
+    levels = []
+    for row in decomp.matrix.entries:
+        lo = sum(l * (a if l > 0 else b) for l, (a, b) in zip(row, box))
+        hi = sum(l * (b if l > 0 else a) for l, (a, b) in zip(row, box))
+        levels.append(range(math.ceil(lo), math.floor(hi) + 1))
+    index = decomp._by_level
+    yield from (index[level] for level in product(*levels) if level in index)
+
+
 def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
     """Normalized Haar measure of the subgroup inside the product of blocks.
 
     blocks[i] lists disjoint half-open blocks of the i-th coordinate.  A
     single equation (r = 1) has the closed form of _single_row_measure.
     For r >= 2 the value is c_param times the parameter volumes of
-    slice_leaves over the slices of positive volume whose level lies in
-    the range of Lx over the blocks' bounding box prod [min a_i, max b_i]:
-    no other slice meets the closed blocks.  They are looked up in the
-    decomposition's index of positive-volume slices by level.  A box of
-    side 1/p with p above every row sum of |entries| reaches at most 2^r
-    of them.  The leaves share one den, so only the sum is a Fraction.
+    slice_leaves over the _reachable slices.  A box of side 1/p with p
+    above every row sum of |entries| reaches at most 2^r of them.  The
+    leaves share one den, so only the sum is a Fraction.
     """
     mat = decomp.matrix
     if mat.rows == 1:
         return _single_row_measure(mat.entries[0], blocks)
-    if not all(blocks):
-        return Fraction(0)
-    box = [(min(a for a, _ in bl), max(b for _, b in bl)) for bl in blocks]
-    levels = []
-    for row in mat.entries:
-        lo = sum(l * (a if l > 0 else b) for l, (a, b) in zip(row, box))
-        hi = sum(l * (b if l > 0 else a) for l, (a, b) in zip(row, box))
-        levels.append(range(math.ceil(lo), math.floor(hi) + 1))
-    index = decomp._by_level
     size = den = 0
-    for level in product(*levels):
-        if level in index:
-            for leaf in slice_leaves(decomp, index[level], blocks):
-                size, den = size + leaf.size, leaf.den
+    for comp in _reachable(decomp, blocks):
+        for leaf in slice_leaves(decomp, comp, blocks):
+            size, den = size + leaf.size, leaf.den
     c = decomp.c_param
     return Fraction(size * c.numerator, den * c.denominator) if size else Fraction(0)
 
@@ -526,3 +535,24 @@ def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:
         j = kernel_element(param, mat.cols, zero, [-v for v in comp.level])
         shifts.append(WeightedShift(p=p, j=j, lam=comp.volume_param * decomp.c_param, level=comp.level))
     return shifts
+
+
+@dataclass(frozen=True)
+class CentralSectionResult:
+    """The central cube section of a kernel basis B; passes is vol^2 * det(B^T B) >= 1 (Vaaler, 1979)."""
+
+    vol_param: Fraction
+    gram_det: int
+    passes: bool
+
+
+def central_section_check(mat: IntMatrix) -> CentralSectionResult:
+    """The section of [-1/2, 1/2]^m by the kernel: the slice_leaf of that box at level 0.
+
+    Its intrinsic volume is vol_param * sqrt(det(B^T B)); the >= 1 lower
+    bound is checked exactly on squares.
+    """
+    vol = slice_leaf(mat, (0,) * mat.rows, [Fraction(-1, 2)] * mat.cols, [Fraction(1, 2)] * mat.cols).volume
+    cols = analyze_matrix(mat).kernel_columns()
+    gram_det = _bareiss([[sum(map(mul, a, b)) for b in cols] for a in cols])[1]
+    return CentralSectionResult(vol_param=vol, gram_det=gram_det, passes=vol * vol * gram_det >= 1)

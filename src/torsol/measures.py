@@ -12,6 +12,7 @@ geometric      exact, for any rational interval unions.  A single equation
                pruned in integer t-space with outward rounding; each
                volume comes from integer vertices
                (kernel_geometry.slice_leaf), with no H-polytope.
+               find_positive_witness reads a point off the same slices.
 decomposition  exact: weighted sum of shifted counting densities over Z_p,
                for p-grid-aligned sets at a suitable prime p, all from one
                call of the Z_p counter.  Independently coded from the geometric
@@ -42,6 +43,7 @@ from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInput
 from .intmat import IntMatrix, _column_hnf, analyze_matrix, echelon, solve
 from .kernel_geometry import (
     KernelDecomposition,
+    _reachable,
     enumerate_components,
     product_measure,
     shift_cover,
@@ -278,24 +280,18 @@ def approximation_bound(mat: IntMatrix, originals, approximants) -> Fraction:
 def find_positive_witness(mat: IntMatrix, sets):
     """A rational point x of the product of sets with Lx integral, or None.
 
-    Walks each slice of positive volume with slice_leaves, as the
-    geometric route does (a flat slice has no full-dimensional leaf),
-    takes the centroid of the vertices of its first full-dimensional leaf
-    (points x of the slice), and returns the first such point that
-    verifies exact membership in every (half-open) set.
+    Walks the slices that the sets' blocks can reach with slice_leaves,
+    as the geometric route does, takes the centroid of the vertices of
+    each slice's first full-dimensional leaf (a point x of the slice), and
+    returns the first such point, mod 1, that lies in every (half-open) set.
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
     blocks = [s.intervals for s in sets]
-    for comp in decomp.components:
-        if comp.is_flat:
-            continue
-        leaves = slice_leaves(decomp, comp, blocks)
-        leaf = next((leaf for leaf in leaves if leaf.is_full_dimensional), None)
-        if leaf is None:
-            continue
-        verts = leaf.vertices
-        x = [sum(coords, Fraction(0)) / len(verts) for coords in zip(*verts)]
-        if all(s.contains(v % 1) for s, v in zip(sets, x)):
-            return tuple(v % 1 for v in x)
+    for comp in _reachable(decomp, blocks):
+        leaf = next((leaf for leaf in slice_leaves(decomp, comp, blocks) if leaf.is_full_dimensional), None)
+        if leaf is not None:
+            x = tuple(Fraction(sum(c), len(leaf.points) * leaf.scale) % 1 for c in zip(*leaf.points))
+            if all(s.contains(v) for s, v in zip(sets, x)):
+                return x
     return None

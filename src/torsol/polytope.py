@@ -4,14 +4,12 @@ The polytopes handled here are sections of cubes by affine subspaces, so the
 dimension is small (the kernel dimension m - r, at most 4 or so in practice)
 and constraint counts stay modest.  Vertices come from exhaustive d-subsets
 of constraints solved exactly over the rationals; volumes from a fan
-triangulation anchored at the lexicographically smallest vertex.  Intrinsic
-(Hausdorff) quantities are only ever compared through their squares so the
-whole module stays inside the rationals.
+triangulation anchored at the lexicographically smallest vertex.
 
-The measure routes do not build H-polytopes: their box slices come from
-kernel_geometry.slice_leaf in integers.  This module serves the central
-section check and general polytopes, and stays an independent check of
-slice_leaf.
+No code path of the package builds H-polytopes, and neither `import
+torsol` nor the CLI imports this module: box slices, the central cube
+section included, come from kernel_geometry.slice_leaf in integers.  The
+test suite uses this module as an independent oracle for slice_leaf.
 """
 
 from __future__ import annotations
@@ -22,17 +20,18 @@ from itertools import combinations
 from math import factorial, gcd
 
 from .errors import InvalidInputError, UnboundedPolytopeError
-from .intmat import IntMatrix, analyze_matrix, det, rank, solve
+from .intmat import det, rank, solve
 from .rationals import parse_rational
+
+# perfbench/tracing.py wraps central_section_check under this module's name
+from .kernel_geometry import central_section_check  # noqa: F401
 
 __all__ = [
     "HPolytope",
     "VolumeResult",
-    "CentralSectionResult",
     "enumerate_vertices",
     "volume",
     "slice_polytope",
-    "central_section_check",
 ]
 
 
@@ -65,19 +64,6 @@ class VolumeResult:
     volume: Fraction
     vertices: tuple[tuple[Fraction, ...], ...]
     is_full_dimensional: bool
-
-
-@dataclass(frozen=True)
-class CentralSectionResult:
-    """Exact data of the central cube section spanned by a kernel basis.
-
-    passes is the squared form vol^2 * det(B^T B) >= 1 of the intrinsic
-    lower bound for central sections of the unit cube.
-    """
-
-    vol_param: Fraction
-    gram_det: int
-    passes: bool
 
 
 def _dot(a, t) -> Fraction:
@@ -293,20 +279,3 @@ def slice_polytope(columns, offset, lows, highs) -> HPolytope:
         cons.append((row, Fraction(highs[i]) - x))
         cons.append((tuple(-v for v in row), x - Fraction(lows[i])))
     return HPolytope(len(columns), cons)
-
-
-def central_section_check(mat: IntMatrix) -> CentralSectionResult:
-    """Central cube section spanned by the kernel: volume and Gram data.
-
-    The (m-r)-dimensional section of [-1/2, 1/2]^m by the kernel subspace
-    has intrinsic volume vol_param * sqrt(det(B^T B)); the >= 1 lower bound
-    is checked exactly on squares.
-    """
-    cols = analyze_matrix(mat).kernel_columns()
-    m = len(cols[0])
-    res = volume(slice_polytope(cols, [0] * m, [Fraction(-1, 2)] * m, [Fraction(1, 2)] * m))
-    d = len(cols)
-    gram = [[sum(cols[i][k] * cols[j][k] for k in range(m)) for j in range(d)] for i in range(d)]
-    gram_det = int(det(gram))
-    passes = res.volume * res.volume * gram_det >= 1
-    return CentralSectionResult(vol_param=res.volume, gram_det=gram_det, passes=passes)

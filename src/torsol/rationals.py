@@ -53,6 +53,7 @@ def require_int(name: str, value, least: int) -> int:
 
 
 def int_from_json(value) -> int:
+    """An int from a JSON number or decimal string; a float beyond 2^53 - 1 may be rounded and is refused."""
     if isinstance(value, bool):
         raise InvalidInputError(f"expected an integer, got {value!r}")
     if isinstance(value, int):
@@ -63,5 +64,7 @@ def int_from_json(value) -> int:
         except ValueError:
             raise InvalidInputError(f"malformed integer {value!r}") from None
     if isinstance(value, float) and value.is_integer():
+        if abs(value) > _JSON_SAFE_INT:
+            raise InvalidInputError(f"number {value!r} exceeds 2^53 - 1; write it as a decimal string")
         return int(value)
     raise InvalidInputError(f"expected an integer, got {value!r}")

@@ -7,7 +7,9 @@ densities, a direct rational check of lattice membership, a lifted
 min-max program for whether a kernel slice meets the half-open cube,
 the polytope walk over every slice for single equations, whose measure
 the package takes in closed form, every block combination of every
-slice with no pruning, Smith invariants from gcds of
+slice with no pruning, every slice scanned for a positive witness,
+where the package looks up the levels the sets can reach, Smith
+invariants from gcds of
 minors, which the package gets by alternating Hermite forms, and every
 member of every coset for the violating boxes and the greedy removal,
 which the package walks through the sets' members and counts with packed
@@ -113,6 +115,30 @@ def unpruned_measure(decomp, blocks):
                 lows, highs = zip(*combo)
                 total += slice_leaf(decomp.matrix, comp.level, lows, highs).volume
     return decomp.c_param * total
+
+
+def scan_witness(mat, sets):
+    """find_positive_witness by scanning every slice of positive volume, with no level lookup.
+
+    The centroid of the vertices of each slice's first full-dimensional
+    leaf, taken mod 1, is returned for the first slice where it lies in
+    every set.
+    """
+    from torsol.kernel_geometry import enumerate_components, slice_leaves
+
+    decomp = enumerate_components(mat)
+    blocks = [s.intervals for s in sets]
+    for comp in decomp.components:
+        if comp.is_flat:
+            continue
+        leaf = next((leaf for leaf in slice_leaves(decomp, comp, blocks) if leaf.is_full_dimensional), None)
+        if leaf is None:
+            continue
+        verts = leaf.vertices
+        x = [sum(coords, Fraction(0)) / len(verts) % 1 for coords in zip(*verts)]
+        if all(s.contains(v) for s, v in zip(sets, x)):
+            return tuple(x)
+    return None
 
 
 def _laplace_det(rows):

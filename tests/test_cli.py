@@ -181,6 +181,15 @@ def test_density_trend_with_local_mode_is_usage_error(files, capsys):
     assert "--mode" in err
 
 
+def test_density_trend_with_p_is_usage_error(files, capsys):
+    # the trend table takes its moduli from --trend only; a --p would be echoed but not used
+    mpath = files("m.json", SUM3)
+    code, out, err = run(capsys, ["density", "--matrix", mpath, "--p", "5", "--trend", "5,7"])
+    assert code == 1
+    assert out == ""
+    assert "--p" in err
+
+
 @pytest.mark.parametrize("p", ["4", "29"])
 def test_density_invariant_system_checks_modulus(files, capsys, p):
     # AP3 is invariant, which short-cuts to density 0; the modulus is still checked
@@ -230,6 +239,15 @@ def test_invalid_input_exit_2(files, capsys, tmp_path):
     malformed.write_text("{not json")
     code, _, _ = run(capsys, ["profile", "--matrix", str(malformed)])
     assert code == 2
+
+
+def test_matrix_float_beyond_safe_range_exit_2(files, capsys, tmp_path):
+    # json.dumps would write the float 2^53 + 1 as 2^53, so write the file by hand
+    big = tmp_path / "big.json"
+    big.write_text('{"entries": [[9007199254740993.0, 1, -1]]}')
+    code, out, err = run(capsys, ["profile", "--matrix", str(big)])
+    assert (code, out) == (2, "")
+    assert "2^53" in err
 
 
 def test_malformed_json_shapes_exit_2(files, capsys):

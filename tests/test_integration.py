@@ -13,7 +13,6 @@ import pytest
 
 from torsol import (
     DiscreteSet,
-    HPolytope,
     IntervalUnion,
     IntMatrix,
     decompose,
@@ -27,6 +26,7 @@ from torsol.errors import BadModulusError, InvalidInputError
 from torsol.intmat import is_prime
 from torsol.kernel_geometry import weight
 from torsol.measures import monte_carlo_estimate
+from torsol.polytope import HPolytope
 from torsol.removal_lab import (
     density_search,
     density_trend,

@@ -200,6 +200,18 @@ def test_matrix_json_roundtrip():
     assert matrix_from_json(data) == big
 
 
+def test_matrix_json_refuses_floats_beyond_safe_range():
+    # 2^53 + 1 has no float; json reads it as 2^53, so the file no longer says which integer it meant
+    assert matrix_from_json({"entries": [[1.0, 2, -1]]}) == IntMatrix([[1, 2, -1]])
+    assert matrix_from_json({"entries": [[float(2**53 - 1), 1, 0]]}) == IntMatrix([[2**53 - 1, 1, 0]])
+    for v in (float(2**53 + 1), -float(2**53 + 1), 1e300):
+        with pytest.raises(InvalidInputError, match="2\\^53"):
+            matrix_from_json({"entries": [[v, 1, -1]]})
+    with pytest.raises(InvalidInputError):
+        matrix_from_json({"rows": float(2**60), "entries": [[1, 1, -1]]})
+    assert matrix_from_json({"entries": [[str(2**53 + 1), 1, -1]]}).entries[0][0] == 2**53 + 1
+
+
 def _random_matrix(rng, nrows, ncols, rational):
     def entry():
         if rng.random() < 0.3:

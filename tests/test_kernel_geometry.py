@@ -8,6 +8,7 @@ from torsol import (
     IntMatrix,
     analyze_matrix,
     box_measure,
+    central_section_check,
     enumerate_components,
     kernel_elements,
     parametrize_kernel,
@@ -339,6 +340,27 @@ def test_slice_leaf_matches_polytope_volume():
             assert leaf.is_full_dimensional == res.is_full_dimensional
             full += leaf.is_full_dimensional
     assert negative >= 20 and pinned >= 10 and full >= 50, (negative, pinned, full)
+
+
+def test_central_section_matches_polytope_oracle():
+    # the slice_leaf of [-1/2, 1/2]^m at level 0 against the rational H-polytope,
+    # and the Bareiss Gram determinant against one over Fractions
+    rng = random.Random(79)
+    mats = [IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]]), IntMatrix([[1, 1, 0], [0, 0, 2]])]
+    shapes = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (1, 5), (2, 6), (3, 6)]
+    for r, m in shapes * 10:
+        draw = random_pinned_matrix if rng.random() < 0.5 else random_full_rank_matrix
+        mats.append(draw(rng, r, m))
+    pinned = 0
+    for mat in mats:
+        prof = analyze_matrix(mat)
+        pinned += bool(prof.degenerate_columns)
+        cols, m = prof.kernel_columns(), mat.cols
+        vol = volume(slice_polytope(cols, [0] * m, [F(-1, 2)] * m, [F(1, 2)] * m)).volume
+        gram = det([[sum((F(a) * b for a, b in zip(u, v)), F(0)) for v in cols] for u in cols])
+        res = central_section_check(mat)
+        assert (res.vol_param, res.gram_det, res.passes) == (vol, gram, vol * vol * gram >= 1), mat.entries
+    assert len(mats) >= 100 and pinned >= 20, (len(mats), pinned)
 
 
 def test_box_measure_walks_at_most_two_to_the_r_levels(monkeypatch):

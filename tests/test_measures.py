@@ -17,7 +17,14 @@ from torsol.errors import DegenerateColumnsError, GridAlignmentError, InvalidInp
 from torsol.measures import _grid_box_sum
 from torsol.kernel_geometry import enumerate_components
 
-from oracles import random_block_sets, random_grid_sets, random_pinned_matrix, random_run_sets
+from oracles import (
+    random_block_sets,
+    random_full_rank_matrix,
+    random_grid_sets,
+    random_pinned_matrix,
+    random_run_sets,
+    scan_witness,
+)
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
@@ -261,7 +268,7 @@ def test_monte_carlo_shares_no_geometry(monkeypatch):
 
 
 def _polytope_names_bound_outside_polytope():
-    """(module, name) for every torsol module but polytope and the root that binds a polytope routine.
+    """(module, name) for every torsol module but polytope, the package root included, that binds a polytope routine.
 
     Patching torsol.polytope then reaches every caller: none can hold its own reference.
     """
@@ -270,13 +277,33 @@ def _polytope_names_bound_outside_polytope():
 
     import torsol
 
-    found = []
+    names = ("volume", "enumerate_vertices", "slice_polytope")
+    found = [("torsol", n) for n in names if hasattr(torsol, n)]
     for info in pkgutil.iter_modules(torsol.__path__):
         if info.name == "polytope":
             continue
         module = importlib.import_module(f"torsol.{info.name}")
-        found += [(info.name, n) for n in ("volume", "enumerate_vertices", "slice_polytope") if hasattr(module, n)]
+        found += [(info.name, n) for n in names if hasattr(module, n)]
     return found
+
+
+def test_package_imports_leave_polytope_out():
+    # the H-polytope engine is the tests' oracle: neither the package nor the CLI loads it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import torsol
+
+    src = str(Path(torsol.__file__).resolve().parents[1])
+    code = (
+        "import sys; import torsol; a = 'torsol.polytope' in sys.modules; "
+        "import torsol.cli; print(a, 'torsol.polytope' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "False False\n"), out.stderr
 
 
 def test_single_equations_walk_no_slices(monkeypatch):
@@ -337,6 +364,32 @@ def test_find_positive_witness():
     lx = SUM3.apply_fraction(x)
     assert all(v.denominator == 1 for v in lx)
     assert find_positive_witness(SUM3, [THIRD] * 3) is None
+
+
+def test_positive_witness_matches_full_scan():
+    # the slices looked up by level give the witness that scanning every slice gives
+    rng = random.Random(15)
+    smith = IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]])
+    fixed = [SUM3, AP3, AP4, R4, AP5, smith, PINNED, PINNED_SCALED]
+    mats = fixed * 12 + [random_pinned_matrix(rng, rng.choice((1, 2)), 4) for _ in range(30)]
+    mats += [random_full_rank_matrix(rng, 2, rng.choice((3, 4))) for _ in range(30)]
+    found = empty = 0
+    for mat in mats:
+        p = rng.choice((5, 7))
+        if rng.random() < 0.5:
+            sets = random_grid_sets(rng, p, mat.cols, density=rng.choice((0.05, 0.15, 0.3)))
+        else:
+            sets = random_block_sets(rng, p, mat.cols, max_blocks=2)
+        if rng.random() < 0.1:
+            sets[rng.randrange(mat.cols)] = IntervalUnion([])
+        empty += any(not s.intervals for s in sets)
+        x = find_positive_witness(mat, sets)
+        assert x == scan_witness(mat, sets), (mat.entries, sets)
+        found += x is not None
+        if x is not None:
+            assert all(s.contains(v) for s, v in zip(sets, x))
+            assert all(v.denominator == 1 for v in mat.apply_fraction(x))
+    assert 40 <= found <= len(mats) - 40 and empty >= 5, (found, empty)
 
 
 def test_exact_routes_equal_on_worked_pair():

@@ -3,14 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from torsol import (
-    HPolytope,
-    IntMatrix,
-    central_section_check,
-    enumerate_vertices,
-    volume,
-)
+from torsol import IntMatrix, central_section_check
 from torsol.errors import UnboundedPolytopeError
+from torsol.polytope import HPolytope, enumerate_vertices, volume
 
 from oracles import random_full_rank_matrix, sweep_area
 
