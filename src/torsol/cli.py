@@ -25,7 +25,7 @@ from .errors import InvalidInputError, PreconditionError, TorsolError
 from .intmat import IntMatrix, analyze_matrix, matrix_from_json
 from .kernel_geometry import central_section_check, enumerate_components, shift_cover, weight
 from .measures import decompose, monte_carlo_estimate, solution_measure
-from .rationals import format_rational
+from .rationals import format_rational, int_from_json
 from .removal_lab import density_search, density_trend, find_violating_boxes, greedy_removal
 from .discrete import kernel_element, parametrize_kernel
 from .torus_sets import DiscreteSet, IntervalUnion, sets_from_json, sets_to_json
@@ -199,11 +199,7 @@ def _cmd_remove(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None)
 
 def _cmd_density(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None):
     if spec.trend:
-        try:
-            ps = [int(v) for v in spec.trend.split(",") if v.strip()]
-        except ValueError:
-            raise UsageError(f"malformed trend list {spec.trend!r}")
-        rows = density_trend(mat, ps)
+        rows = density_trend(mat, [int_from_json(v) for v in spec.trend.split(",") if v])
         if spec.format == "csv":
             lines = ["p,density_num,density_den,decimal"]
             lines += [f"{p},{num},{den},{dec}" for p, num, den, dec in rows]

@@ -230,13 +230,6 @@ class IntMatrix:
     def max_row_abs_sum(self) -> int:
         return max(sum(abs(v) for v in row) for row in self.entries)
 
-    def row_ranges(self) -> list[tuple[int, int]]:
-        """Per-row (sum of negative entries, sum of positive entries)."""
-        return [
-            (sum(v for v in row if v < 0), sum(v for v in row if v > 0))
-            for row in self.entries
-        ]
-
 
 @dataclass(frozen=True)
 class MatrixProfile:

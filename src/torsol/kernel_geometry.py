@@ -16,9 +16,10 @@ and slice_leaf computes it in integers: its vertices are the basic
 solutions of the bounded-variable LP (one bound choice per coordinate
 outside an invertible r x r minor, solved with the minor's cached
 adjugate), and its volume is taken in the free coordinates x_F of
-echelon(L) and divided by |det B_F|.  No H-polytope is built.  The walker
-over block products (slice_leaves) prunes in t-space in integers too,
-rounding outward, over the slices the blocks can reach (_reachable), and
+echelon(L) and divided by |det B_F|.  No H-polytope is built.  The levels
+come from the unit cube's basic solutions (enumerate_components), and the
+walker (slice_leaves) prunes block products in t-space in integers too,
+rounding outward, over the slices the blocks can reach (_reachable);
 product_measure makes one Fraction per call.  The central cube section is
 one more slice_leaf: [-1/2, 1/2]^m at level 0.
 
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
 from numbers import Rational
-from operator import mul
+from operator import add, mul
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
 from .discrete import kernel_element, parametrize_kernel
@@ -291,29 +292,35 @@ def _box_slice(mat: IntMatrix, level, lo_q, hi_q, q: int) -> SliceLeaf:
 def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
     """Enumerate all kernel slices with exact representatives and volumes.
 
-    Candidate levels range over the closed integer box of row sums of
-    negative/positive entries and are kept exactly when the slice meets the
-    half-open cube [0,1)^m; slices meeting only the closed cube boundary
-    belong to other slices modulo 1 and are discarded.
-
-    Everything comes from the slice_leaf of the unit cube per candidate
-    level.  A convex subset of [0,1]^m misses [0,1)^m only when one
-    coordinate equals 1 on all of it (a relative-interior point with
-    x_i = 1 pins x_i = 1 throughout), hence on all of its vertices: the
-    level is kept unless some coordinate is 1 at every vertex.  The
-    representative is the smallest vertex, and the hull is the bounding
-    box of t = B_F^-1 (x_F - x_b,F) over the vertices.
+    A nonempty slice {Lx = b} of [0,1]^m has a vertex (Ziegler, Lectures on
+    Polytopes, 1995, Lecture 7): x_S in {0,1}^(m-r) outside an invertible minor
+    L_D, and b0 = b - L_S x_S = L_D x_D an integer point of L_D [0,1]^r, so of
+    its bounding box with 0 <= M_D b0 = unit x_D <= unit.  These b0 of each
+    minor plus L_S x_S for each 0/1 choice are exactly the levels whose closed
+    slice is nonempty; no zonotope facet is needed.  A level is kept when its
+    slice meets [0,1)^m (one meeting only the closed boundary belongs to
+    another slice modulo 1), that is unless a coordinate is 1 at every vertex
+    of its slice_leaf of the unit cube: a relative interior point with x_i = 1
+    pins x_i = 1 throughout.  The representative is the smallest vertex, and
+    the hull the bounding box of t = B_F^-1 (x_F - x_b,F) over the vertices.
     """
     profile = analyze_matrix(mat)
     columns = tuple(profile.kernel_columns())
-    _, _, free, free_det, free_adj = _slice_data(mat)
+    minors, unit, free, free_det, free_adj = _slice_data(mat)
     m = mat.cols
     sign = 1 if free_det > 0 else -1
+    levels = set()
+    for cols, rest, m_d, _ in minors:
+        box = [range(sum(min(row[c], 0) for c in cols), sum(max(row[c], 0) for c in cols) + 1) for row in mat.entries]
+        corners = [b0 for b0 in product(*box) if all(0 <= sum(map(mul, m_row, b0)) <= unit for m_row in m_d)]
+        for choice in product((0, 1), repeat=len(rest)):
+            shift = [sum(row[s] for s, x in zip(rest, choice) if x) for row in mat.entries]
+            levels.update(tuple(map(add, b0, shift)) for b0 in corners)
     comps = []
-    for b in product(*[range(lo, hi + 1) for lo, hi in mat.row_ranges()]):
+    for b in sorted(levels):
         leaf = slice_leaf(mat, b, [0] * m, [1] * m)
         points, scale = leaf.points, leaf.scale
-        if not points or any(all(pt[i] == scale for pt in points) for i in range(m)):
+        if any(all(pt[i] == scale for pt in points) for i in range(m)):
             continue
         diffs = [[pt[i] - points[0][i] for i in free] for pt in points]
         ts = [[sign * sum(map(mul, adj_row, diff)) for adj_row in free_adj] for diff in diffs]

@@ -8,6 +8,7 @@ safe range and become decimal strings beyond it.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import InvalidInputError
@@ -15,10 +16,12 @@ from .errors import InvalidInputError
 __all__ = ["parse_rational", "format_rational", "int_to_json", "int_from_json", "require_int"]
 
 _JSON_SAFE_INT = 2**53 - 1
+_INT = re.compile("-?[0-9]+")
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
-    """Parse "n/d" or "n" strings (ints and Fractions pass through; bools and floats are refused)."""
+    """Parse ASCII "n" or "n/d" strings, "-" allowed in front (ints and Fractions pass through; all else is refused)."""
     if isinstance(value, bool):
         raise InvalidInputError(f"expected a rational, got {value!r}")
     if isinstance(value, Fraction):
@@ -26,8 +29,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if not _RATIONAL.fullmatch(value):
+            raise InvalidInputError(f"malformed rational {value!r}: expected ASCII digits as \"n\" or \"n/d\"")
         try:
-            return Fraction(value.strip())
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise InvalidInputError(f"malformed rational {value!r}: {exc}") from None
     raise InvalidInputError(f"cannot interpret {value!r} as a rational")
@@ -53,16 +58,18 @@ def require_int(name: str, value, least: int) -> int:
 
 
 def int_from_json(value) -> int:
-    """An int from a JSON number or decimal string; a float beyond 2^53 - 1 may be rounded and is refused."""
+    """An int from a JSON number or an ASCII "-?[0-9]+" string; floats beyond 2^53 - 1 may be rounded and are refused."""
     if isinstance(value, bool):
         raise InvalidInputError(f"expected an integer, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        if not _INT.fullmatch(value):
+            raise InvalidInputError(f"malformed integer {value!r}: expected ASCII digits")
         try:
-            return int(value.strip())
-        except ValueError:
-            raise InvalidInputError(f"malformed integer {value!r}") from None
+            return int(value)
+        except ValueError as exc:
+            raise InvalidInputError(f"malformed integer {value!r}: {exc}") from None
     if isinstance(value, float) and value.is_integer():
         if abs(value) > _JSON_SAFE_INT:
             raise InvalidInputError(f"number {value!r} exceeds 2^53 - 1; write it as a decimal string")

@@ -8,8 +8,9 @@ min-max program for whether a kernel slice meets the half-open cube,
 the polytope walk over every slice for single equations, whose measure
 the package takes in closed form, every block combination of every
 slice with no pruning, every slice scanned for a positive witness,
-where the package looks up the levels the sets can reach, Smith
-invariants from gcds of
+where the package looks up the levels the sets can reach, a slice_leaf
+at every candidate level of the row-sum box, where the package finds the
+levels from the vertices of the slices, Smith invariants from gcds of
 minors, which the package gets by alternating Hermite forms, and every
 member of every coset for the violating boxes and the greedy removal,
 which the package walks through the sets' members and counts with packed
@@ -115,6 +116,49 @@ def unpruned_measure(decomp, blocks):
                 lows, highs = zip(*combo)
                 total += slice_leaf(decomp.matrix, comp.level, lows, highs).volume
     return decomp.c_param * total
+
+
+def candidate_levels(mat):
+    """Every integer level in the box of row sums of negative and positive entries, in lexicographic order.
+
+    Lx lies in that box for every x in [0,1]^m, so it holds every level
+    whose closed slice of the unit cube is nonempty.
+    """
+    ranges = [(sum(v for v in row if v < 0), sum(v for v in row if v > 0)) for row in mat.entries]
+    return product(*[range(lo, hi + 1) for lo, hi in ranges])
+
+
+def scan_components(mat):
+    """enumerate_components by a slice_leaf of the unit cube at every candidate level.
+
+    A level is kept unless its closed slice is empty or some coordinate is
+    1 at every vertex (then the slice misses [0,1)^m).  The representative
+    is the smallest vertex and the hull the bounding box of
+    t = B_F^-1 (x_F - x_b,F) over the vertices.
+    """
+    from torsol.intmat import analyze_matrix
+    from torsol.kernel_geometry import KernelComponent, KernelDecomposition, _slice_data, slice_leaf
+
+    columns = tuple(analyze_matrix(mat).kernel_columns())
+    _, _, free, free_det, free_adj = _slice_data(mat)
+    m = mat.cols
+    sign = 1 if free_det > 0 else -1
+    comps = []
+    for b in candidate_levels(mat):
+        leaf = slice_leaf(mat, b, [0] * m, [1] * m)
+        points, scale = leaf.points, leaf.scale
+        if not points or any(all(pt[i] == scale for pt in points) for i in range(m)):
+            continue
+        diffs = [[pt[i] - points[0][i] for i in free] for pt in points]
+        ts = [[sign * sum(a * v for a, v in zip(adj_row, diff)) for adj_row in free_adj] for diff in diffs]
+        den = abs(free_det) * scale
+        hull = tuple((Fraction(min(t), den), Fraction(max(t), den)) for t in zip(*ts))
+        rep = tuple(Fraction(v, scale) for v in points[0])
+        comps.append(KernelComponent(level=tuple(b), representative=rep, volume_param=leaf.volume, hull=hull))
+    total = sum((c.volume_param for c in comps), Fraction(0))
+    return KernelDecomposition(
+        matrix=mat, basis_columns=columns, components=tuple(comps), total_volume_param=total, c_param=1 / total
+    )
 
 
 def scan_witness(mat, sets):

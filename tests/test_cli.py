@@ -329,3 +329,30 @@ def test_rationals_in_lowest_terms(files, capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == "1/8"
+
+
+@pytest.mark.parametrize(
+    "matrix, sets, trend",
+    [
+        pytest.param({"entries": [["1_000", 1, -1]]}, None, None, id="matrix-underscore"),
+        pytest.param({"entries": [["+1", 1, -1]]}, None, None, id="matrix-plus"),
+        pytest.param({"entries": [["\u0663", 1, -1]]}, None, None, id="matrix-arabic-indic-digit"),
+        pytest.param({"entries": [[1, 1, -1]], "rows": " 1 "}, None, None, id="matrix-spaced-rows"),
+        pytest.param(SUM3, [[["0", "1_0/3"]]] * 3, None, id="sets-underscore"),
+        pytest.param(SUM3, [[[" 0 ", "1/2"]]] * 3, None, id="sets-spaces"),
+        pytest.param(SUM3, [[["0", "0.5"]]] * 3, None, id="sets-decimal"),
+        pytest.param(SUM3, [[["0", "1e0"]]] * 3, None, id="sets-exponent"),
+        pytest.param(SUM3, None, "5, 7", id="trend-space"),
+        pytest.param(SUM3, None, "+5,7", id="trend-plus"),
+        pytest.param(SUM3, None, "5,x", id="trend-letter"),
+    ],
+)
+def test_numbers_outside_the_file_format_exit_2(files, capsys, matrix, sets, trend):
+    argv = ["profile", "--matrix", files("m.json", matrix)]
+    if sets is not None:
+        argv = ["measure", "--matrix", argv[-1], "--sets", files("s.json", sets)]
+    if trend is not None:
+        argv = ["density", "--matrix", argv[-1], "--trend", trend]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "malformed" in err

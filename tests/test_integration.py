@@ -27,6 +27,7 @@ from torsol.intmat import is_prime
 from torsol.kernel_geometry import weight
 from torsol.measures import monte_carlo_estimate
 from torsol.polytope import HPolytope
+from torsol.rationals import int_from_json, parse_rational
 from torsol.removal_lab import (
     density_search,
     density_trend,
@@ -254,3 +255,21 @@ def test_exact_rationals_still_accepted():
     assert HPolytope(1, [((1,), "1/2"), ((F(-1),), 0)]).constraints == (((1,), F(1, 2)), ((-1,), 0))
     best, _ = szemeredi_probe(_AP3_PROBE, "1/2", 1, 0)
     assert best == szemeredi_probe(_AP3_PROBE, F(1, 2), 1, 0)[0] > 0
+    assert [int_from_json(v) for v in ("0", "-12", "007", str(2**80))] == [0, -12, 7, 2**80]
+    assert [parse_rational(v) for v in ("3", "-3", "2/4", "-0/5")] == [3, -3, F(1, 2), 0]
+
+
+# strings that int() or Fraction() would read but the file formats do not allow
+_NOT_ASCII_INTEGERS = ["1_000", "\u0663", "\uff17", " 7 ", "7\n", "+5"]
+
+
+@pytest.mark.parametrize("text", _NOT_ASCII_INTEGERS)
+def test_integer_strings_must_be_ascii_digits(text):
+    with pytest.raises(InvalidInputError):
+        int_from_json(text)
+
+
+@pytest.mark.parametrize("text", _NOT_ASCII_INTEGERS + ["1_0/3", " 1/2", "+1/2", "0.5", ".5", "5.", "1e3", "1E3"])
+def test_rational_strings_must_be_ascii_n_or_n_over_d(text):
+    with pytest.raises(InvalidInputError):
+        parse_rational(text)

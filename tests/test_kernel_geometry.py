@@ -21,10 +21,12 @@ from torsol.kernel_geometry import product_measure, slice_leaf, slice_leaves
 from torsol.polytope import enumerate_vertices, slice_polytope, volume
 
 from oracles import (
+    candidate_levels,
     lifted_half_open,
     random_full_rank_matrix,
     random_pinned_matrix,
     random_run_sets,
+    scan_components,
     suitable_prime,
     sweep_area,
     unpruned_measure,
@@ -116,14 +118,32 @@ def test_kept_levels_and_hulls_match_oracles():
         degenerate += bool(analyze_matrix(mat).degenerate_columns)
         decomp = enumerate_components(mat)
         basis = decomp.basis_columns
-        levels = product(*[range(lo, hi + 1) for lo, hi in mat.row_ranges()])
-        expected = [b for b in levels if lifted_half_open(_point_on_level(mat, b), basis)]
+        expected = [b for b in candidate_levels(mat) if lifted_half_open(_point_on_level(mat, b), basis)]
         assert [c.level for c in decomp.components] == expected, mat.entries
         for comp in decomp.components:
             verts = enumerate_vertices(slice_polytope(basis, comp.representative, [0] * m, [1] * m))
             box = tuple((min(v[k] for v in verts), max(v[k] for v in verts)) for k in range(len(basis)))
             assert comp.hull == box, (mat.entries, comp.level)
     assert degenerate >= 10
+
+
+def test_components_match_candidate_scan():
+    # the levels scattered from the vertices against a slice_leaf at every candidate level
+    rng = random.Random(16)
+    mats = [
+        IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]]),
+        IntMatrix([[2, 3, -3, 0, 2], [3, -2, -2, 3, -2], [-2, 2, 2, 2, 1]]),
+        PINNED,
+        PINNED_SCALED,
+    ]
+    shapes = [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4)]
+    for k in range(36):
+        for r, m in shapes + [(3, 5)] * (k % 3 == 0):
+            mats.append(random_pinned_matrix(rng, r, m) if k % 2 else random_full_rank_matrix(rng, r, m, -2, 2))
+    assert len(mats) >= 300
+    assert sum(bool(analyze_matrix(mat).degenerate_columns) for mat in mats) >= 50
+    for mat in mats:
+        assert enumerate_components(mat) == scan_components(mat), mat.entries
 
 
 def test_component_volumes_against_sweep_oracle():
