@@ -55,6 +55,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_option(text: str) -> int:
+    """An integer option in the file formats' ASCII "-?[0-9]+" form; anything else is a usage error."""
+    try:
+        return int_from_json(text)
+    except InvalidInputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="torsol", description=__doc__)
     sub = parser.add_subparsers(dest="command")
@@ -68,17 +76,17 @@ def _build_parser() -> _Parser:
                 "--sets", dest="sets_path", metavar="SETS", required=True, help="path to sets JSON"
             )
         if name in ("weights", "decompose", "check-free", "remove", "verify"):
-            p.add_argument("--p", type=int, required=True)
+            p.add_argument("--p", type=_int_option, required=True)
         if name == "density":
-            p.add_argument("--p", type=int)
+            p.add_argument("--p", type=_int_option)
             p.add_argument("--mode", choices=("exhaustive", "local"), default="exhaustive")
             p.add_argument("--trend", help="comma-separated moduli for a trend table")
         if name == "sample":
-            p.add_argument("--samples", type=int, default=100000)
+            p.add_argument("--samples", type=_int_option, default=100000)
         if name in ("sample", "density", "verify"):
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_int_option, default=0)
         if name == "sample":
-            p.add_argument("--workers", type=int, default=1)
+            p.add_argument("--workers", type=_int_option, default=1)
         p.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 

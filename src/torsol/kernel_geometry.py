@@ -12,16 +12,21 @@ a product of blocks is a sum of truncated powers over the integer levels
 (see product_measure).
 
 Each such polytope is the slice of a box, {x : Lx = b, lo <= x <= hi},
-and slice_leaf computes it in integers: its vertices are the basic
-solutions of the bounded-variable LP (one bound choice per coordinate
-outside an invertible r x r minor, solved with the minor's cached
-adjugate), and its volume is taken in the free coordinates x_F of
-echelon(L) and divided by |det B_F|.  No H-polytope is built.  The levels
-come from the unit cube's basic solutions (enumerate_components), and the
-walker (slice_leaves) prunes block products in t-space in integers too,
-rounding outward, over the slices the blocks can reach (_reachable);
-product_measure makes one Fraction per call.  The central cube section is
-one more slice_leaf: [-1/2, 1/2]^m at level 0.
+held as its integer vertices; its volume is taken in the free coordinates
+x_F of echelon(L) and divided by |det B_F| (_leaf).  No H-polytope is
+built.  The vertices of the unit cube's slices are its basic solutions
+(one 0/1 choice per coordinate outside an invertible r x r minor, solved
+with the minor's cached adjugate), and enumerate_components finds every
+level and every vertex in one scan of them.  The walker (slice_leaves)
+starts from those vertices and clips them by each block's two
+half-spaces, one coordinate after the other, as the double description
+method does: a new vertex is an edge crossing the cut, two vertices span
+an edge by the combinatorial test on the bounds they meet, and every
+crossing is an exact integer point on the blocks' grid, so nothing is
+rounded.  Only the slices the blocks can reach are walked (_reachable),
+and product_measure makes one Fraction per call.  slice_leaf solves the
+basic solutions of one box directly; the central cube section is that
+slice_leaf of [-1/2, 1/2]^m at level 0.
 
 The same machinery yields the weight of a 1/p grid box (p^(m-r) times its
 normalized Haar measure) and the cover of all positive-weight boxes by at
@@ -32,7 +37,7 @@ counting in Z_p; the shifts come from discrete.parametrize_kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, product
@@ -86,12 +91,6 @@ class KernelComponent:
     def is_flat(self) -> bool:
         return self.volume_param == 0
 
-    @cached_property
-    def _grid(self):
-        """(e, hull, x_b): the hull and the representative as integers over their common denominator e."""
-        e = math.lcm(*(v.denominator for v in (*sum(self.hull, ()), *self.representative)))
-        return e, [(int(l * e), int(u * e)) for l, u in self.hull], [int(v * e) for v in self.representative]
-
 
 @dataclass(frozen=True)
 class KernelDecomposition:
@@ -100,7 +99,9 @@ class KernelDecomposition:
     total_volume_param equals the product of the Smith invariants of L
     (the number of connected components of the subgroup); c_param is its
     reciprocal, the constant turning parameter volumes into normalized
-    Haar measure.
+    Haar measure.  _vertices maps each level to the vertices of its slice
+    in the unit cube, as integer points at scale unit (see _slice_data),
+    each with the mask of the cube bounds it meets (see _clip).
     """
 
     matrix: IntMatrix
@@ -108,6 +109,7 @@ class KernelDecomposition:
     components: tuple[KernelComponent, ...]
     total_volume_param: Fraction
     c_param: Fraction
+    _vertices: dict = field(default=None, compare=False, repr=False)
 
     @cached_property
     def _by_level(self):
@@ -238,6 +240,26 @@ def _simplices(points, facets, k):
     return out
 
 
+def _leaf(points, lows, highs, scale: int, free, free_det: int) -> SliceLeaf:
+    """The SliceLeaf of a box slice from its vertices, all integers at scale.
+
+    points are the vertices of {x : Lx = b, lows <= x <= highs}, scaled
+    like the bounds.  The volume comes in the free coordinates x_F from a
+    fan triangulation with fraction-free determinants, and is kept as an
+    integer size over den = d! scale^d |det B_F|, the parameter volume
+    size / den.
+    """
+    points = sorted(points)
+    d = len(free)
+    total = 0
+    if len(points) > d:
+        facets = [(i, c) for i, bounds in enumerate(zip(lows, highs)) for c in bounds]
+        for v0, *rest in _simplices(points, facets, d):
+            total += abs(_bareiss([[v[i] - v0[i] for i in free] for v in rest])[1])
+    den = math.factorial(d) * scale**d * abs(free_det)
+    return SliceLeaf(size=total, den=den, points=tuple(points), scale=scale)
+
+
 def slice_leaf(mat: IntMatrix, level, lows, highs) -> SliceLeaf:
     """Vertices and parameter volume of {x : Lx = level, lows <= x <= highs}.
 
@@ -247,21 +269,12 @@ def slice_leaf(mat: IntMatrix, level, lows, highs) -> SliceLeaf:
     x_D.  With the box scaled to integers by the common denominator q of
     its bounds, each of the 2^(m-r) bound choices of each such D is one
     integer matrix-vector product and r integer comparisons.  The volume
-    comes in the free coordinates x_F from a fan triangulation with
-    fraction-free determinants, and is kept as an integer size over
-    den = d! scale^d |det B_F|, the parameter volume size / den.
+    is _leaf's.
     """
-    q = math.lcm(*(v.denominator for v in (*lows, *highs)))
-    return _box_slice(mat, level, [int(v * q) for v in lows], [int(v * q) for v in highs], q)
-
-
-def _box_slice(mat: IntMatrix, level, lo_q, hi_q, q: int) -> SliceLeaf:
-    """slice_leaf of the box with integer bounds lo_q / q and hi_q / q."""
     minors, unit, free, free_det, _ = _slice_data(mat)
-    m = mat.cols
-    scale = q * unit
-    lo_s = [v * unit for v in lo_q]
-    hi_s = [v * unit for v in hi_q]
+    q = math.lcm(*(v.denominator for v in (*lows, *highs)))
+    lo_q, hi_q = [int(v * q) for v in lows], [int(v * q) for v in highs]
+    lo_s, hi_s = [v * unit for v in lo_q], [v * unit for v in hi_q]
     found = set()
     for cols, rest, m_d, gains in minors:
         base = [q * sum(a * v for a, v in zip(m_row, level)) for m_row in m_d]
@@ -271,21 +284,13 @@ def _box_slice(mat: IntMatrix, level, lo_q, hi_q, q: int) -> SliceLeaf:
                 if x:
                     y_d = [y - x * a for y, a in zip(y_d, g)]
             if all(lo_s[c] <= y <= hi_s[c] for c, y in zip(cols, y_d)):
-                pt = [0] * m
+                pt = [0] * mat.cols
                 for c, y in zip(cols, y_d):
                     pt[c] = y
                 for s, x in zip(rest, choice):
                     pt[s] = x * unit
                 found.add(tuple(pt))
-    points = sorted(found)
-    d = len(free)
-    total = 0
-    if len(points) > d and _bareiss([[a - b for a, b in zip(pt, points[0])] for pt in points[1:]])[0] == d:
-        facets = [(i, c) for i in range(m) for c in (lo_s[i], hi_s[i])]
-        for v0, *rest in _simplices(points, facets, d):
-            total += abs(_bareiss([[v[i] - v0[i] for i in free] for v in rest])[1])
-    den = math.factorial(d) * scale**d * abs(free_det)
-    return SliceLeaf(size=total, den=den, points=tuple(points), scale=scale)
+    return _leaf(found, lo_s, hi_s, q * unit, free, free_det)
 
 
 @lru_cache(maxsize=128)
@@ -297,37 +302,48 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
     L_D, and b0 = b - L_S x_S = L_D x_D an integer point of L_D [0,1]^r, so of
     its bounding box with 0 <= M_D b0 = unit x_D <= unit.  These b0 of each
     minor plus L_S x_S for each 0/1 choice are exactly the levels whose closed
-    slice is nonempty; no zonotope facet is needed.  A level is kept when its
-    slice meets [0,1)^m (one meeting only the closed boundary belongs to
-    another slice modulo 1), that is unless a coordinate is 1 at every vertex
-    of its slice_leaf of the unit cube: a relative interior point with x_i = 1
-    pins x_i = 1 throughout.  The representative is the smallest vertex, and
-    the hull the bounding box of t = B_F^-1 (x_F - x_b,F) over the vertices.
+    slice is nonempty, and the points (x_D, x_S) are exactly the vertices of
+    those slices, so one scan gives both; no zonotope facet is needed.  Each
+    level's vertices make its _leaf.  A level is kept when its slice meets
+    [0,1)^m (one meeting only the closed boundary belongs to another slice
+    modulo 1), that is unless a coordinate is 1 at every vertex: a relative
+    interior point with x_i = 1 pins x_i = 1 throughout.  The representative
+    is the smallest vertex, and the hull the bounding box of
+    t = B_F^-1 (x_F - x_b,F) over the vertices.  The vertices of the kept
+    slices, each with its tight bounds, are where slice_leaves starts.
     """
     profile = analyze_matrix(mat)
     columns = tuple(profile.kernel_columns())
     minors, unit, free, free_det, free_adj = _slice_data(mat)
     m = mat.cols
     sign = 1 if free_det > 0 else -1
-    levels = set()
+    found = {}
     for cols, rest, m_d, _ in minors:
         box = [range(sum(min(row[c], 0) for c in cols), sum(max(row[c], 0) for c in cols) + 1) for row in mat.entries]
-        corners = [b0 for b0 in product(*box) if all(0 <= sum(map(mul, m_row, b0)) <= unit for m_row in m_d)]
+        solved = ((b0, [sum(map(mul, m_row, b0)) for m_row in m_d]) for b0 in product(*box))
+        corners = [(b0, y_d) for b0, y_d in solved if all(0 <= y <= unit for y in y_d)]
+        pt = [0] * m
         for choice in product((0, 1), repeat=len(rest)):
             shift = [sum(row[s] for s, x in zip(rest, choice) if x) for row in mat.entries]
-            levels.update(tuple(map(add, b0, shift)) for b0 in corners)
-    comps = []
-    for b in sorted(levels):
-        leaf = slice_leaf(mat, b, [0] * m, [1] * m)
-        points, scale = leaf.points, leaf.scale
-        if any(all(pt[i] == scale for pt in points) for i in range(m)):
+            for s, x in zip(rest, choice):
+                pt[s] = x * unit
+            for b0, y_d in corners:
+                for c, y in zip(cols, y_d):
+                    pt[c] = y
+                found.setdefault(tuple(map(add, b0, shift)), set()).add(tuple(pt))
+    comps, vertices = [], {}
+    for b in sorted(found):
+        leaf = _leaf(found[b], [0] * m, [unit] * m, unit, free, free_det)
+        points = leaf.points
+        if any(all(pt[i] == unit for pt in points) for i in range(m)):
             continue
         diffs = [[pt[i] - points[0][i] for i in free] for pt in points]
         ts = [[sign * sum(map(mul, adj_row, diff)) for adj_row in free_adj] for diff in diffs]
-        den = abs(free_det) * scale
+        den = abs(free_det) * unit
         hull = tuple((Fraction(min(t), den), Fraction(max(t), den)) for t in zip(*ts))
-        rep = tuple(Fraction(v, scale) for v in points[0])
-        comps.append(KernelComponent(level=tuple(b), representative=rep, volume_param=leaf.volume, hull=hull))
+        rep = tuple(Fraction(v, unit) for v in points[0])
+        comps.append(KernelComponent(level=b, representative=rep, volume_param=leaf.volume, hull=hull))
+        vertices[b] = [(pt, sum((v == 0) << 2 * i | (v == unit) << 2 * i + 1 for i, v in enumerate(pt))) for pt in points]
     total = sum((c.volume_param for c in comps), Fraction(0))
     expected = math.prod(profile.smith_invariants)
     if total != expected:
@@ -340,70 +356,119 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
         components=tuple(comps),
         total_volume_param=total,
         c_param=Fraction(1, 1) / total,
+        _vertices=vertices,
     )
+
+
+def _clip(verts, i: int, c: int, upper: bool, d: int):
+    """The vertices of a polytope cut by the half-space x_i >= c, or x_i <= c if upper.
+
+    verts are (point, mask) pairs: the integer vertices of a polytope of
+    the d-dimensional slice {Lx = b}, each with the mask of the box bounds
+    it meets, bit 2i for the lower bound of x_i and bit 2i + 1 for the
+    upper one.  The cut keeps the vertices inside, marks those on the
+    hyperplane with the new bound, and adds the point where each edge from
+    an inside vertex u to an outside vertex w crosses it.  u and w span an
+    edge when the bounds both meet are tight at no third vertex and number
+    at least d - 1: the combinatorial adjacency test of the double
+    description method (Motzkin, Raiffa, Thompson and Thrall, 1953; Fukuda
+    and Prodon, Double description method revisited, 1996).  It holds for
+    any set of bounds that cuts out the polytope, so a bound that cuts off
+    no vertex need not be recorded.  The crossing
+    (s_u w - s_w u) / (s_u - s_w), with s = x_i - c, is a vertex of a box
+    slice on the same grid, so it is an integer point at the same scale.
+    """
+    bit = 1 << 2 * i + upper
+    inside, outside, on = [], [], []
+    above, below = (outside, inside) if upper else (inside, outside)
+    for v in verts:
+        x = v[0][i]
+        if x > c:
+            above.append(v)
+        elif x < c:
+            below.append(v)
+        else:
+            on.append((v[0], v[1] | bit))
+    kept = inside + on
+    masks = [mask for _, mask in verts]
+    for u, mu in inside:
+        su = u[i] - c
+        for w, mw in outside:
+            common = mu & mw
+            if common.bit_count() < d - 1 or [mask & common for mask in masks].count(common) > 2:
+                continue
+            sw, cross = w[i] - c, []
+            den = su - sw
+            for a, b in zip(u, w):
+                y, rem = divmod(su * b - sw * a, den)
+                if rem:
+                    raise InternalInvariantError(f"edge {u} -> {w} crosses x_{i} = {c} off the integer grid")
+                cross.append(y)
+            kept.append((tuple(cross), common | bit))
+    return kept
+
+
+class _GridBlocks(list):
+    """Blocks with each endpoint v as the integer q * v, for q the common denominator of them all."""
+
+    def __init__(self, blocks):
+        self.q = math.lcm(*(v.denominator for bl in blocks for pair in bl for v in pair))
+        super().__init__([tuple(v.numerator * (self.q // v.denominator) for v in pair) for pair in bl] for bl in blocks)
 
 
 def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
     """Yield the SliceLeaf of the slice restricted to each block product.
 
     blocks[i] lists the blocks (a, b) of the i-th coordinate, each standing
-    for the half-open [a, b).  A coordinate whose row of B is zero (a
-    degenerate column) is the constant x_b[i] on the slice, so its block is
-    kept exactly when a <= x_b[i] < b.  Every other coordinate varies on
-    the slice and its block is taken closed, which changes no volume.
-    Block combinations whose t-space hull misses the slice, or only
-    touches it (a row's range meets the block in one value, or some t_k is
-    pinned), are pruned: since m > r such a combination cuts the slice in
-    a set of volume 0.  Pruning starts from the slice's bounding box
-    comp.hull and runs in integers over the common denominator of the
-    hull, x_b and the blocks.  Each block
-    narrows every t_k to (its row's range minus t_k's term) / coefficient
-    with lower bounds rounded down and upper bounds up; that outward
-    rounding keeps the hull a superset of the slice (Moore, Interval
-    Analysis, 1966).  The parameter volumes of the leaves sum to that of
-    the slice inside the product of the half-open blocks.  Each leaf is
-    the slice_leaf of the closed blocks on the blocks' common
-    denominator, so the leaves of one call share den.
+    for the half-open [a, b) inside [0, 1].  A coordinate whose row of B is
+    zero (a degenerate column) is the constant x_b[i] on the slice, so its
+    block is kept exactly when a <= x_b[i] < b.  Every other coordinate
+    varies on the slice and its block is taken closed, which changes no
+    volume.  The walk starts from the vertices of the slice in the unit
+    cube, scaled to integers over the blocks' common denominator q, and
+    goes coordinate by coordinate: each block clips the current polytope
+    by its two half-spaces (_clip), exactly in integers with no rounding.
+    A block that meets the polytope's range of x_i in at most one value,
+    or a polytope left with at most d vertices, is dropped: since m > r
+    such a block product cuts the slice in a set of volume 0.  The
+    parameter volumes of the leaves sum to that of the slice inside the
+    product of the half-open blocks.  Each leaf has the vertices of the
+    slice_leaf of its closed blocks, found without a basis scan, and its
+    volume from _leaf; the leaves of one call share den.
     """
     mat = decomp.matrix
     m = mat.cols
-    rows = [tuple(col[i] for col in decomp.basis_columns) for i in range(m)]
-    e, hull, x_b = comp._grid
-    q = math.lcm(*(v.denominator for bl in blocks for pair in bl for v in pair))
-    blocks = [[tuple(v.numerator * (q // v.denominator) for v in pair) for pair in bl] for bl in blocks]
+    _, unit, free, free_det, _ = _slice_data(mat)
+    d = len(free)
+    blocks = blocks if isinstance(blocks, _GridBlocks) else _GridBlocks(blocks)
+    moving = [any(col[i] for col in decomp.basis_columns) for i in range(m)]
     chosen = []
 
-    def rec(i, hull):
+    def rec(i, verts):
         if i == m:
-            yield _box_slice(mat, comp.level, *zip(*chosen), q)
+            yield _leaf([pt for pt, _ in verts], *zip(*chosen), blocks.q * unit, free, free_det)
             return
-        row, x = rows[i], q * x_b[i]
-        terms = [(c * l, c * u) if c > 0 else (c * u, c * l) for c, (l, u) in zip(row, hull)]
-        flo, fhi = sum(t for t, _ in terms), sum(t for _, t in terms)
+        xs = [pt[i] for pt, _ in verts]
+        lo, hi = min(xs), max(xs)
         for a, b in blocks[i]:
-            lo, hi = a * e - x, b * e - x
-            if (hi <= flo or lo >= fhi) if any(row) else not lo <= 0 < hi:
-                continue
-            new, slo, shi = list(hull), flo, fhi
-            for k, c in enumerate(row):
-                if not c:
+            a, b = a * unit, b * unit
+            if not moving[i]:
+                if not a <= lo < b:
                     continue
-                tlo, thi = terms[k]
-                bot, top = lo - shi + thi, hi - slo + tlo  # c * t_k lies in [bot, top]
-                if c < 0:
-                    bot, top = top, bot
-                l, u = max(new[k][0], bot // c), min(new[k][1], -(-top // c))
-                if l >= u:
-                    break
-                new[k] = (l, u)
-                nlo, nhi = (c * l, c * u) if c > 0 else (c * u, c * l)
-                slo, shi = slo + nlo - tlo, shi + nhi - thi
+                cut = verts
+            elif b <= lo or a >= hi:
+                continue
             else:
-                chosen.append((a, b))
-                yield from rec(i + 1, new)
-                chosen.pop()
+                cut = verts if a <= lo else _clip(verts, i, a, False, d)
+                if b < hi:
+                    cut = _clip(cut, i, b, True, d)
+                if len(cut) <= d:
+                    continue
+            chosen.append((a, b))
+            yield from rec(i + 1, cut)
+            chosen.pop()
 
-    yield from rec(0, [(l * q, u * q) for l, u in hull])
+    yield from rec(0, [(tuple(blocks.q * v for v in pt), mask) for pt, mask in decomp._vertices[comp.level]])
 
 
 def _single_row_measure(row, blocks) -> Fraction:
@@ -448,20 +513,21 @@ def _single_row_measure(row, blocks) -> Fraction:
     return rest * Fraction(total, math.factorial(n - 1) * math.prod(row[i] for i in moving) * q ** (n - 1))
 
 
-def _reachable(decomp: KernelDecomposition, blocks):
+def _reachable(decomp: KernelDecomposition, grid: _GridBlocks):
     """The slices of positive volume whose level Lx takes on the blocks' bounding box.
 
-    No other slice meets the closed blocks.  Levels are looked up in the
-    decomposition's index, in lexicographic order; an empty set reaches none.
+    No other slice meets the closed blocks.  The box is taken in integers
+    on the blocks' grid.  Levels are looked up in the decomposition's
+    index, in lexicographic order; an empty set reaches none.
     """
-    if not all(blocks):
+    if not all(grid):
         return
-    box = [(min(a for a, _ in bl), max(b for _, b in bl)) for bl in blocks]
+    box = [(min(a for a, _ in bl), max(b for _, b in bl)) for bl in grid]
     levels = []
     for row in decomp.matrix.entries:
         lo = sum(l * (a if l > 0 else b) for l, (a, b) in zip(row, box))
         hi = sum(l * (b if l > 0 else a) for l, (a, b) in zip(row, box))
-        levels.append(range(math.ceil(lo), math.floor(hi) + 1))
+        levels.append(range(-(-lo // grid.q), hi // grid.q + 1))
     index = decomp._by_level
     yield from (index[level] for level in product(*levels) if level in index)
 
@@ -472,16 +538,18 @@ def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
     blocks[i] lists disjoint half-open blocks of the i-th coordinate.  A
     single equation (r = 1) has the closed form of _single_row_measure.
     For r >= 2 the value is c_param times the parameter volumes of
-    slice_leaves over the _reachable slices.  A box of side 1/p with p
-    above every row sum of |entries| reaches at most 2^r of them.  The
-    leaves share one den, so only the sum is a Fraction.
+    slice_leaves over the _reachable slices, with the blocks put on their
+    integer grid once.  A box of side 1/p with p above every row sum of
+    |entries| reaches at most 2^r of them.  The leaves share one den, so
+    only the sum is a Fraction.
     """
     mat = decomp.matrix
     if mat.rows == 1:
         return _single_row_measure(mat.entries[0], blocks)
     size = den = 0
-    for comp in _reachable(decomp, blocks):
-        for leaf in slice_leaves(decomp, comp, blocks):
+    grid = _GridBlocks(blocks)
+    for comp in _reachable(decomp, grid):
+        for leaf in slice_leaves(decomp, comp, grid):
             size, den = size + leaf.size, leaf.den
     c = decomp.c_param
     return Fraction(size * c.numerator, den * c.denominator) if size else Fraction(0)

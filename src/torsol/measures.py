@@ -9,9 +9,8 @@ geometric      exact, for any rational interval unions.  A single equation
                half-open.  For r >= 2: a sum over the kernel slices that
                the sets' bounding box can reach of the parameter volumes
                of box slices, one per combination of interval blocks,
-               pruned in integer t-space with outward rounding; each
-               volume comes from integer vertices
-               (kernel_geometry.slice_leaf), with no H-polytope.
+               each slice's integer vertices clipped block by block
+               (kernel_geometry.slice_leaves), with no H-polytope.
                find_positive_witness reads a point off the same slices.
 decomposition  exact: weighted sum of shifted counting densities over Z_p,
                for p-grid-aligned sets at a suitable prime p, all from one
@@ -43,6 +42,7 @@ from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInput
 from .intmat import IntMatrix, _column_hnf, analyze_matrix, echelon, solve
 from .kernel_geometry import (
     KernelDecomposition,
+    _GridBlocks,
     _reachable,
     enumerate_components,
     product_measure,
@@ -287,9 +287,9 @@ def find_positive_witness(mat: IntMatrix, sets):
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
-    blocks = [s.intervals for s in sets]
-    for comp in _reachable(decomp, blocks):
-        leaf = next((leaf for leaf in slice_leaves(decomp, comp, blocks) if leaf.is_full_dimensional), None)
+    grid = _GridBlocks([s.intervals for s in sets])
+    for comp in _reachable(decomp, grid):
+        leaf = next((leaf for leaf in slice_leaves(decomp, comp, grid) if leaf.is_full_dimensional), None)
         if leaf is not None:
             x = tuple(Fraction(sum(c), len(leaf.points) * leaf.scale) % 1 for c in zip(*leaf.points))
             if all(s.contains(v) for s, v in zip(sets, x)):

@@ -356,3 +356,32 @@ def test_numbers_outside_the_file_format_exit_2(files, capsys, matrix, sets, tre
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert "malformed" in err
+
+
+@pytest.mark.parametrize("value", ["1_3", "٥", " 13", "+13", "13 ", "１３"])
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["weights"], "--p"),
+        (["density"], "--p"),
+        (["verify", "--p", "13"], "--seed"),
+        (["sample", "--samples", "100"], "--seed"),
+        (["sample"], "--samples"),
+        (["sample", "--samples", "100"], "--workers"),
+    ],
+)
+def test_integer_options_must_be_ascii_digits(files, capsys, command, option, value):
+    # argparse's int() once read "1_3" as 13 and "٥" as 5 and ran the job
+    argv = [command[0], "--matrix", files("m.json", SUM3), *command[1:]]
+    if command[0] == "sample":
+        argv += ["--sets", files("s.json", HALVES)]
+    code, out, err = run(capsys, argv + [option, value])
+    assert (code, out) == (1, "")
+    assert "malformed integer" in err
+
+
+def test_integer_options_in_ascii_still_accepted(files, capsys):
+    m = files("m.json", SUM3)
+    assert run(capsys, ["weights", "--matrix", m, "--p", "005"])[0] == 0
+    code, out, _ = run(capsys, ["verify", "--matrix", m, "--p", "5", "--seed", "-3"])
+    assert code == 0 and json.loads(out)["spec"]["seed"] == -3

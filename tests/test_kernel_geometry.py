@@ -468,3 +468,48 @@ def test_block_touching_a_slice_only_at_a_corner_yields_no_leaf():
     diagonal = enumerate_components(IntMatrix([[1, -1]]))
     (comp,) = diagonal.components
     assert list(slice_leaves(diagonal, comp, [[(F(0), F(1, 2))], [(F(1, 2), F(1))]])) == []
+
+
+SMITH = IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]])
+AP5 = IntMatrix([[1, -2, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -2, 1]])
+
+
+def test_clipped_leaves_match_basis_scan():
+    # every leaf of the clipping walk has the vertices and volume of the basis scan of its
+    # closed block product, in walk order, and no full-dimensional block product is dropped
+    rng = random.Random(23)
+    cases = [(mat, 2, 20) for mat in (AP4, PINNED, PINNED_SCALED)] + [(SMITH, 1, 6), (AP5, 1, 20)]
+    cases.append((IntMatrix([[2, 3, -3, 0, 2], [3, -2, -2, 3, -2], [-2, 2, 2, 2, 1]]), 1, 10))
+    for r, m in [(2, 5), (1, 4), (2, 4), (3, 5), (2, 3)] * 6:
+        draw = random_pinned_matrix if rng.random() < 0.5 else random_full_rank_matrix
+        cases.append((draw(rng, r, m, -2, 2), 2, 7))
+    pairs = products = leaves = pinned = dim3 = 0
+    for mat, most, trials in cases:
+        decomp = enumerate_components(mat)
+        pinned += bool(analyze_matrix(mat).degenerate_columns)
+        d = mat.cols - mat.rows
+        dim3 += d == 3
+        moving = [any(col[i] for col in decomp.basis_columns) for i in range(mat.cols)]
+        for _ in range(trials):
+            blocks = _mixed_blocks(rng, mat.cols, most)
+            pairs += 1
+            for comp in decomp.components:
+                if comp.is_flat:
+                    continue
+                walked = list(slice_leaves(decomp, comp, blocks))
+                leaves += len(walked)
+                k = 0
+                for combo in product(*blocks):
+                    if not all(a <= x < b for (a, b), x, mv in zip(combo, comp.representative, moving) if not mv):
+                        continue
+                    products += 1
+                    scan = slice_leaf(mat, comp.level, *zip(*combo))
+                    if k < len(walked) and (walked[k].vertices, walked[k].volume) == (scan.vertices, scan.volume):
+                        k += 1
+                    else:
+                        assert not scan.is_full_dimensional, (mat.entries, comp.level, combo)
+                assert k == len(walked), (mat.entries, comp.level, blocks)
+                if d == 2:
+                    assert all(leaf.is_full_dimensional for leaf in walked), (mat.entries, comp.level, blocks)
+    assert pairs >= 300 and pinned >= 10 and dim3 >= 8, (pairs, pinned, dim3)
+    assert leaves >= 1000 and products >= 5000, (leaves, products)
