@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from numbers import Rational
 
 from .errors import BadModulusError, InvalidInputError
 from .intmat import IntMatrix, echelon, is_prime, solve
-from .rationals import require_int
+from .rationals import is_integral, require_int
 from .torus_sets import DiscreteSet
 
 __all__ = [
@@ -122,7 +121,7 @@ def _check_shifts(mat: IntMatrix, p: int, shifts) -> tuple[int, ...]:
     shifts = tuple(shifts)
     if len(shifts) != mat.cols:
         raise InvalidInputError(f"shifts of length {len(shifts)} for {mat.cols} coordinates")
-    if not all(isinstance(v, Rational) and v.denominator == 1 for v in shifts):
+    if not all(map(is_integral, shifts)):
         raise InvalidInputError(f"shifts must be integers, got {shifts}")
     return tuple(int(v) % p for v in shifts)
 

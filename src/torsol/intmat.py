@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
 
 from .errors import InvalidInputError, RankDeficientError
-from .rationals import int_from_json, int_to_json
+from .rationals import int_from_json, int_to_json, is_integral
 
 __all__ = [
     "IntMatrix",
@@ -188,7 +187,7 @@ class IntMatrix:
     def __init__(self, entries):
         rows = tuple(tuple(row) for row in entries)
         for v in (v for row in rows for v in row):
-            if isinstance(v, bool) or not (isinstance(v, Rational) and v.denominator == 1):
+            if not is_integral(v):
                 raise InvalidInputError(f"matrix entry {v!r} is not an integer")
         rows = tuple(tuple(map(int, row)) for row in rows)
         if not rows or not rows[0]:

@@ -12,21 +12,21 @@ a product of blocks is a sum of truncated powers over the integer levels
 (see product_measure).
 
 Each such polytope is the slice of a box, {x : Lx = b, lo <= x <= hi},
-held as its integer vertices; its volume is taken in the free coordinates
-x_F of echelon(L) and divided by |det B_F| (_leaf).  No H-polytope is
-built.  The vertices of the unit cube's slices are its basic solutions
-(one 0/1 choice per coordinate outside an invertible r x r minor, solved
-with the minor's cached adjugate), and enumerate_components finds every
-level and every vertex in one scan of them.  The walker (slice_leaves)
-starts from those vertices and clips them by each block's two
-half-spaces, one coordinate after the other, as the double description
+held as its integer vertices, each with the mask of the bounds it meets;
+its volume is taken in the free coordinates x_F of echelon(L) by a fan
+whose facets are read off the masks, divided by |det B_F| (_leaf).  No
+H-polytope is built.  The vertices of the unit cube's slices are its basic
+solutions (one 0/1 choice per coordinate outside an invertible r x r
+minor, solved with the minor's cached adjugate), and enumerate_components
+finds every level and every vertex in one scan of them.  The walker
+(slice_leaves) starts from those vertices and clips them by each block's
+two half-spaces, one coordinate after the other, as the double description
 method does: a new vertex is an edge crossing the cut, two vertices span
 an edge by the combinatorial test on the bounds they meet, and every
 crossing is an exact integer point on the blocks' grid, so nothing is
-rounded.  Only the slices the blocks can reach are walked (_reachable),
-and product_measure makes one Fraction per call.  slice_leaf solves the
-basic solutions of one box directly; the central cube section is that
-slice_leaf of [-1/2, 1/2]^m at level 0.
+rounded.  Only the slices the blocks can reach are walked (_reachable), and
+product_measure makes one Fraction per call.  The central cube section is
+one walk per orthant (central_section_check).
 
 The same machinery yields the weight of a 1/p grid box (p^(m-r) times its
 normalized Haar measure) and the cover of all positive-weight boxes by at
@@ -39,15 +39,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import combinations, product
-from numbers import Rational
-from operator import add, mul
+from operator import add, mul, or_
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
 from .discrete import kernel_element, parametrize_kernel
 from .intmat import IntMatrix, _bareiss, analyze_matrix, echelon
-from .rationals import require_int
+from .rationals import is_integral, require_int
 
 __all__ = [
     "KernelComponent",
@@ -56,7 +55,6 @@ __all__ = [
     "SliceLeaf",
     "CentralSectionResult",
     "enumerate_components",
-    "slice_leaf",
     "slice_leaves",
     "product_measure",
     "box_measure",
@@ -76,16 +74,11 @@ class KernelComponent:
     volume_param: the (m-r)-volume of {t : x_b + B t in [0,1]^m} in the
         canonical kernel-basis coordinates; slices touching the cube only
         in a face have volume 0 and are retained but flagged.
-    hull: the bounding box of that parameter polytope, one (low, high)
-        pair per kernel-basis coordinate, taken relative to x_b (so t = 0
-        is x_b); every point of the closed slice is x_b + B t for some t
-        in the box.
     """
 
     level: tuple[int, ...]
     representative: tuple[Fraction, ...]
     volume_param: Fraction
-    hull: tuple[tuple[Fraction, Fraction], ...]
 
     @property
     def is_flat(self) -> bool:
@@ -150,22 +143,21 @@ def _adjugate(rows) -> list[list[int]]:
 def _slice_data(mat: IntMatrix):
     """Integer data of L shared by every box slice {Lx = b, lo <= x <= hi}.
 
-    Returns (minors, unit, free, free_det, free_adj):
-    minors: one (D, S, M_D, gains) per r-subset D of columns with
-        delta_D = det L_D != 0, where S is the complement of D,
-        M_D = (unit / delta_D) adj L_D and gains lists M_D L_s for s in S;
-        a point with Lx = b has unit * x_D = M_D b - sum_s (M_D L_s) x_s.
+    Returns (minors, unit, free, free_det):
+    minors: one (D, S, M_D) per r-subset D of columns with
+        delta_D = det L_D != 0, where S is the complement of D and
+        M_D = (unit / delta_D) adj L_D; a point with Lx = b has
+        unit * x_D = M_D (b - L_S x_S).
     unit: lcm of the |delta_D|, the common denominator of every vertex of
         the slice of an integer box.
     free: the non-pivot columns F of echelon(L); x_F is a coordinate
         system on each slice, with x_F = x_b,F + B_F t.
-    free_det, free_adj: det B_F and the adjugate of B_F.
+    free_det: det B_F.
     """
     r, m = mat.rows, mat.cols
-    rows = [list(row) for row in mat.entries]
     found = []
     for cols in combinations(range(m), r):
-        l_d = [[row[c] for c in cols] for row in rows]
+        l_d = [[row[c] for c in cols] for row in mat.entries]
         delta = _bareiss(l_d)[1]
         if delta:
             found.append((cols, delta, _adjugate(l_d)))
@@ -174,13 +166,12 @@ def _slice_data(mat: IntMatrix):
     for cols, delta, adj in found:
         m_d = [[unit // delta * v for v in row] for row in adj]
         rest = tuple(c for c in range(m) if c not in cols)
-        gains = tuple(tuple(sum(a * row[s] for a, row in zip(m_row, rows)) for m_row in m_d) for s in rest)
-        minors.append((cols, rest, m_d, gains))
+        minors.append((cols, rest, m_d))
     pivots = echelon(mat.entries)[1]
     free = tuple(c for c in range(m) if c not in pivots)
     columns = analyze_matrix(mat).kernel_columns()
     b_f = [[col[i] for col in columns] for i in free]
-    return minors, unit, free, _bareiss(b_f)[1], _adjugate(b_f)
+    return minors, unit, free, _bareiss(b_f)[1]
 
 
 @dataclass(frozen=True)
@@ -211,86 +202,52 @@ class SliceLeaf:
         return self.size > 0
 
 
-def _simplices(points, facets, k):
+def _simplices(verts, k):
     """Fan triangulation of a k-dimensional face into k-simplices.
 
-    points are the vertices of the face, sorted.  Each facet of the face
-    is its set of points on some bounding hyperplane x_i = c; the fan is
-    anchored at the smallest point.  A tight set of lower dimension is
-    recursed into as well, but it adds only simplices of volume zero.
+    verts are the face's (point, mask) pairs, sorted.  Each facet of the
+    face is its set of vertices whose masks have some bit the anchor's
+    lacks; the fan is anchored at the smallest point.  A tight set of lower
+    dimension is recursed into as well, but it adds only simplices of
+    volume zero.
     """
-    if len(points) == k + 1:
-        return [tuple(points)]
+    if len(verts) == k + 1:
+        return [tuple(pt for pt, _ in verts)]
     if k == 1:
-        return [(min(points), max(points))]
-    v0 = min(points)
+        return [(verts[0][0], verts[-1][0])]
+    v0, mask0 = verts[0]
+    bits = reduce(or_, (mask for _, mask in verts)) & ~mask0
     out = []
     seen = set()
-    for i, c in facets:
-        if v0[i] == c:
-            continue
-        face = [v for v in points if v[i] == c]
-        if len(face) < k:
-            continue
+    while bits:
+        bit = bits & -bits
+        bits ^= bit
+        face = [v for v in verts if v[1] & bit]
         key = tuple(face)
-        if key in seen:
+        if len(face) < k or key in seen:
             continue
         seen.add(key)
-        out.extend((v0,) + s for s in _simplices(face, facets, k - 1))
+        out.extend((v0,) + s for s in _simplices(face, k - 1))
     return out
 
 
-def _leaf(points, lows, highs, scale: int, free, free_det: int) -> SliceLeaf:
-    """The SliceLeaf of a box slice from its vertices, all integers at scale.
+def _leaf(verts, scale: int, free, free_det: int) -> SliceLeaf:
+    """The SliceLeaf of a box slice from its vertices, integer points at scale.
 
-    points are the vertices of {x : Lx = b, lows <= x <= highs}, scaled
-    like the bounds.  The volume comes in the free coordinates x_F from a
-    fan triangulation with fraction-free determinants, and is kept as an
-    integer size over den = d! scale^d |det B_F|, the parameter volume
-    size / den.
+    verts are the vertices of {x : Lx = b, lows <= x <= highs}, scaled
+    like the bounds, each with its mask of bounds as in _clip.  The volume
+    comes in the free coordinates x_F from a fan triangulation with
+    fraction-free determinants, and is kept as an integer size over
+    den = d! scale^d |det B_F|, the parameter volume size / den.
     """
-    points = sorted(points)
+    verts = sorted(verts)
     d = len(free)
     total = 0
-    if len(points) > d:
-        facets = [(i, c) for i, bounds in enumerate(zip(lows, highs)) for c in bounds]
-        for v0, *rest in _simplices(points, facets, d):
+    if len(verts) > d:
+        for v0, *rest in _simplices(verts, d):
             total += abs(_bareiss([[v[i] - v0[i] for i in free] for v in rest])[1])
     den = math.factorial(d) * scale**d * abs(free_det)
-    return SliceLeaf(size=total, den=den, points=tuple(points), scale=scale)
-
-
-def slice_leaf(mat: IntMatrix, level, lows, highs) -> SliceLeaf:
-    """Vertices and parameter volume of {x : Lx = level, lows <= x <= highs}.
-
-    A vertex is a basic solution of a bounded-variable LP (Chvatal, Linear
-    Programming, 1983, ch. 8): for some r-subset D of columns with
-    det L_D != 0, the other m - r coordinates sit at a bound and L_D fixes
-    x_D.  With the box scaled to integers by the common denominator q of
-    its bounds, each of the 2^(m-r) bound choices of each such D is one
-    integer matrix-vector product and r integer comparisons.  The volume
-    is _leaf's.
-    """
-    minors, unit, free, free_det, _ = _slice_data(mat)
-    q = math.lcm(*(v.denominator for v in (*lows, *highs)))
-    lo_q, hi_q = [int(v * q) for v in lows], [int(v * q) for v in highs]
-    lo_s, hi_s = [v * unit for v in lo_q], [v * unit for v in hi_q]
-    found = set()
-    for cols, rest, m_d, gains in minors:
-        base = [q * sum(a * v for a, v in zip(m_row, level)) for m_row in m_d]
-        for choice in product(*[(lo_q[s], hi_q[s]) for s in rest]):
-            y_d = base
-            for x, g in zip(choice, gains):
-                if x:
-                    y_d = [y - x * a for y, a in zip(y_d, g)]
-            if all(lo_s[c] <= y <= hi_s[c] for c, y in zip(cols, y_d)):
-                pt = [0] * mat.cols
-                for c, y in zip(cols, y_d):
-                    pt[c] = y
-                for s, x in zip(rest, choice):
-                    pt[s] = x * unit
-                found.add(tuple(pt))
-    return _leaf(found, lo_s, hi_s, q * unit, free, free_det)
+    return SliceLeaf(size=total, den=den, points=tuple(pt for pt, _ in verts), scale=scale)
 
 
 @lru_cache(maxsize=128)
@@ -308,17 +265,15 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
     [0,1)^m (one meeting only the closed boundary belongs to another slice
     modulo 1), that is unless a coordinate is 1 at every vertex: a relative
     interior point with x_i = 1 pins x_i = 1 throughout.  The representative
-    is the smallest vertex, and the hull the bounding box of
-    t = B_F^-1 (x_F - x_b,F) over the vertices.  The vertices of the kept
-    slices, each with its tight bounds, are where slice_leaves starts.
+    is the smallest vertex.  The vertices of the kept slices, each with the
+    mask of the cube bounds it meets, are where slice_leaves starts.
     """
     profile = analyze_matrix(mat)
     columns = tuple(profile.kernel_columns())
-    minors, unit, free, free_det, free_adj = _slice_data(mat)
+    minors, unit, free, free_det = _slice_data(mat)
     m = mat.cols
-    sign = 1 if free_det > 0 else -1
     found = {}
-    for cols, rest, m_d, _ in minors:
+    for cols, rest, m_d in minors:
         box = [range(sum(min(row[c], 0) for c in cols), sum(max(row[c], 0) for c in cols) + 1) for row in mat.entries]
         solved = ((b0, [sum(map(mul, m_row, b0)) for m_row in m_d]) for b0 in product(*box))
         corners = [(b0, y_d) for b0, y_d in solved if all(0 <= y <= unit for y in y_d)]
@@ -333,17 +288,12 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
                 found.setdefault(tuple(map(add, b0, shift)), set()).add(tuple(pt))
     comps, vertices = [], {}
     for b in sorted(found):
-        leaf = _leaf(found[b], [0] * m, [unit] * m, unit, free, free_det)
-        points = leaf.points
-        if any(all(pt[i] == unit for pt in points) for i in range(m)):
+        if any(all(pt[i] == unit for pt in found[b]) for i in range(m)):
             continue
-        diffs = [[pt[i] - points[0][i] for i in free] for pt in points]
-        ts = [[sign * sum(map(mul, adj_row, diff)) for adj_row in free_adj] for diff in diffs]
-        den = abs(free_det) * unit
-        hull = tuple((Fraction(min(t), den), Fraction(max(t), den)) for t in zip(*ts))
-        rep = tuple(Fraction(v, unit) for v in points[0])
-        comps.append(KernelComponent(level=b, representative=rep, volume_param=leaf.volume, hull=hull))
-        vertices[b] = [(pt, sum((v == 0) << 2 * i | (v == unit) << 2 * i + 1 for i, v in enumerate(pt))) for pt in points]
+        verts = sorted((pt, sum((v == 0) << 2 * i | (v == unit) << 2 * i + 1 for i, v in enumerate(pt))) for pt in found[b])
+        rep = tuple(Fraction(v, unit) for v in verts[0][0])
+        comps.append(KernelComponent(level=b, representative=rep, volume_param=_leaf(verts, unit, free, free_det).volume))
+        vertices[b] = verts
     total = sum((c.volume_param for c in comps), Fraction(0))
     expected = math.prod(profile.smith_invariants)
     if total != expected:
@@ -433,20 +383,19 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
     such a block product cuts the slice in a set of volume 0.  The
     parameter volumes of the leaves sum to that of the slice inside the
     product of the half-open blocks.  Each leaf has the vertices of the
-    slice_leaf of its closed blocks, found without a basis scan, and its
-    volume from _leaf; the leaves of one call share den.
+    slice of its closed blocks, each with the mask of the bounds it
+    meets, and its volume from _leaf; the leaves of one call share den.
     """
     mat = decomp.matrix
     m = mat.cols
-    _, unit, free, free_det, _ = _slice_data(mat)
+    _, unit, free, free_det = _slice_data(mat)
     d = len(free)
     blocks = blocks if isinstance(blocks, _GridBlocks) else _GridBlocks(blocks)
     moving = [any(col[i] for col in decomp.basis_columns) for i in range(m)]
-    chosen = []
 
     def rec(i, verts):
         if i == m:
-            yield _leaf([pt for pt, _ in verts], *zip(*chosen), blocks.q * unit, free, free_det)
+            yield _leaf(verts, blocks.q * unit, free, free_det)
             return
         xs = [pt[i] for pt, _ in verts]
         lo, hi = min(xs), max(xs)
@@ -464,9 +413,7 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
                     cut = _clip(cut, i, b, True, d)
                 if len(cut) <= d:
                     continue
-            chosen.append((a, b))
             yield from rec(i + 1, cut)
-            chosen.pop()
 
     yield from rec(0, [(tuple(blocks.q * v for v in pt), mask) for pt, mask in decomp._vertices[comp.level]])
 
@@ -560,12 +507,13 @@ def box_measure(decomp: KernelDecomposition, j, p: int) -> Fraction:
 
     The product_measure of the one-block sets [j_i/p, (j_i+1)/p), exact
     under the half-open rule of slice_leaves.  p must be an int, and the
-    entries of j ints or integral Rationals; floats are refused, even 1.0.
+    entries of j ints or integral Rationals; floats and bools are refused,
+    even 1.0 and True.
     """
     m = decomp.matrix.cols
     require_int("grid modulus", p, 1)
     j = tuple(j)
-    if len(j) != m or not all(isinstance(v, Rational) and v.denominator == 1 and 0 <= v < p for v in j):
+    if len(j) != m or not all(is_integral(v) and 0 <= v < p for v in j):
         raise InvalidInputError(f"box index {j} not an integer point of [0, {p})^{m}")
     j = tuple(map(int, j))
     return product_measure(decomp, [[(Fraction(v, p), Fraction(v + 1, p))] for v in j])
@@ -622,12 +570,24 @@ class CentralSectionResult:
 
 
 def central_section_check(mat: IntMatrix) -> CentralSectionResult:
-    """The section of [-1/2, 1/2]^m by the kernel: the slice_leaf of that box at level 0.
+    """The section of [-1/2, 1/2]^m by the kernel, walked one orthant at a time.
 
-    Its intrinsic volume is vol_param * sqrt(det(B^T B)); the >= 1 lower
-    bound is checked exactly on squares.
+    x mod 1 carries the points with x_i < 0 exactly where e_i = 1 onto the
+    level-Le slice in the half-open blocks [e_i/2, (e_i + 1)/2), so
+    vol_param sums the slice_leaves volumes over e in {0, 1}^m.  The
+    intrinsic volume is vol_param * sqrt(det(B^T B)); the >= 1 lower bound
+    is checked exactly on squares.
     """
-    vol = slice_leaf(mat, (0,) * mat.rows, [Fraction(-1, 2)] * mat.cols, [Fraction(1, 2)] * mat.cols).volume
+    decomp = enumerate_components(mat)
+    halves = (Fraction(0), Fraction(1, 2), Fraction(1))
+    size = den = 0
+    for e in product((0, 1), repeat=mat.cols):
+        comp = decomp._by_level.get(mat.apply_int(e))
+        if comp is None:
+            continue
+        for leaf in slice_leaves(decomp, comp, [[halves[k : k + 2]] for k in e]):
+            size, den = size + leaf.size, leaf.den
+    vol = Fraction(size, den) if size else Fraction(0)
     cols = analyze_matrix(mat).kernel_columns()
     gram_det = _bareiss([[sum(map(mul, a, b)) for b in cols] for a in cols])[1]
     return CentralSectionResult(vol_param=vol, gram_det=gram_det, passes=vol * vol * gram_det >= 1)

@@ -8,8 +8,8 @@ triangulation anchored at the lexicographically smallest vertex.
 
 No code path of the package builds H-polytopes, and neither `import
 torsol` nor the CLI imports this module: box slices, the central cube
-section included, come from kernel_geometry.slice_leaf in integers.  The
-test suite uses this module as an independent oracle for slice_leaf.
+section included, come from kernel_geometry.slice_leaves in integers.
+The test suite uses this module as an independent oracle for them.
 """
 
 from __future__ import annotations

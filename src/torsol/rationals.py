@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from numbers import Rational
 
 from .errors import InvalidInputError
 
-__all__ = ["parse_rational", "format_rational", "int_to_json", "int_from_json", "require_int"]
+__all__ = ["parse_rational", "format_rational", "int_to_json", "int_from_json", "is_integral", "require_int"]
 
 _JSON_SAFE_INT = 2**53 - 1
 _INT = re.compile("-?[0-9]+")
@@ -48,6 +49,11 @@ def format_rational(x: Fraction) -> str:
 def int_to_json(n: int):
     """Integers as JSON numbers within the safe range, else decimal strings."""
     return n if abs(n) <= _JSON_SAFE_INT else str(n)
+
+
+def is_integral(value) -> bool:
+    """Whether value is an int or an integral Rational, and not a bool; floats never are."""
+    return not isinstance(value, bool) and isinstance(value, Rational) and value.denominator == 1
 
 
 def require_int(name: str, value, least: int) -> int:

@@ -4,17 +4,19 @@ Each oracle re-derives a quantity with a different algorithm than the
 package uses: brute-force tuple enumeration for counting, a sweep-line
 integrator for planar areas, exhaustive subset search for extremal
 densities, a direct rational check of lattice membership, a lifted
-min-max program for whether a kernel slice meets the half-open cube,
-the polytope walk over every slice for single equations, whose measure
-the package takes in closed form, every block combination of every
-slice with no pruning, every slice scanned for a positive witness,
-where the package looks up the levels the sets can reach, a slice_leaf
-at every candidate level of the row-sum box, where the package finds the
-levels from the vertices of the slices, Smith invariants from gcds of
-minors, which the package gets by alternating Hermite forms, and every
-member of every coset for the violating boxes and the greedy removal,
-which the package walks through the sets' members and counts with packed
-products.  They are deliberately slow and simple.
+min-max program for whether a kernel slice meets the half-open cube, the
+polytope walk over every slice for single equations, whose measure the
+package takes in closed form, the basis scan of each box slice
+(slice_leaf), where the package clips the vertices of a slice of the
+unit cube, every block combination of every slice with no pruning, every
+slice scanned for a positive witness, where the package looks up the
+levels the sets can reach, a slice_leaf at every candidate level of the
+row-sum box, where the package finds the levels from the vertices of the
+slices, Smith invariants from gcds of minors, which the package gets by
+alternating Hermite forms, and every member of every coset for the
+violating boxes and the greedy removal, which the package walks through
+the sets' members and counts with packed products.  They are
+deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -100,12 +102,10 @@ def walker_measure(decomp, blocks):
 def unpruned_measure(decomp, blocks):
     """c_param times the slice_leaf volumes of every block combination of every slice of positive volume.
 
-    No hull and no pruning: a coordinate whose row of the kernel basis is
+    No clipping and no pruning: a coordinate whose row of the kernel basis is
     zero is the constant x_b[i] on a slice and is tested half-open at x_b,
     every other block is taken closed.
     """
-    from torsol.kernel_geometry import slice_leaf
-
     pinned = [not any(col[i] for col in decomp.basis_columns) for i in range(decomp.matrix.cols)]
     total = Fraction(0)
     for comp in decomp.components:
@@ -128,33 +128,65 @@ def candidate_levels(mat):
     return product(*[range(lo, hi + 1) for lo, hi in ranges])
 
 
+def slice_leaf(mat, level, lows, highs):
+    """Vertices and parameter volume of {x : Lx = level, lows <= x <= highs} by a basis scan.
+
+    A vertex is a basic solution of a bounded-variable LP (Chvatal, Linear
+    Programming, 1983, ch. 8): for some r-subset D of columns with
+    det L_D != 0, the other m - r coordinates sit at a bound and L_D fixes
+    x_D.  With the box scaled to integers by the common denominator q of
+    its bounds, each of the 2^(m-r) bound choices of each such D is one
+    integer matrix-vector product and r integer comparisons.  The package
+    clips a cube slice instead (slice_leaves); the volume is its _leaf,
+    with each vertex's mask naming every bound it meets.
+    """
+    from torsol.kernel_geometry import _leaf, _slice_data
+
+    minors, unit, free, free_det = _slice_data(mat)
+    q = math.lcm(*(v.denominator for v in (*lows, *highs)))
+    lo_q, hi_q = [int(v * q) for v in lows], [int(v * q) for v in highs]
+    lo_s, hi_s = [v * unit for v in lo_q], [v * unit for v in hi_q]
+    found = set()
+    for cols, rest, m_d in minors:
+        gains = [[sum(a * row[s] for a, row in zip(m_row, mat.entries)) for m_row in m_d] for s in rest]
+        base = [q * sum(a * v for a, v in zip(m_row, level)) for m_row in m_d]
+        for choice in product(*[(lo_q[s], hi_q[s]) for s in rest]):
+            y_d = base
+            for x, g in zip(choice, gains):
+                if x:
+                    y_d = [y - x * a for y, a in zip(y_d, g)]
+            if all(lo_s[c] <= y <= hi_s[c] for c, y in zip(cols, y_d)):
+                pt = [0] * mat.cols
+                for c, y in zip(cols, y_d):
+                    pt[c] = y
+                for s, x in zip(rest, choice):
+                    pt[s] = x * unit
+                found.add(tuple(pt))
+    bounds = list(enumerate(zip(lo_s, hi_s)))
+    verts = [(pt, sum((pt[i] == lo) << 2 * i | (pt[i] == hi) << 2 * i + 1 for i, (lo, hi) in bounds)) for pt in found]
+    return _leaf(verts, q * unit, free, free_det)
+
+
 def scan_components(mat):
     """enumerate_components by a slice_leaf of the unit cube at every candidate level.
 
     A level is kept unless its closed slice is empty or some coordinate is
     1 at every vertex (then the slice misses [0,1)^m).  The representative
-    is the smallest vertex and the hull the bounding box of
-    t = B_F^-1 (x_F - x_b,F) over the vertices.
+    is the smallest vertex.
     """
     from torsol.intmat import analyze_matrix
-    from torsol.kernel_geometry import KernelComponent, KernelDecomposition, _slice_data, slice_leaf
+    from torsol.kernel_geometry import KernelComponent, KernelDecomposition
 
     columns = tuple(analyze_matrix(mat).kernel_columns())
-    _, _, free, free_det, free_adj = _slice_data(mat)
     m = mat.cols
-    sign = 1 if free_det > 0 else -1
     comps = []
     for b in candidate_levels(mat):
         leaf = slice_leaf(mat, b, [0] * m, [1] * m)
         points, scale = leaf.points, leaf.scale
         if not points or any(all(pt[i] == scale for pt in points) for i in range(m)):
             continue
-        diffs = [[pt[i] - points[0][i] for i in free] for pt in points]
-        ts = [[sign * sum(a * v for a, v in zip(adj_row, diff)) for adj_row in free_adj] for diff in diffs]
-        den = abs(free_det) * scale
-        hull = tuple((Fraction(min(t), den), Fraction(max(t), den)) for t in zip(*ts))
         rep = tuple(Fraction(v, scale) for v in points[0])
-        comps.append(KernelComponent(level=tuple(b), representative=rep, volume_param=leaf.volume, hull=hull))
+        comps.append(KernelComponent(level=tuple(b), representative=rep, volume_param=leaf.volume))
     total = sum((c.volume_param for c in comps), Fraction(0))
     return KernelDecomposition(
         matrix=mat, basis_columns=columns, components=tuple(comps), total_volume_param=total, c_param=1 / total

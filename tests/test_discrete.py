@@ -230,11 +230,11 @@ def test_shifts_wrap_modulo_p():
 @pytest.mark.parametrize("count", [solution_density, list_solutions])
 def test_non_integral_shifts_refused(count):
     sets = [dset(5, [0, 1])] * 3
-    # (0.5, 0, 1) was once truncated to (0, 0, 1)
-    for bad in ((0.5, 0, 1), (1.0, 0, 1), (F(1, 2), 0, 1), ("1", 0, 0), (None, 0, 0)):
+    # (0.5, 0, 1) was once truncated to (0, 0, 1), and (True, False, False) read as (1, 0, 0)
+    for bad in ((0.5, 0, 1), (1.0, 0, 1), (F(1, 2), 0, 1), ("1", 0, 0), (None, 0, 0), (True, False, False), (0, 0, True)):
         with pytest.raises(InvalidInputError, match="shifts"):
             count(SUM3, 5, sets, shifts=bad)
-    assert count(SUM3, 5, sets, shifts=(F(5), -5, True)) == count(SUM3, 5, sets, shifts=(0, 0, 1))
+    assert count(SUM3, 5, sets, shifts=(F(5), -5, 1)) == count(SUM3, 5, sets, shifts=(0, 0, 1))
 
 
 @pytest.mark.parametrize("count", [solution_density, list_solutions])

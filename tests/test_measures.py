@@ -427,26 +427,18 @@ def test_measure_paths_build_no_polytope(monkeypatch):
     # bypass the cache so that the slices are enumerated under the patch
     decomp = enumerate_components.__wrapped__(IntMatrix([[1, 2, -1, 0], [0, 1, 1, -3]]))
     rows = [
-        ((0, -2), "0 0 0 2/3", "1/18", "0:1/3 0:1/3"),
-        ((0, -1), "0 0 0 1/3", "1/12", "0:1/3 0:1/2"),
-        ((0, 0), "0 0 0 0", "1/12", "0:1/3 0:1/2"),
-        ((0, 1), "0 1/3 2/3 0", "1/36", "0:1/3 -1/3:1/6"),
-        ((1, -2), "0 1/2 0 5/6", "1/12", "0:1/3 -1/2:1/6"),
-        ((1, -1), "0 1/2 0 1/2", "1/6", "0:1/3 -1/2:1/2"),
-        ((1, 0), "0 1/2 0 1/6", "1/6", "0:1/3 -1/2:1/2"),
-        ((1, 1), "0 2/3 1/3 0", "1/12", "0:1/3 -1/3:1/3"),
-        ((2, -2), "0 1 0 1", "1/36", "0:1/3 -1/2:0"),
-        ((2, -1), "0 1 0 2/3", "1/12", "0:1/3 -1/2:0"),
-        ((2, 0), "0 1 0 1/3", "1/12", "0:1/3 -1/2:0"),
-        ((2, 1), "0 1 0 0", "1/18", "0:1/3 -1/3:0"),
+        ((0, -2), "0 0 0 2/3", "1/18"),
+        ((0, -1), "0 0 0 1/3", "1/12"),
+        ((0, 0), "0 0 0 0", "1/12"),
+        ((0, 1), "0 1/3 2/3 0", "1/36"),
+        ((1, -2), "0 1/2 0 5/6", "1/12"),
+        ((1, -1), "0 1/2 0 1/2", "1/6"),
+        ((1, 0), "0 1/2 0 1/6", "1/6"),
+        ((1, 1), "0 2/3 1/3 0", "1/12"),
+        ((2, -2), "0 1 0 1", "1/36"),
+        ((2, -1), "0 1 0 2/3", "1/12"),
+        ((2, 0), "0 1 0 1/3", "1/12"),
+        ((2, 1), "0 1 0 0", "1/18"),
     ]
-    expected = [
-        (
-            level,
-            tuple(F(v) for v in rep.split()),
-            F(vol),
-            tuple(tuple(F(v) for v in pair.split(":")) for pair in hull.split()),
-        )
-        for level, rep, vol, hull in rows
-    ]
-    assert [(c.level, c.representative, c.volume_param, c.hull) for c in decomp.components] == expected
+    expected = [(level, tuple(F(v) for v in rep.split()), F(vol)) for level, rep, vol in rows]
+    assert [(c.level, c.representative, c.volume_param) for c in decomp.components] == expected
