@@ -11,7 +11,7 @@ their own sets; the dependent ones follow from the target, and the last
 free coordinate runs as a bit mask, whose set bits list_solutions and
 removal_lab expand into points.  A shifted density is one count over
 p^(m-r), the kernel size once L keeps full rank mod p.
-`parametrize_kernel`, the package's one mod-p elimination, writes the
+`parametrize_kernel` inverts a basis minor of L mod p and writes the
 solutions of L x = c as linear functions of the free coordinates and c;
 `kernel_element` maps one free tuple through it, and `kernel_elements`
 lists the whole kernel.  Everything is exact integer arithmetic.
@@ -27,7 +27,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BadModulusError, InvalidInputError
-from .intmat import IntMatrix, echelon, is_prime, solve
+from .intmat import IntMatrix, basis_minors, is_prime
 from .rationals import is_integral, require_int
 from .torus_sets import DiscreteSet
 
@@ -46,8 +46,8 @@ __all__ = [
 class KernelParametrization:
     """ker L over Z_p as dependent coordinates of free ones.
 
-    dependent_columns are the pivots of L eliminated from the right: each
-    column outside the span of the columns after it.  Every other column
+    dependent_columns are the greedy basis from the right: each column
+    outside the span of the columns after it, mod p.  Every other column
     lies in that span, so the solution of L x = c with free part 0 is the
     lexicographically smallest.  inverse is M^-1 mod p for the minor M on
     the dependent columns, and coefficients K = -M^-1 L_F, so
@@ -63,21 +63,22 @@ class KernelParametrization:
 
 @lru_cache(maxsize=256, typed=True)
 def parametrize_kernel(mat: IntMatrix, p: int) -> KernelParametrization:
-    """Parametrization of ker L over Z_p, the package's one mod-p elimination.
+    """Parametrization of ker L over Z_p by a minor M of intmat.basis_minors.
 
-    Refuses a p that is not a prime int, or at which L loses rank.  The
-    cache keys on the type of p, so 5.0 or True never reads the entry of 5 or 1.
+    Of the minors with det != 0 mod p, M has the lexicographically largest
+    columns, largest first, and M^-1 = adj M * (det M)^-1 mod p.  Refuses
+    a p that is not a prime int below intmat.PRIME_BOUND, or at which L
+    loses rank.  The cache keys on the type of p, so 5.0 or True never
+    reads the entry of 5 or 1.
     """
     if not is_prime(p):
         raise BadModulusError(f"modulus {p!r} is not prime: counting works over prime fields only")
-    m, r = mat.cols, mat.rows
-    pivots = echelon([row[::-1] for row in mat.entries], p)[1]
-    if len(pivots) != r:
+    bases = [minor for minor in basis_minors(mat) if minor[1] % p]
+    if not bases:
         raise BadModulusError(f"matrix loses rank mod p = {p}")
-    dependent = tuple(sorted(m - 1 - c for c in pivots))
-    free = tuple(c for c in range(m) if c not in dependent)
-    minor = [[row[c] for c in dependent] for row in mat.entries]
-    inverse = tuple(zip(*(solve(minor, [int(i == k) for i in range(r)], p) for k in range(r))))
+    dependent, delta, adj = max(bases, key=lambda minor: minor[0][::-1])
+    free = tuple(c for c in range(mat.cols) if c not in dependent)
+    inverse = tuple(tuple(a * pow(delta, -1, p) % p for a in row) for row in adj)
     coeff = tuple(
         tuple(-sum(a * row[f] for a, row in zip(inv, mat.entries)) % p for f in free) for inv in inverse
     )

@@ -6,12 +6,12 @@ Hermite normal form so downstream output is reproducible), Smith invariants,
 the translation-invariance flag, and detection of degenerate columns whose
 deletion drops the rank.  There is no floating-point code in this module.
 
-`echelon` is the package's only row reduction, over Q or GF(p); `rank`,
-`det` and `solve` are built on it and serve every other module.
-`_column_hnf` is the only integer elimination: the kernel basis, the Smith
-invariants, the degenerate-column witnesses and the Monte Carlo coset
-ranges all come from it.  `_bareiss` is the fraction-free rank and
-determinant that the slice geometry runs on, in place of `det` over Q.
+`_column_hnf` and `_bareiss` are the package's only eliminations.  The
+column Hermite form gives the kernel basis, the Smith invariants, the
+degenerate-column witnesses and the Monte Carlo coset ranges; the
+fraction-free `_bareiss` gives ranks, determinants and `basis_minors`, the
+cached table of L's invertible r x r minors with their adjugates, where
+every module takes its basis minor and its inverse, over Q and mod p.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from .errors import InvalidInputError, RankDeficientError
+from .errors import BadModulusError, InternalInvariantError, InvalidInputError, RankDeficientError
 from .rationals import int_from_json, int_to_json, is_integral
 
 __all__ = [
@@ -29,107 +30,38 @@ __all__ = [
     "MatrixProfile",
     "DegenerateColumn",
     "analyze_matrix",
-    "echelon",
-    "rank",
-    "det",
-    "solve",
+    "basis_minors",
     "is_prime",
+    "PRIME_BOUND",
     "matrix_to_json",
     "matrix_from_json",
 ]
 
 
+# the 13 prime bases 2, ..., 41 decide primality below this bound (Sorenson
+# and Webster, Math. Comp. 86, 2017)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    """Whether n is a prime int; floats, bools and other types never are."""
+    """Whether n is a prime int; floats, bools and other types never are.
+
+    Miller-Rabin to the bases of _WITNESSES, proven exact below
+    PRIME_BOUND; from the bound on it raises BadModulusError.
+    """
     if isinstance(n, bool) or not isinstance(n, int) or n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= PRIME_BOUND:
+        raise BadModulusError(f"modulus {n} too large: primality is proven only below {PRIME_BOUND}")
+    if any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    for a in _WITNESSES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and n - 1 not in (pow(x, 1 << i, n) for i in range(s)):
             return False
-        f += 2
     return True
-
-
-def _inverse(v, p):
-    """1/v over Q (as a Fraction, never a float) or over GF(p)."""
-    return Fraction(1) / v if p is None else pow(v, p - 2, p)
-
-
-def echelon(rows, p=None) -> tuple[list[list], list[int], int]:
-    """Row echelon form over Q (p None) or GF(p), by forward elimination.
-
-    Returns the echelon rows, the pivot column of each nonzero row, and the
-    sign (-1)^(row swaps).  Pivots are neither normalized nor cleared
-    above, so the product of the pivots times the sign is the determinant
-    of a square input.  Over GF(p) entries are reduced into [0, p); over Q
-    they stay the caller's exact ints or become Fractions.
-    """
-    if p is None:
-        work = [list(row) for row in rows]
-    else:
-        work = [[v % p for v in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if nrows else 0
-    pivots: list[int] = []
-    sign = 1
-    for col in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        piv = next((i for i in range(r, nrows) if work[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            work[r], work[piv] = work[piv], work[r]
-            sign = -sign
-        top = work[r]
-        inv = _inverse(top[col], p)
-        for i in range(r + 1, nrows):
-            row = work[i]
-            if row[col]:
-                f = row[col] * inv
-                if p is None:
-                    work[i] = [a - f * b for a, b in zip(row, top)]
-                else:
-                    work[i] = [(a - f * b) % p for a, b in zip(row, top)]
-        pivots.append(col)
-    return work, pivots, sign
-
-
-def rank(rows, p=None) -> int:
-    """Rank over Q (p None) or GF(p)."""
-    return len(echelon(rows, p)[1])
-
-
-def det(rows) -> Fraction:
-    """Determinant of a square matrix over Q."""
-    work, pivots, sign = echelon(rows)
-    if len(pivots) < len(work):
-        return Fraction(0)
-    out = Fraction(sign)
-    for i, col in enumerate(pivots):
-        out *= work[i][col]
-    return out
-
-
-def solve(rows, rhs, p=None):
-    """The unique solution of the square system rows @ x = rhs, or None if singular.
-
-    Over Q the entries are Fractions; over GF(p) ints in [0, p).
-    """
-    n = len(rows)
-    work, pivots, _ = echelon([(*row, b) for row, b in zip(rows, rhs)], p)
-    if len(pivots) < n or pivots[n - 1] != n - 1:
-        return None
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = work[i]
-        s = row[n] - sum(row[k] * x[k] for k in range(i + 1, n))
-        x[i] = Fraction(s) / row[i] if p is None else s * _inverse(row[i], p) % p
-    return tuple(x)
 
 
 def _bareiss(rows) -> tuple[int, int]:
@@ -158,6 +90,18 @@ def _bareiss(rows) -> tuple[int, int]:
         prev = p
         rank += 1
     return rank, (sign * prev if rank == n == ncols else 0)
+
+
+def _adjugate(rows) -> list[list[int]]:
+    """The integer adjugate of a square integer matrix, from its cofactors; [[1]] for 1 x 1."""
+    n = len(rows)
+    return [
+        [
+            (-1) ** (i + j) * _bareiss([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])[1]
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
 
 
 @dataclass(frozen=True)
@@ -199,7 +143,7 @@ class IntMatrix:
         if m <= r:
             raise InvalidInputError(f"need more columns than rows, got {r}x{m}")
         object.__setattr__(self, "entries", rows)
-        found = rank(rows)
+        found = _bareiss(rows)[0]
         if found != r:
             cols = tuple(range(1, r + 1))
             raise RankDeficientError(
@@ -347,6 +291,25 @@ def _degenerate_columns(mat: IntMatrix, basis_rows) -> tuple[DegenerateColumn, .
 
 
 @lru_cache(maxsize=256)
+def basis_minors(mat: IntMatrix) -> tuple:
+    """(D, det L_D, adj L_D) for every r-subset D of columns with det L_D != 0.
+
+    The subsets D come in lexicographic order, so the first is the greedy
+    basis from the left: each of its columns lies outside the span of the
+    columns before it, the pivots of elimination from the left.  Since
+    adj L_D L_D = det L_D I, the inverse of L_D is adj / det over Q, and
+    adj * det^-1 mod p over GF(p) for every p not dividing det.
+    """
+    found = []
+    for cols in combinations(range(mat.cols), mat.rows):
+        l_d = [[row[c] for c in cols] for row in mat.entries]
+        delta = _bareiss(l_d)[1]
+        if delta:
+            found.append((cols, delta, tuple(map(tuple, _adjugate(l_d)))))
+    return tuple(found)
+
+
+@lru_cache(maxsize=256)
 def analyze_matrix(mat: IntMatrix) -> MatrixProfile:
     """Full lattice profile: kernel basis, Smith invariants, flags.
 
@@ -359,7 +322,7 @@ def analyze_matrix(mat: IntMatrix) -> MatrixProfile:
     basis_rows = tuple(tuple(cols[k][i] for k in range(len(cols))) for i in range(m))
     for c in cols:
         if any(v != 0 for v in mat.apply_int(c)):
-            raise InvalidInputError("internal kernel computation failed")  # pragma: no cover
+            raise InternalInvariantError(f"kernel basis column {c} is not in the kernel of L")
     return MatrixProfile(
         rank=r,
         kernel_basis=basis_rows,

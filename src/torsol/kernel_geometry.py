@@ -13,12 +13,13 @@ a product of blocks is a sum of truncated powers over the integer levels
 
 Each such polytope is the slice of a box, {x : Lx = b, lo <= x <= hi},
 held as its integer vertices, each with the mask of the bounds it meets;
-its volume is taken in the free coordinates x_F of echelon(L) by a fan
-whose facets are read off the masks, divided by |det B_F| (_leaf).  No
-H-polytope is built.  The vertices of the unit cube's slices are its basic
-solutions (one 0/1 choice per coordinate outside an invertible r x r
-minor, solved with the minor's cached adjugate), and enumerate_components
-finds every level and every vertex in one scan of them.  The walker
+its volume is taken in the coordinates x_F outside L's first basis minor
+by a fan whose facets are read off the masks, divided by |det B_F|
+(_leaf).  No H-polytope is built.  The vertices of the unit cube's slices
+are its basic solutions (one 0/1 choice per coordinate outside an
+invertible r x r minor, solved with the minor's adjugate from
+intmat.basis_minors), and enumerate_components finds every level and
+every vertex in one scan of them.  The walker
 (slice_leaves) starts from those vertices and clips them by each block's
 two half-spaces, one coordinate after the other, as the double description
 method does: a new vertex is an edge crossing the cut, two vertices span
@@ -40,12 +41,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations, product
+from itertools import product
 from operator import add, mul, or_
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
 from .discrete import kernel_element, parametrize_kernel
-from .intmat import IntMatrix, _bareiss, analyze_matrix, echelon
+from .intmat import IntMatrix, _bareiss, analyze_matrix, basis_minors
 from .rationals import is_integral, require_int
 
 __all__ = [
@@ -127,51 +128,34 @@ class WeightedShift:
     level: tuple[int, ...]
 
 
-def _adjugate(rows) -> list[list[int]]:
-    """The integer adjugate of a square integer matrix, from its cofactors."""
-    n = len(rows)
-    return [
-        [
-            (-1) ** (i + j) * _bareiss([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])[1]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
 @lru_cache(maxsize=128)
 def _slice_data(mat: IntMatrix):
     """Integer data of L shared by every box slice {Lx = b, lo <= x <= hi}.
 
-    Returns (minors, unit, free, free_det):
+    Returns (minors, unit, free, free_det), all read off basis_minors(L):
     minors: one (D, S, M_D) per r-subset D of columns with
         delta_D = det L_D != 0, where S is the complement of D and
         M_D = (unit / delta_D) adj L_D; a point with Lx = b has
         unit * x_D = M_D (b - L_S x_S).
     unit: lcm of the |delta_D|, the common denominator of every vertex of
         the slice of an integer box.
-    free: the non-pivot columns F of echelon(L); x_F is a coordinate
-        system on each slice, with x_F = x_b,F + B_F t.
-    free_det: det B_F.
+    free: the complement F of the first minor D0, the greedy basis from
+        the left; x_F is a coordinate system on each slice, with
+        x_F = x_b,F + B_F t.
+    free_det: |det B_F| = |delta_D0| / (product of the Smith invariants),
+        as the saturated kernel's maximal minors are L's complementary
+        ones over their gcd; enumerate_components' total volume checks it.
     """
-    r, m = mat.rows, mat.cols
-    found = []
-    for cols in combinations(range(m), r):
-        l_d = [[row[c] for c in cols] for row in mat.entries]
-        delta = _bareiss(l_d)[1]
-        if delta:
-            found.append((cols, delta, _adjugate(l_d)))
-    unit = math.lcm(*(abs(delta) for _, delta, _ in found))
+    m = mat.cols
+    table = basis_minors(mat)
+    unit = math.lcm(*(abs(delta) for _, delta, _ in table))
     minors = []
-    for cols, delta, adj in found:
+    for cols, delta, adj in table:
         m_d = [[unit // delta * v for v in row] for row in adj]
         rest = tuple(c for c in range(m) if c not in cols)
         minors.append((cols, rest, m_d))
-    pivots = echelon(mat.entries)[1]
-    free = tuple(c for c in range(m) if c not in pivots)
-    columns = analyze_matrix(mat).kernel_columns()
-    b_f = [[col[i] for col in columns] for i in free]
-    return minors, unit, free, _bareiss(b_f)[1]
+    free_det = abs(table[0][1]) // math.prod(analyze_matrix(mat).smith_invariants)
+    return minors, unit, minors[0][1], free_det
 
 
 @dataclass(frozen=True)

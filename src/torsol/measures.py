@@ -39,7 +39,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInputError
-from .intmat import IntMatrix, _column_hnf, analyze_matrix, echelon, solve
+from .intmat import IntMatrix, _column_hnf, analyze_matrix, basis_minors
 from .kernel_geometry import (
     KernelDecomposition,
     _GridBlocks,
@@ -188,7 +188,8 @@ def monte_carlo_estimate(
     """Statistical estimate of the solution measure with a 99% interval.
 
     Samples the normalized Haar measure on {x in T^m : Lx = 0} through the
-    pivot columns D of L (det L_D != 0) and the free columns F.  The map
+    pivot columns D of L (the first minor of basis_minors, with inverse
+    adj L_D / det L_D) and the free columns F.  The map
     x -> x_F takes the subgroup onto T^(m-r); its fibre over x_F is the
     |det L_D| points x_D = L_D^-1 (k - L_F x_F) mod 1, one for each coset
     k of Z^r / L_D Z^r, and the diagonal h of the column HNF of L_D lists
@@ -205,11 +206,10 @@ def monte_carlo_estimate(
     require_int("n_samples", n_samples, 1)
     require_int("workers", workers, 1)
     r, rows = mat.rows, mat.entries
-    piv = echelon(rows)[1]
+    piv, delta, adj = basis_minors(mat)[0]
     free = [c for c in range(mat.cols) if c not in piv]
-    l_d = [[row[c] for c in piv] for row in rows]
-    inv = list(zip(*(solve(l_d, [int(i == j) for i in range(r)]) for j in range(r))))
-    drawn = [(i, col[i]) for i, col in enumerate(_column_hnf(list(zip(*l_d)), r)) if col[i] > 1]
+    inv = [[Fraction(a, delta) for a in row] for row in adj]
+    drawn = [(i, col[i]) for i, col in enumerate(_column_hnf([[row[c] for row in rows] for c in piv], r)) if col[i] > 1]
 
     def table(s, kind):
         return [kind(a) for a, _ in s.intervals], [kind(b) for _, b in s.intervals]

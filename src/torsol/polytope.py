@@ -3,8 +3,10 @@
 The polytopes handled here are sections of cubes by affine subspaces, so the
 dimension is small (the kernel dimension m - r, at most 4 or so in practice)
 and constraint counts stay modest.  Vertices come from exhaustive d-subsets
-of constraints solved exactly over the rationals; volumes from a fan
-triangulation anchored at the lexicographically smallest vertex.
+of constraints solved exactly by Cramer's rule; volumes from a fan
+triangulation anchored at the lexicographically smallest vertex.  Ranks,
+determinants and Cramer's rule run on intmat._bareiss, with each row
+cleared of its denominators.
 
 No code path of the package builds H-polytopes, and neither `import
 torsol` nor the CLI imports this module: box slices, the central cube
@@ -17,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import factorial, gcd, lcm, prod
 
 from .errors import InvalidInputError, UnboundedPolytopeError
-from .intmat import det, rank, solve
+from .intmat import _bareiss
 from .rationals import parse_rational
 
 # perfbench/tracing.py wraps central_section_check under this module's name
@@ -70,6 +72,29 @@ def _dot(a, t) -> Fraction:
     return sum((x * y for x, y in zip(a, t)), Fraction(0))
 
 
+def _cleared(rows):
+    """_bareiss of rational rows, each times the lcm of its denominators, and the product of those multipliers."""
+    scales = [lcm(*(v.denominator for v in row)) for row in rows]
+    return _bareiss([[v.numerator * (q // v.denominator) for v in row] for row, q in zip(rows, scales)]), prod(scales)
+
+
+def _rank(rows) -> int:
+    return _cleared(rows)[0][0]
+
+
+def _det(rows) -> Fraction:
+    (_, det), scale = _cleared(rows)
+    return Fraction(det, scale)
+
+
+def _solve(rows, rhs):
+    """The unique solution of the square rational system rows @ t = rhs by Cramer's rule, or None if singular."""
+    den = _det(rows)
+    if not den:
+        return None
+    return tuple(_det([(*row[:k], b, *row[k + 1 :]) for row, b in zip(rows, rhs)]) / den for k in range(len(rows)))
+
+
 def _vertices_raw(dim: int, constraints) -> list[tuple[Fraction, ...]]:
     """Basic feasible solutions from all d-subsets; no boundedness check."""
     seen = {}
@@ -77,7 +102,7 @@ def _vertices_raw(dim: int, constraints) -> list[tuple[Fraction, ...]]:
     for subset in combinations(idx, dim):
         rows = [constraints[i][0] for i in subset]
         rhs = [constraints[i][1] for i in subset]
-        t = solve(rows, rhs)
+        t = _solve(rows, rhs)
         if t is None:
             continue
         if all(_dot(a, t) <= c for a, c in constraints):
@@ -118,7 +143,7 @@ def _two_sided_span(P: HPolytope) -> bool:
     if not spanning:
         return False
     rows = [[Fraction(v) for v in key] for key in spanning]
-    return rank(rows) == P.dim
+    return _rank(rows) == P.dim
 
 
 def _recession_direction(P: HPolytope):
@@ -215,7 +240,7 @@ def _affine_dim(points) -> int:
     rows = [[q - p for q, p in zip(v, base)] for v in points[1:]]
     if not rows:
         return 0
-    return rank(rows)
+    return _rank(rows)
 
 
 def _simplices(verts, constraints, k):
@@ -262,7 +287,7 @@ def volume(P: HPolytope) -> VolumeResult:
     for simplex in _simplices(verts, P.constraints, d):
         base = simplex[0]
         rows = [[q - p for q, p in zip(v, base)] for v in simplex[1:]]
-        total += abs(det(rows))
+        total += abs(_det(rows))
     vol = total / fact
     return VolumeResult(vol, tuple(verts), vol > 0)
 

@@ -247,20 +247,20 @@ def _edges_mod_p(param, m: int, minimalize: bool) -> list[int]:
     return minimal
 
 
-def _greedy_fill(p: int, edges_by_elem, banned, order):
+def _greedy_fill(addable, order) -> int:
     mask = 0
     for e in order:
-        if e in banned:
-            continue
-        bit = 1 << e
-        new = mask | bit
-        if all(edge & ~new for edge in edges_by_elem[e]):
-            mask = new
+        if addable(mask, e):
+            mask |= 1 << e
     return mask
 
 
 def _conflicts(p: int, edges: list[int]):
-    """Elements banned outright (singleton edges) and, per element, the larger edges through it."""
+    """addable(mask, e): whether e can join the solution-free set mask.
+
+    It cannot when e is banned outright (a singleton edge) or when adding
+    it fills one of the larger edges through e.
+    """
     banned = {e.bit_length() - 1 for e in edges if e.bit_count() == 1}
     edges_by_elem = [[] for _ in range(p)]
     for e in edges:
@@ -269,12 +269,17 @@ def _conflicts(p: int, edges: list[int]):
         for x in range(p):
             if e >> x & 1:
                 edges_by_elem[x].append(e)
-    return banned, edges_by_elem
+
+    def addable(mask: int, e: int) -> bool:
+        new = mask | 1 << e
+        return e not in banned and all(edge & ~new for edge in edges_by_elem[e])
+
+    return addable
 
 
 def _exhaustive_search(p: int, edges: list[int]) -> int:
-    banned, edges_by_elem = _conflicts(p, edges)
-    best_mask = _greedy_fill(p, edges_by_elem, banned, range(p))
+    addable = _conflicts(p, edges)
+    best_mask = _greedy_fill(addable, range(p))
     best = [best_mask.bit_count(), best_mask]
 
     def rec(idx: int, mask: int, count: int):
@@ -284,10 +289,8 @@ def _exhaustive_search(p: int, edges: list[int]) -> int:
             best[0] = count
             best[1] = mask
             return
-        if idx not in banned:
-            new = mask | (1 << idx)
-            if all(edge & ~new for edge in edges_by_elem[idx]):
-                rec(idx + 1, new, count + 1)
+        if addable(mask, idx):
+            rec(idx + 1, mask | 1 << idx, count + 1)
         rec(idx + 1, mask, count)
 
     rec(0, 0, 0)
@@ -295,22 +298,15 @@ def _exhaustive_search(p: int, edges: list[int]) -> int:
 
 
 def _local_search(p: int, edges: list[int], rng: random.Random) -> int:
-    banned, edges_by_elem = _conflicts(p, edges)
-
-    def addable(mask: int, e: int) -> bool:
-        if e in banned:
-            return False
-        new = mask | (1 << e)
-        return all(edge & ~new for edge in edges_by_elem[e])
-
-    candidates = [e for e in range(p) if e not in banned]
+    addable = _conflicts(p, edges)
+    candidates = [e for e in range(p) if addable(0, e)]
     best_mask = 0
     restarts = 30
     steps = 40 * p
     for _ in range(restarts):
         order = list(range(p))
         rng.shuffle(order)
-        mask = _greedy_fill(p, edges_by_elem, banned, order)
+        mask = _greedy_fill(addable, order)
         if mask.bit_count() > best_mask.bit_count():
             best_mask = mask
         if not candidates:

@@ -13,7 +13,9 @@ slice scanned for a positive witness, where the package looks up the
 levels the sets can reach, a slice_leaf at every candidate level of the
 row-sum box, where the package finds the levels from the vertices of the
 slices, Smith invariants from gcds of minors, which the package gets by
-alternating Hermite forms, and every member of every coset for the
+alternating Hermite forms, ranks from Laplace minors for the greedy basis
+columns and the mod-p kernel parametrization, which the package reads off
+its table of basis minors, and every member of every coset for the
 violating boxes and the greedy removal, which the package walks through
 the sets' members and counts with packed products.  They are
 deliberately slow and simple.
@@ -228,6 +230,63 @@ def _laplace_det(rows):
     )
 
 
+def minor_rank(rows, p=None):
+    """Rank over Q, or over GF(p) when p is given: the largest k with a k x k minor nonzero (mod p)."""
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    rank = 0
+    for k in range(1, min(nrows, ncols) + 1):
+        minors = (
+            _laplace_det([[rows[i][j] for j in cs] for i in rs])
+            for rs in combinations(range(nrows), k)
+            for cs in combinations(range(ncols), k)
+        )
+        if any(d % p if p else d for d in minors):
+            rank = k
+    return rank
+
+
+def greedy_columns(rows, order, p=None):
+    """The columns taken in the given order that raise the rank of those taken before (minor_rank), sorted."""
+    taken = []
+    for c in order:
+        if minor_rank([[row[k] for k in (*taken, c)] for row in rows], p) > len(taken):
+            taken.append(c)
+    return tuple(sorted(taken))
+
+
+def reference_parametrization(mat, p):
+    """parametrize_kernel(mat, p) by brute force, or None when L loses rank mod p.
+
+    The dependent columns are picked from the right, each raising the
+    GF(p) rank of those picked before (greedy_columns); M^-1 comes from
+    Laplace cofactors and the modular inverse of det M, and the
+    coefficients are -M^-1 L_F mod p.
+    """
+    from torsol.discrete import KernelParametrization
+
+    rows, r, m = mat.entries, mat.rows, mat.cols
+    dependent = greedy_columns(rows, reversed(range(m)), p)
+    if len(dependent) < r:
+        return None
+    free = tuple(c for c in range(m) if c not in dependent)
+    minor = [[row[c] for c in dependent] for row in rows]
+    scale = pow(_laplace_det(minor), -1, p)
+    cofactor = [
+        [
+            (-1) ** (i + j) * _laplace_det([row[:j] + row[j + 1 :] for k, row in enumerate(minor) if k != i])
+            for j in range(r)
+        ]
+        for i in range(r)
+    ]
+    inverse = tuple(tuple(cofactor[j][i] * scale % p for j in range(r)) for i in range(r))
+    coefficients = tuple(
+        tuple(-sum(a * row[f] for a, row in zip(inv, rows)) % p for f in free) for inv in inverse
+    )
+    return KernelParametrization(
+        p=p, free_columns=free, dependent_columns=dependent, coefficients=coefficients, inverse=inverse
+    )
+
+
 def smith_by_minors(entries):
     """Nonzero Smith invariants d_k = g_k / g_(k-1), g_k the gcd of all k x k minors.
 
@@ -381,10 +440,10 @@ def random_pinned_matrix(rng: random.Random, r, m, lo=-2, hi=2):
 
 def suitable_prime(mat):
     """The smallest odd prime above L's largest absolute row sum at which L keeps full rank."""
-    from torsol.intmat import is_prime, rank
+    from torsol.intmat import is_prime
 
     q = max(mat.max_row_abs_sum() + 1, 3)
-    while not (is_prime(q) and rank(mat.entries, q) == mat.rows):
+    while not (is_prime(q) and minor_rank(mat.entries, q) == mat.rows):
         q += 1
     return q
 

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -296,6 +297,28 @@ def test_bad_p_exit_3(files, capsys):
     )
     assert code == 3
     assert "prime" in err
+
+
+def test_huge_moduli_answer_at_once(files, capsys):
+    # Miller-Rabin decides 2^61 - 1 at once; trial division took minutes
+    mpath = files("m.json", SUM3)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["density", "--matrix", mpath, "--p", str(2**61 - 1)])
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "") and "p <= 22" in err
+    code, out, _ = run(capsys, ["weights", "--matrix", mpath, "--p", str(2**61 - 1)])
+    assert code == 0 and json.loads(out)["K"] == 2
+    # above the bound of the proven bases the modulus is refused, naming the bound
+    code, out, err = run(capsys, ["weights", "--matrix", mpath, "--p", "3317044064679887385961983"])
+    assert (code, out) == (3, "") and "3317044064679887385961981" in err
+
+
+def test_rank_loss_mod_p_exit_3(files, capsys):
+    mpath = files("m.json", {"entries": [[1, 3, 4], [4, 1, 5]]})
+    code, out, err = run(capsys, ["weights", "--matrix", mpath, "--p", "11"])
+    assert (code, out) == (3, "") and "loses rank mod p = 11" in err
+    code, out, _ = run(capsys, ["weights", "--matrix", mpath, "--p", "13"])
+    assert code == 0 and json.loads(out)["p"] == 13
 
 
 def test_verify_failure_exit_4(files, capsys, monkeypatch):

@@ -16,7 +16,13 @@ from torsol import discrete
 from torsol.discrete import _free_tuple_counts, _packed_counts, residue_counts
 from torsol.errors import BadModulusError, InvalidInputError
 
-from oracles import naive_density, random_full_rank_matrix, random_pinned_matrix, suitable_prime
+from oracles import (
+    naive_density,
+    random_full_rank_matrix,
+    random_pinned_matrix,
+    reference_parametrization,
+    suitable_prime,
+)
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
@@ -43,6 +49,37 @@ def test_parametrization_enumerates_kernel_exactly_once():
         assert len(set(elems)) == len(elems)
         for x in elems:
             assert all(v % p == 0 for v in mat.apply_int(x))
+
+
+def test_parametrization_matches_brute_force_reference():
+    # every field against dependent columns picked from the right by brute-force GF(p) rank;
+    # refused exactly where the reference finds fewer than r of them
+    rng = random.Random(47)
+    mats = [SUM3, AP3, AP4, R4, AP5, PINNED, ZERO_COLUMN, IntMatrix([[1, 3, 4], [4, 1, 5]])]
+    mats += [IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]]), IntMatrix([[2, 2, 0], [0, 0, 4]]), IntMatrix([[5, 0, 1], [0, 5, 1]])]
+    while len(mats) < 45:
+        r = rng.randint(1, 3)
+        draw = random_pinned_matrix if rng.random() < 0.5 else random_full_rank_matrix
+        mat = draw(rng, r, r + rng.randint(1, 3))
+        if rng.random() < 0.6:
+            # a row that vanishes mod two of the primes
+            k = rng.randrange(r)
+            scale = rng.choice((2, 3, 5, 7)) * rng.choice((11, 13, 17, 37))
+            mat = IntMatrix([[v * scale for v in row] if i == k else row for i, row in enumerate(mat.entries)])
+        mats.append(mat)
+    pairs = lost = 0
+    for mat in mats:
+        for p in (2, 3, 5, 7, 11, 13, 17, 37, 101):
+            expected = reference_parametrization(mat, p)
+            if expected is None:
+                with pytest.raises(BadModulusError, match=f"loses rank mod p = {p}"):
+                    parametrize_kernel(mat, p)
+                lost += 1
+            else:
+                assert parametrize_kernel(mat, p) == expected, (mat.entries, p)
+            pairs += 1
+    assert reference_parametrization(IntMatrix([[1, 3, 4], [4, 1, 5]]), 11) is None
+    assert pairs >= 300 and lost >= 50, (pairs, lost)
 
 
 def test_full_sets_density_one():

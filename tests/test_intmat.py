@@ -11,10 +11,21 @@ from torsol import (
     matrix_from_json,
     matrix_to_json,
 )
-from torsol.errors import InvalidInputError, RankDeficientError
-from torsol.intmat import det, echelon, rank, solve
+from torsol import intmat
+from torsol.discrete import kernel_element, parametrize_kernel
+from torsol.errors import BadModulusError, InternalInvariantError, InvalidInputError, RankDeficientError
+from torsol.intmat import PRIME_BOUND, _bareiss, basis_minors, is_prime
+from torsol.polytope import _det, _rank, _solve
 
-from oracles import in_lattice, random_full_rank_matrix, random_pinned_matrix, smith_by_minors
+from oracles import (
+    _laplace_det,
+    greedy_columns,
+    in_lattice,
+    minor_rank,
+    random_full_rank_matrix,
+    random_pinned_matrix,
+    smith_by_minors,
+)
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
@@ -98,8 +109,6 @@ def test_saturation_random_matrices():
 
 
 def test_degeneracy_agrees_with_direct_rank():
-    from torsol.intmat import rank as _rational_rank
-
     rng = random.Random(5)
     for _ in range(20):
         r = rng.randint(1, 2)
@@ -107,8 +116,8 @@ def test_degeneracy_agrees_with_direct_rank():
         mat = random_full_rank_matrix(rng, r, m)
         flagged = {dc.column for dc in analyze_matrix(mat).degenerate_columns}
         for j in range(m):
-            sub = [[Fraction(row[k]) for k in range(m) if k != j] for row in mat.entries]
-            assert (j + 1 in flagged) == (_rational_rank(sub) < r)
+            sub = [[row[k] for k in range(m) if k != j] for row in mat.entries]
+            assert (j + 1 in flagged) == (_bareiss(sub)[0] < r)
 
 
 def test_degenerate_witness_content_and_sign():
@@ -178,10 +187,12 @@ def test_shape_validation():
 
 
 def test_rank_mod_p():
-    assert rank(SUM3.entries, 5) == 1
-    assert rank(AP4.entries, 101) == 2
-    assert rank(IntMatrix([[5, 1, 0], [0, 0, 1]]).entries, 5) == 2
-    assert rank(IntMatrix([[5, 0, 1], [0, 5, 1]]).entries, 5) == 1
+    # parametrize_kernel is the package's rank test mod p: it refuses exactly when L loses rank
+    for mat, p in ((SUM3, 5), (AP4, 101), (IntMatrix([[5, 1, 0], [0, 0, 1]]), 5)):
+        assert len(parametrize_kernel(mat, p).dependent_columns) == mat.rows
+    for mat, p in ((IntMatrix([[5, 0, 1], [0, 5, 1]]), 5), (IntMatrix([[1, 3, 4], [4, 1, 5]]), 11)):
+        with pytest.raises(BadModulusError, match="loses rank"):
+            parametrize_kernel(mat, p)
 
 
 def test_canonical_basis_reproducible():
@@ -259,24 +270,21 @@ def _brute_rank_mod_p(rows, p):
 
 
 def test_echelon_shape():
-    rows, pivots, sign = echelon([[0, 2, 4], [1, 1, 1], [2, 2, 2]])
-    assert pivots == [0, 1]
-    assert sign == -1
-    assert all(v == 0 for v in rows[2])
-    for i, col in enumerate(pivots):
-        assert rows[i][col] != 0
-        assert all(rows[k][col] == 0 for k in range(i + 1, len(rows)))
+    # the echelon pivots of L, columns 0 and 1 here, are the columns of its first basis minor
+    rows = [[0, 2, 4], [1, 1, 1], [2, 2, 2]]
+    assert _bareiss(rows) == (2, 0)
+    assert _bareiss(rows[:2]) == (2, 0)
+    assert basis_minors(IntMatrix(rows[:2]))[0] == ((0, 1), -2, ((1, -2), (-1, 0)))
 
 
 def test_rank_det_solve_over_q_random():
+    # _bareiss on integers, and the oracle's _rank, _det and _solve on rationals
     rng = random.Random(3)
     for _ in range(200):
         rational = rng.random() < 0.5
         nrows = rng.randint(1, 4)
         ncols = rng.randint(1, 5)
         rows = _random_matrix(rng, nrows, ncols, rational)
-        r = rank(rows)
-        assert r == len(echelon(rows)[1]) <= min(nrows, ncols)
         # the rank is the size of the largest nonsingular minor
         best = 0
         for k in range(1, min(nrows, ncols) + 1):
@@ -284,15 +292,19 @@ def test_rank_det_solve_over_q_random():
                 for cs in combinations(range(ncols), k):
                     if _leibniz([[rows[i][j] for j in cs] for i in rs]) != 0:
                         best = k
-        assert r == best
+        assert _rank(rows) == best
+        if not rational:
+            assert _bareiss(rows)[0] == best
 
         n = min(nrows, ncols)
         square = [row[:n] for row in rows[:n]]
-        d = det(square)
+        d = _det(square)
         assert isinstance(d, Fraction)
         assert d == _leibniz(square)
+        if not rational:
+            assert _bareiss(square)[1] == d
         rhs = [rng.randint(-6, 6) for _ in range(n)]
-        x = solve(square, rhs)
+        x = _solve(square, rhs)
         assert (x is None) == (d == 0)
         if x is not None:
             assert all(isinstance(v, Fraction) for v in x)
@@ -301,32 +313,95 @@ def test_rank_det_solve_over_q_random():
 
 def test_integer_input_stays_exact():
     # a 1x1 system and an untouched first row are where int / int would leak a float
-    assert solve([[3]], [1]) == (Fraction(1, 3),)
-    assert all(isinstance(v, Fraction) for v in solve([[2, 1], [0, 3]], [1, 1]))
-    assert det([[2, 1], [1, 1]]) == 1 and isinstance(det([[2, 1], [1, 1]]), Fraction)
-    assert det([[1, 2], [2, 4]]) == 0
-    for row in echelon([[3, 1], [2, 5]])[0]:
-        assert not any(isinstance(v, float) for v in row)
+    assert _solve([[3]], [1]) == (Fraction(1, 3),)
+    assert all(isinstance(v, Fraction) for v in _solve([[2, 1], [0, 3]], [1, 1]))
+    assert _det([[2, 1], [1, 1]]) == 1 and isinstance(_det([[2, 1], [1, 1]]), Fraction)
+    assert _det([[1, 2], [2, 4]]) == 0
+    assert all(type(v) is int for v in _bareiss([[3, 1], [2, 5]]))
+    # each row is cleared of its own denominators
+    rows, rhs = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]], [1, Fraction(1, 7)]
+    assert _det(rows) == Fraction(13, 30)
+    assert _solve(rows, rhs) == (Fraction(200, 91), Fraction(-27, 91))
 
 
 def test_rank_and_solve_mod_p_brute_force():
+    # parametrize_kernel refuses iff the brute-force rank mod p is below r, and
+    # kernel_element gives the one solution of L x = c with the chosen free part
     rng = random.Random(9)
+    refused = 0
     for p in (2, 3, 5, 7):
         for _ in range(40):
-            nrows = rng.randint(1, 3)
-            ncols = rng.randint(1, 4)
-            rows = _random_matrix(rng, nrows, ncols, rational=False)
-            assert rank(rows, p) == _brute_rank_mod_p(rows, p)
+            r = rng.randint(1, 3)
+            m = rng.randint(r + 1, 4)
+            try:
+                mat = IntMatrix([[rng.randint(-6, 6) for _ in range(m)] for _ in range(r)])
+            except RankDeficientError:
+                continue
+            if _brute_rank_mod_p(mat.entries, p) < r:
+                with pytest.raises(BadModulusError, match="loses rank"):
+                    parametrize_kernel(mat, p)
+                refused += 1
+                continue
+            param = parametrize_kernel(mat, p)
+            target = [rng.randint(-6, 6) for _ in range(r)]
+            free_vals = [rng.randrange(p) for _ in param.free_columns]
+            found = []
+            for dep in product(range(p), repeat=r):
+                x = [0] * m
+                for c, v in (*zip(param.free_columns, free_vals), *zip(param.dependent_columns, dep)):
+                    x[c] = v
+                if _matvec(mat.entries, x, p) == [v % p for v in target]:
+                    found.append(tuple(x))
+            assert [kernel_element(param, m, free_vals, target)] == found
+    assert refused >= 10, refused
 
-            n = rng.randint(1, 3)
-            square = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-            rhs = [rng.randint(-6, 6) for _ in range(n)]
-            target = [v % p for v in rhs]
-            found = [x for x in product(range(p), repeat=n) if _matvec(square, x, p) == target]
-            x = solve(square, rhs, p)
-            # a square system mod p has exactly one solution iff it is nonsingular
-            if len(found) == 1:
-                assert x == found[0]
-                assert all(type(v) is int and 0 <= v < p for v in x)
-            else:
-                assert x is None
+
+def test_basis_minors_table():
+    rng = random.Random(41)
+    mats = [SUM3, AP3, AP4, DEGEN, IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]])]
+    mats += [random_pinned_matrix(rng, r, r + rng.randint(1, 3)) for r in (1, 2, 3, 4) for _ in range(10)]
+    for mat in mats:
+        r, m = mat.rows, mat.cols
+        table = basis_minors(mat)
+        nonzero = [
+            cols for cols in combinations(range(m), r) if _laplace_det([[row[c] for c in cols] for row in mat.entries])
+        ]
+        assert [cols for cols, _, _ in table] == nonzero  # lexicographic, every invertible minor
+        for cols, delta, adj in table:
+            l_d = [[row[c] for c in cols] for row in mat.entries]
+            assert delta == _laplace_det(l_d)
+            assert [[sum(a * b for a, b in zip(row, col)) for col in zip(*l_d)] for row in adj] == [
+                [delta * (i == j) for j in range(r)] for i in range(r)
+            ]
+        # the first minor is the greedy basis from the left, the echelon pivots
+        assert table[0][0] == greedy_columns(mat.entries, range(m)) and len(table[0][0]) == minor_rank(mat.entries)
+        if r == 1:
+            assert all(adj == ((1,),) for _, _, adj in table)  # the 0 x 0 minor has determinant 1
+    assert basis_minors(SUM3) == (((0,), 1, ((1,),)), ((1,), 1, ((1,),)), ((2,), -1, ((1,),)))
+
+
+def _sieve(n):
+    flags = [False, False] + [True] * (n - 2)
+    for k in range(2, int(n**0.5) + 1):
+        if flags[k]:
+            flags[k * k :: k] = [False] * len(flags[k * k :: k])
+    return flags
+
+
+def test_is_prime_miller_rabin():
+    assert [is_prime(n) for n in range(200_000)] == _sieve(200_000)
+    # strong pseudoprimes to every smaller set of the prime bases
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1) and not is_prime(2**61 + 1)
+    assert PRIME_BOUND == 3317044064679887385961981
+    for n in (PRIME_BOUND, PRIME_BOUND + 2, 2**127 - 1):
+        with pytest.raises(BadModulusError, match=str(PRIME_BOUND)):
+            is_prime(n)
+
+
+def test_internal_kernel_check_raises_internal_error(monkeypatch):
+    # a kernel vector that L does not annihilate is a bug, not bad input
+    monkeypatch.setattr(intmat, "_integer_kernel", lambda entries: [(1, 0, 0)])
+    with pytest.raises(InternalInvariantError, match="not in the kernel"):
+        intmat.analyze_matrix.__wrapped__(SUM3)

@@ -16,12 +16,14 @@ from torsol import (
     weight,
 )
 from torsol.errors import BadModulusError, InvalidInputError
-from torsol.intmat import det, solve
-from torsol.kernel_geometry import product_measure, slice_leaves
+from torsol.kernel_geometry import _slice_data, product_measure, slice_leaves
 from torsol.polytope import slice_polytope, volume
 
 from oracles import (
+    _laplace_det,
+    _solve_exact,
     candidate_levels,
+    greedy_columns,
     lifted_half_open,
     random_full_rank_matrix,
     random_pinned_matrix,
@@ -104,9 +106,9 @@ def _point_on_level(mat, b):
     """A rational x with Lx = b, supported on the first nonsingular r-minor."""
     for cols in combinations(range(mat.cols), mat.rows):
         minor = [[row[c] for c in cols] for row in mat.entries]
-        if det(minor) != 0:
+        if _laplace_det(minor) != 0:
             x = [F(0)] * mat.cols
-            for c, v in zip(cols, solve(minor, b)):
+            for c, v in zip(cols, _solve_exact(minor, b)):
                 x[c] = v
             return x
 
@@ -337,7 +339,7 @@ def test_slice_leaf_matches_polytope_volume():
         mat = random_pinned_matrix(rng, r, m)
         pinned += bool(analyze_matrix(mat).degenerate_columns)
         negative += any(
-            det([[row[c] for c in cols] for row in mat.entries]) < 0 for cols in combinations(range(m), r)
+            _laplace_det([[row[c] for c in cols] for row in mat.entries]) < 0 for cols in combinations(range(m), r)
         )
         decomp = enumerate_components(mat)
         basis = decomp.basis_columns
@@ -363,7 +365,7 @@ def test_slice_leaf_matches_polytope_volume():
 
 def test_central_section_matches_polytope_oracle():
     # the orthant walk of [-1/2, 1/2]^m at level 0 against the rational H-polytope,
-    # and the Bareiss Gram determinant against one over Fractions
+    # and the Bareiss Gram determinant against a Laplace expansion
     rng = random.Random(79)
     mats = [IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]]), IntMatrix([[1, 1, 0], [0, 0, 2]])]
     shapes = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (1, 5), (2, 6), (3, 6)]
@@ -376,7 +378,7 @@ def test_central_section_matches_polytope_oracle():
         pinned += bool(prof.degenerate_columns)
         cols, m = prof.kernel_columns(), mat.cols
         vol = volume(slice_polytope(cols, [0] * m, [F(-1, 2)] * m, [F(1, 2)] * m)).volume
-        gram = det([[sum((F(a) * b for a, b in zip(u, v)), F(0)) for v in cols] for u in cols])
+        gram = _laplace_det([[sum(a * b for a, b in zip(u, v)) for v in cols] for u in cols])
         res = central_section_check(mat)
         assert (res.vol_param, res.gram_det, res.passes) == (vol, gram, vol * vol * gram >= 1), mat.entries
     assert len(mats) >= 100 and pinned >= 20, (len(mats), pinned)
@@ -531,3 +533,26 @@ def test_central_section_matches_basis_scan():
         scan = slice_leaf(mat, (0,) * mat.rows, [F(-1, 2)] * m, [F(1, 2)] * m)
         assert central_section_check(mat).vol_param == scan.volume, mat.entries
     assert pinned >= 100, pinned
+
+
+def test_free_columns_and_kernel_minor_from_the_minor_table():
+    # free_det is |delta_D0| over the product of the Smith invariants; it must be |det B_F| of the kernel basis rows
+    rng = random.Random(83)
+    mats = [SUM3, AP3, AP4, R4, IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]]), IntMatrix([[2, 2, 0], [0, 0, 4]])]
+    shapes = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (4, 6)]
+    while len(mats) < 306:
+        r, m = rng.choice(shapes)
+        draw = random_pinned_matrix if rng.random() < 0.5 else random_full_rank_matrix
+        mat = draw(rng, r, m)
+        if rng.random() < 0.3:
+            mat = IntMatrix([[v * rng.choice((1, 2, 3)) for v in row] for row in mat.entries])
+        mats.append(mat)
+    nontrivial = 0
+    for mat in mats:
+        _, _, free, free_det = _slice_data(mat)
+        pivots = greedy_columns(mat.entries, range(mat.cols))
+        assert free == tuple(c for c in range(mat.cols) if c not in pivots), mat.entries
+        basis = analyze_matrix(mat).kernel_basis
+        assert free_det == abs(_laplace_det([list(basis[i]) for i in free])) > 0, mat.entries
+        nontrivial += free_det > 1
+    assert nontrivial >= 50, nontrivial
