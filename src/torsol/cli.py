@@ -28,7 +28,7 @@ from .measures import decompose, monte_carlo_estimate, solution_measure
 from .rationals import format_rational, int_from_json
 from .removal_lab import density_search, density_trend, find_violating_boxes, greedy_removal
 from .discrete import kernel_element, parametrize_kernel
-from .torus_sets import DiscreteSet, IntervalUnion, sets_from_json, sets_to_json
+from .torus_sets import DiscreteSet, IntervalUnion, require_grid, sets_from_json, sets_to_json
 
 __all__ = ["JobSpec", "run", "main"]
 
@@ -231,6 +231,7 @@ def _cmd_density(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None
 
 
 def _random_aligned_sets(mat: IntMatrix, p: int, rng: random.Random) -> list[IntervalUnion]:
+    require_grid(p)
     sets = []
     for _ in range(mat.cols):
         members = [rng.random() < 0.45 for _ in range(p)]

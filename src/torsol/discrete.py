@@ -1,16 +1,19 @@
 """Exact solution counting for L x = 0 over Z_p.
 
 `residue_counts` gives N(c), the number of y in A_1 x ... x A_m with
-L y = c (mod p), for a list of targets c, counted over the smaller of two
+L y = c (mod p), for a list of targets c, counted over the cheaper of two
 sides.  One side is the whole count vector as a product of polynomials:
 coordinate i contributes sum_{x in A_i} z^(x L_i), modulo z^p - 1 in each
-of the r residue digits, and the running product is packed into one big
-int (Kronecker substitution), so each shift and add of it works on every
-coefficient at once.  The other side walks the free coordinates through
-their own sets; the dependent ones follow from the target, and the last
-free coordinate runs as a bit mask, whose set bits list_solutions and
-removal_lab expand into points.  A shifted density is one count over
-p^(m-r), the kernel size once L keeps full rank mod p.
+of the r residue digits, packed into one big int with whole-byte slots
+(Kronecker substitution; Harvey, J. Symb. Comput. 2009).  For a single
+equation each factor is laid out from the set's membership bytes and
+multiplied in as one big-int product; for r >= 2 each member is one shift
+and add of the running product.  The finished vector is read out as bytes
+once, so a count is a slice of its slot.  The other side walks the free
+coordinates through their own sets; the dependent ones follow from the
+target, and the last free coordinate runs as a bit mask, whose set bits
+list_solutions and removal_lab expand into points.  A shifted density is
+one count over p^(m-r), the kernel size once L keeps full rank mod p.
 `parametrize_kernel` inverts a basis minor of L mod p and writes the
 solutions of L x = c as linear functions of the free coordinates and c;
 `kernel_element` maps one free tuple through it, and `kernel_elements`
@@ -129,25 +132,42 @@ def _check_shifts(mat: IntMatrix, p: int, shifts) -> tuple[int, ...]:
 
 # a packed count vector larger than this many bits is never built
 _PACKED_BITS_LIMIT = 1 << 27
-# packed bits that one shift and add handles in the time of one mask test
+# r >= 2: packed bits that one shift and add handles in the time of one mask test
 _BITS_PER_TEST = 1 << 14
+# r = 1, in the time of one mask test: the membership cells that one pass
+# over a set reads, and the size in bits of two packed vectors that
+# Karatsuba multiplies in (size / _PRODUCT_BITS_PER_TEST)^log2(3) tests
+_CELLS_PER_TEST = 64
+_PRODUCT_BITS_PER_TEST = 720
 
 
 def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
     """N(c) = #{y in A_1 x ... x A_m : L y = c (mod p)} for each target c.
 
-    Counts over the smaller side.  The packed count vector of all p^r
-    residues costs one shift and add of its p (2p)^(r-1) slots per set
-    member, whatever the targets.  The free tuples cost r mask tests per
-    target and per tuple of all but the last free coordinate.  A test and
-    a shift and add of _BITS_PER_TEST bits take about the same time (by
-    timing SUM3 to AP5 at p = 37 to 1009).  The vector is built only when
-    it is the cheaper side and fits in _PACKED_BITS_LIMIT bits.
+    Counts over the smaller side, in units of one mask test.  The free
+    tuples cost r mask tests per target and per tuple of all but the last
+    free coordinate.  The packed count vector of all p^r residues costs
+    the same whatever the targets.  For r = 1 that is, per set with
+    L_i != 0 mod p, one pass over its p cells, one slice assignment per
+    stride step of _factor (a test each), and one product of two packed
+    vectors; for r >= 2 it is one shift and add of the whole vector per set
+    member, a test per _BITS_PER_TEST bits (timed on SUM3 to AP5 at p = 37
+    to 1009).  The r = 1 constants come from timing passes, slices and
+    products at p = 101 to 2003 against the mask tests of R4 at p = 101,
+    and were checked on SUM3, AP3 and R4 at p = 37 to 1009.  The vector is
+    built only when it is the cheaper side and fits in _PACKED_BITS_LIMIT
+    bits.
     """
     free = parametrize_kernel(mat, p).free_columns
     bits = _packed_bits(mat, p, members)
     tests = len(targets) * mat.rows * math.prod(sum(members[c]) for c in free[:-1])
-    if bits <= _PACKED_BITS_LIMIT and sum(map(sum, members)) * (1 + bits // _BITS_PER_TEST) < tests:
+    if mat.rows == 1:
+        steps = [min(l % p, -l % p) for l in mat.entries[0] if l % p]
+        product = (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3)
+        cost = sum(steps) + len(steps) * (p / _CELLS_PER_TEST + product)
+    else:
+        cost = sum(map(sum, members)) * (1 + bits // _BITS_PER_TEST)
+    if bits <= _PACKED_BITS_LIMIT and cost < tests:
         count = _packed_counts(mat, p, members)
         return [count(c) for c in targets]
     return _free_tuple_counts(mat, p, members, targets)
@@ -205,9 +225,36 @@ def _solutions(param: KernelParametrization, members, targets):
             yield i, kernel_element(param, m, (*y, t), targets[i])
 
 
+def _slot_bytes(members) -> int:
+    """Bytes per slot of the count vector.
+
+    The bit length of prod |A_i|, which bounds every count, plus 1,
+    rounded up to whole bytes so that a count is read as a slice.
+    """
+    return (math.prod(map(sum, members)).bit_length() + 8) // 8
+
+
 def _packed_bits(mat: IntMatrix, p: int, members) -> int:
     """Size in bits of the count vector that _packed_counts builds."""
-    return p * (2 * p) ** (mat.rows - 1) * (math.prod(map(sum, members)).bit_length() + 1)
+    return p * (2 * p) ** (mat.rows - 1) * 8 * _slot_bytes(members)
+
+
+def _factor(l: int, p: int, arr, size: int) -> int:
+    """sum_{x in A} z^(l x mod p) for 0 < l < p, with size-byte slots.
+
+    Laid out from the membership bytes by strided slice assignments: the x
+    with k p <= l x < (k + 1) p go to l x - k p, one slice per k.  When
+    l > p/2 the reflection x -> -x of A goes at stride p - l instead, so
+    there are at most (p - 1)/2 slices and the buffer stays p slots long.
+    """
+    a = bytes(arr)
+    if 2 * l > p:
+        a, l = a[:1] + a[:0:-1], p - l
+    buf = bytearray(p * size)
+    for k in range(l):
+        lo, hi = -(-k * p // l), -(-(k + 1) * p // l)
+        buf[(l * lo - k * p) * size :: l * size] = a[lo:hi]
+    return int.from_bytes(buf, "little")
 
 
 def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]], int]:
@@ -216,16 +263,21 @@ def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]],
     N is the product over i of sum_{x in A_i} z^(x L_i), in r variables
     each taken modulo z^p - 1.  Residue c sits in slot sum_k (c_k mod p)
     (2p)^k: every digit but the last has 2p slots, so adding two reduced
-    digits never carries.  The product is one int with w bits per slot;
-    w exceeds the bit length of prod |A_i|, which bounds every
-    coefficient.  A factor has at most p terms, so it goes in as one shift
-    and add per term, several times faster at r = 2 than a Karatsuba
-    product with the packed factor.  Then the last digit folds back into
-    [0, p) by a shift and every other one by a mask of its slots >= p.
+    digits never carries.  The product is one int with a whole number of
+    bytes per slot (_slot_bytes), enough for every count.  At r = 1 each
+    factor is a dense vector of p slots, built by _factor (the constant
+    |A_i| where L_i = 0 mod p), and goes in as one big-int product, folded
+    back mod z^p - 1 by a shift.  At r >= 2 a factor has at most p of the
+    p (2p)^(r-1) slots, so it goes in as one shift and add per term,
+    several times faster than a Karatsuba product with the packed factor;
+    then the last digit folds back into [0, p) by a shift and every other
+    one by a mask of its slots >= p.  The finished vector is read out as
+    bytes once, so each count is a slice of its slot.
     """
     strides = [(2 * p) ** k for k in range(mat.rows)]
     slots = p * strides[-1]
-    w = math.prod(sum(a) for a in members).bit_length() + 1
+    size = _slot_bytes(members)
+    w = 8 * size
 
     def slot(c) -> int:
         return sum(v % p * s for v, s in zip(c, strides))
@@ -241,13 +293,21 @@ def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]],
     acc = 1  # the empty product
     for i, arr in enumerate(members):
         col = [row[i] for row in mat.entries]
-        acc = sum(acc << (slot([a * x for a in col]) * w) for x in range(p) if arr[x])
+        if mat.rows == 1:
+            acc *= _factor(col[0] % p, p, arr, size) if col[0] % p else sum(arr)
+        else:
+            acc = sum(acc << (slot([a * x for a in col]) * w) for x in range(p) if arr[x])
         acc = (acc & low) + (acc >> (slots * w))
         for mask, half in folds:
             hi = acc & mask
             acc = (acc ^ hi) + (hi >> half)
-    top = (1 << w) - 1
-    return lambda c: (acc >> (slot(c) * w)) & top
+    vec = acc.to_bytes(slots * size, "little")
+
+    def count(c) -> int:
+        at = slot(c) * size
+        return int.from_bytes(vec[at : at + size], "little")
+
+    return count
 
 
 def solution_density(mat: IntMatrix, p: int, sets, shifts=None) -> Fraction:

@@ -95,7 +95,9 @@ class KernelDecomposition:
     reciprocal, the constant turning parameter volumes into normalized
     Haar measure.  _vertices maps each level to the vertices of its slice
     in the unit cube, as integer points at scale unit (see _slice_data),
-    each with the mask of the cube bounds it meets (see _clip).
+    each with the mask of the cube bounds it meets (see _clip).  _covers
+    keeps the shift_cover of each modulus, keyed by (type(p), p) so that
+    7.0 or True never reads the entry of 7 or 1.
     """
 
     matrix: IntMatrix
@@ -104,6 +106,7 @@ class KernelDecomposition:
     total_volume_param: Fraction
     c_param: Fraction
     _vertices: dict = field(default=None, compare=False, repr=False)
+    _covers: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def _by_level(self):
@@ -509,7 +512,11 @@ def weight(decomp: KernelDecomposition, j, p: int) -> Fraction:
     return box_measure(decomp, j, p) * Fraction(p) ** (mat.cols - mat.rows)
 
 
-def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:
+# shift covers kept per decomposition, the oldest dropped first
+_COVERS_KEPT = 64
+
+
+def shift_cover(decomp: KernelDecomposition, p: int) -> tuple[WeightedShift, ...]:
     """One weighted shift per positive-weight residue class of grid boxes.
 
     Every positive-measure grid box j satisfies L j = -b (mod p) for a
@@ -527,8 +534,13 @@ def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:
     Requires p prime, full rank mod p (both checked by parametrize_kernel,
     whose solution with free part 0 is each representative), and p strictly
     larger than every row sum of absolute entries (so distinct levels stay
-    distinct mod p and each box meets a single slice family).
+    distinct mod p and each box meets a single slice family).  Built once
+    per modulus and kept on the decomposition; the last _COVERS_KEPT
+    moduli stay.
     """
+    key = (type(p), p)
+    if key in decomp._covers:
+        return decomp._covers[key]
     mat = decomp.matrix
     param = parametrize_kernel(mat, p)
     bound = mat.max_row_abs_sum()
@@ -541,7 +553,10 @@ def shift_cover(decomp: KernelDecomposition, p: int) -> list[WeightedShift]:
     for comp in decomp._by_level.values():
         j = kernel_element(param, mat.cols, zero, [-v for v in comp.level])
         shifts.append(WeightedShift(p=p, j=j, lam=comp.volume_param * decomp.c_param, level=comp.level))
-    return shifts
+    if len(decomp._covers) >= _COVERS_KEPT:
+        del decomp._covers[next(iter(decomp._covers))]
+    decomp._covers[key] = cover = tuple(shifts)
+    return cover
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ class PerShift(Sequence):
     """The (j, lambda, density) triples of a decomposition, built on access.
 
     Keeps only the count of each shift, packed into one int.  The shifts
-    and weights come back from shift_cover on the cached kernel
+    and weights come back from the shift_cover kept on the cached kernel
     decomposition, so a caller that keeps many reports holds a fifth of
     the memory that tuples of triples would take.
     """
@@ -163,14 +163,17 @@ def decompose(mat: IntMatrix, p: int, sets) -> MeasureReport:
     shifted density: the shift j of level b solves L j = -b (mod p), so
     its density is N(-b) / p^(m-r).  The report carries every (shift, weight,
     shifted density) triple; the value is their weighted sum and equals
-    the geometric route exactly.
+    the geometric route exactly: one integer sum over the weights' common
+    denominator, made a Fraction once.  The cover is the one kept on the
+    cached decomposition.
     """
     sets = _check_sets(mat, sets)
     cover = shift_cover(enumerate_components(mat), p)
     members = [s.to_discrete(p).members for s in sets]
     counts = residue_counts(mat, p, members, [[-b for b in sh.level] for sh in cover])
-    size = p ** (mat.cols - mat.rows)
-    value = sum((sh.lam * Fraction(c, size) for sh, c in zip(cover, counts)), Fraction(0))
+    den = math.lcm(*(sh.lam.denominator for sh in cover))
+    total = sum(sh.lam.numerator * (den // sh.lam.denominator) * c for sh, c in zip(cover, counts))
+    value = Fraction(total, den * p ** (mat.cols - mat.rows))
     per = PerShift(mat, p, counts)
     return MeasureReport(value=value, route="decomposition", p_used=p, per_shift=per)
 

@@ -14,10 +14,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
-from .errors import GridAlignmentError, InvalidInputError
+from .errors import GridAlignmentError, InvalidInputError, PreconditionError
 from .rationals import format_rational, parse_rational, require_int
 
 __all__ = ["IntervalUnion", "DiscreteSet", "from_discrete", "sets_to_json", "sets_from_json"]
+
+# the most cells a membership array over Z_p may have
+MEMBERSHIP_LIMIT = 1 << 24
+
+
+def require_grid(p) -> int:
+    """p as the length of a membership array: an int in [1, MEMBERSHIP_LIMIT]."""
+    require_int("grid modulus", p, 1)
+    if p > MEMBERSHIP_LIMIT:
+        raise PreconditionError(
+            f"grid modulus {p} exceeds {MEMBERSHIP_LIMIT}: a set over Z_p would need a membership array of {p} cells"
+        )
+    return p
 
 
 def _normalize(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -35,6 +48,14 @@ def _normalize(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
         else:
             merged.append([a, b])
     return tuple((a, b) for a, b in merged)
+
+
+def _cell(v: Fraction, p: int) -> int:
+    """The grid index v p of an endpoint v on the 1/p grid."""
+    k, rest = divmod(v.numerator * p, v.denominator)
+    if rest:
+        raise GridAlignmentError(f"endpoint {format_rational(v)} is not a multiple of 1/{p}", endpoint=v)
+    return k
 
 
 @dataclass(frozen=True)
@@ -130,21 +151,11 @@ class IntervalUnion:
         return all((a * p).denominator == 1 and (b * p).denominator == 1 for a, b in self.intervals)
 
     def to_discrete(self, p: int) -> "DiscreteSet":
-        """Subset of Z_p matching a p-grid-aligned set cell by cell."""
-        require_int("grid modulus", p, 1)
-        members = [False] * p
+        """Subset of Z_p matching a p-grid-aligned set cell by cell, one slice assignment per block."""
+        members = [False] * require_grid(p)
         for a, b in self.intervals:
-            lo, hi = a * p, b * p
-            if lo.denominator != 1:
-                raise GridAlignmentError(
-                    f"endpoint {format_rational(a)} is not a multiple of 1/{p}", endpoint=a
-                )
-            if hi.denominator != 1:
-                raise GridAlignmentError(
-                    f"endpoint {format_rational(b)} is not a multiple of 1/{p}", endpoint=b
-                )
-            for x in range(int(lo), int(hi)):
-                members[x] = True
+            lo, hi = _cell(a, p), _cell(b, p)
+            members[lo:hi] = [True] * (hi - lo)
         return DiscreteSet(p, tuple(members))
 
     def density_points(self) -> list[tuple[Fraction, Fraction]]:
@@ -190,7 +201,7 @@ class DiscreteSet:
 
     @classmethod
     def from_indices(cls, p: int, indices) -> "DiscreteSet":
-        members = [False] * require_int("modulus", p, 1)
+        members = [False] * require_grid(p)
         for x in indices:
             if isinstance(x, bool) or not isinstance(x, int):
                 raise InvalidInputError(f"index {x!r} is not an integer")

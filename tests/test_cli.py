@@ -313,6 +313,18 @@ def test_huge_moduli_answer_at_once(files, capsys):
     assert (code, out) == (3, "") and "3317044064679887385961981" in err
 
 
+def test_huge_moduli_refused_before_membership_arrays(files, capsys):
+    # a set over Z_p at p = 2^61 - 1 would need 2^61 - 1 cells: refused with exit 3, not a MemoryError
+    mpath, spath = files("m.json", SUM3), files("s.json", HALVES)
+    for command in ("decompose", "check-free", "remove"):
+        code, out, err = run(capsys, [command, "--matrix", mpath, "--sets", spath, "--p", str(2**61 - 1)])
+        assert (code, out) == (3, "") and "exceeds 16777216" in err, command
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--matrix", mpath, "--p", str(2**61 - 1)])
+    assert time.perf_counter() - start < 10
+    assert (code, out) == (3, "") and "exceeds 16777216" in err
+
+
 def test_rank_loss_mod_p_exit_3(files, capsys):
     mpath = files("m.json", {"entries": [[1, 3, 4], [4, 1, 5]]})
     code, out, err = run(capsys, ["weights", "--matrix", mpath, "--p", "11"])

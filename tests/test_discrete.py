@@ -153,9 +153,16 @@ def test_agrees_with_naive_oracle():
 
 
 def test_residue_counts_match_naive_oracle():
-    """N(c) for every residue class c, by both routes, against brute force at a shift s with Ls = c."""
+    """N(c) for every residue class c, by both routes, against brute force at a shift s with Ls = c.
+
+    Besides random sets: a coefficient 0 mod p, coefficients beyond p of both signs,
+    p = 2, and set sizes whose product 126 still fits one-byte slots while 128 takes two.
+    """
     rng = random.Random(19)
-    cases = ((SUM3, 11), (AP3, 13), (AP4, 7), (AP5, 5), (PINNED, 5), (ZERO_COLUMN, 5))
+    cases = [(SUM3, 11), (AP3, 13), (AP4, 7), (AP5, 5), (PINNED, 5), (ZERO_COLUMN, 5)]
+    cases += [(SUM3, 2), (AP3, 2), (R4, 2), (IntMatrix([[9, -13, 4]]), 5), (IntMatrix([[-7, 12, 30]]), 11)]
+    cases += [(IntMatrix([[1, 12, -3], [0, 5, 14]]), 7)]
+    sized = {(SUM3, 11): ((7, 6, 3), (8, 4, 4))}
     for mat, p in cases:
         m, r = mat.cols, mat.rows
         shift_of = {}
@@ -166,7 +173,9 @@ def test_residue_counts_match_naive_oracle():
         drawn = [tuple(rng.random() < 0.5 for _ in range(p)) for _ in range(m)]
         empty_first = [(False,) * p] + drawn[1:]
         full_last = drawn[:-1] + [(True,) * p]
-        for members in (drawn, empty_first, full_last):
+        by_size = [[dset(p, rng.sample(range(p), k)).members for k in ks] for ks in sized.get((mat, p), ())]
+        assert [discrete._slot_bytes(members) for members in by_size] == [1, 2][: len(by_size)]
+        for members in (drawn, empty_first, full_last, *by_size):
             want = [naive_density(mat.entries, p, members, shift_of[c]) * p ** (m - r) for c in targets]
             packed = _packed_counts(mat, p, members)
             assert [packed(c) for c in targets] == want
@@ -191,27 +200,29 @@ def test_residue_counts_r3_at_large_p(monkeypatch):
 
 
 def test_counts_over_the_smaller_side(monkeypatch):
-    """R4 at p = 101 builds the packed vector; AP4 at p = 211, and R4 past the size limit, walk the free tuples."""
+    """Dense SUM3 at p = 211 and R4 at p = 101 build the packed vector; sparse SUM3 at
+    p = 10007, AP4 at p = 211 and R4 past the size limit walk the free tuples."""
 
     def refuse(*args):
         raise AssertionError("counted over the larger side")
 
     rng = random.Random(31)
     cases = []
-    for mat, p in ((R4, 101), (AP4, 211)):
-        members = [tuple(rng.random() < 0.5 for _ in range(p)) for _ in range(mat.cols)]
+    for mat, p, density in ((SUM3, 211, 0.5), (R4, 101, 0.5), (SUM3, 10007, 0.0005), (AP4, 211, 0.5)):
+        members = [tuple(rng.random() < density for _ in range(p)) for _ in range(mat.cols)]
         targets = [tuple(rng.randrange(p) for _ in range(mat.rows)) for _ in range(8)]
         cases.append((mat, p, members, targets))
     want = [_free_tuple_counts(*case) for case in cases]
     with monkeypatch.context() as patch:
         patch.setattr(discrete, "_free_tuple_counts", refuse)
-        assert residue_counts(*cases[0]) == want[0]
-    packed = _packed_counts(*cases[1][:3])
-    assert [packed(c) for c in cases[1][3]] == want[1]
+        assert [residue_counts(*case) for case in cases[:2]] == want[:2]
+    for case, counts in zip(cases[2:], want[2:]):
+        packed = _packed_counts(*case[:3])
+        assert [packed(c) for c in case[3]] == counts
     monkeypatch.setattr(discrete, "_packed_counts", refuse)
-    assert residue_counts(*cases[1]) == want[1]
+    assert [residue_counts(*case) for case in cases[2:]] == want[2:]
     monkeypatch.setattr(discrete, "_PACKED_BITS_LIMIT", 0)
-    assert residue_counts(*cases[0]) == want[0]
+    assert residue_counts(*cases[1]) == want[1]
 
 
 def test_additive_in_disjoint_union_of_one_argument():

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsol import DiscreteSet, IntervalUnion, from_discrete, sets_from_json, sets_to_json
-from torsol.errors import GridAlignmentError, InvalidInputError
+from torsol.errors import GridAlignmentError, InvalidInputError, PreconditionError
+from torsol.torus_sets import MEMBERSHIP_LIMIT
 
 
 def iv(*pairs):
@@ -80,6 +81,15 @@ def test_to_discrete_examples():
 def test_to_discrete_rejects_misaligned():
     with pytest.raises(GridAlignmentError, match="1/3"):
         iv((0, F(1, 3))).to_discrete(5)
+
+
+def test_membership_arrays_longer_than_the_limit_are_refused():
+    # refused before the array is allocated
+    for p in (MEMBERSHIP_LIMIT + 1, 2**61 - 1):
+        with pytest.raises(PreconditionError, match=f"exceeds {MEMBERSHIP_LIMIT}"):
+            IntervalUnion.full().to_discrete(p)
+        with pytest.raises(PreconditionError, match=f"exceeds {MEMBERSHIP_LIMIT}"):
+            DiscreteSet.from_indices(p, [0])
 
 
 def test_density_points_examples():
