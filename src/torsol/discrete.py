@@ -5,14 +5,14 @@ L y = c (mod p), for a list of targets c, counted over the cheaper of two
 sides.  One side is the whole count vector as a product of polynomials:
 coordinate i contributes sum_{x in A_i} z^(x L_i), modulo z^p - 1 in each
 of the r residue digits, packed into one big int with whole-byte slots
-(Kronecker substitution; Harvey, J. Symb. Comput. 2009).  For a single
-equation each factor is laid out from the set's membership bytes and
-multiplied in as one big-int product; for r >= 2 each member is one shift
-and add of the running product.  The finished vector is read out as bytes
-once, so a count is a slice of its slot.  The other side walks the free
-coordinates through their own sets; the dependent ones follow from the
-target, and the last free coordinate runs as a bit mask, whose set bits
-list_solutions and removal_lab expand into points.  A shifted density is
+(Kronecker substitution; Harvey, J. Symb. Comput. 2009).  At r = 1 a
+factor with gcd(L_i, p) = 1 is laid out from the membership bytes and
+multiplied in as one big-int product; each other factor is one shift and
+add per member, so the vector is exact at any modulus.  It is read out as
+bytes once, so a count is a slice of its slot.  The other side walks the
+free coordinates through their own sets; the dependent ones follow from
+the target, and the last free coordinate runs as a bit mask, whose set
+bits list_solutions and removal_lab expand into points.  A shifted density is
 one count over p^(m-r), the kernel size once L keeps full rank mod p.
 `parametrize_kernel` inverts a basis minor of L mod p and writes the
 solutions of L x = c as linear functions of the free coordinates and c;
@@ -150,7 +150,7 @@ def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
     the same whatever the targets.  For r = 1 that is, per set with
     L_i != 0 mod p, one pass over its p cells, one slice assignment per
     stride step of _factor (a test each), and one product of two packed
-    vectors; for r >= 2 it is one shift and add of the whole vector per set
+    vectors; each other set costs one shift and add of the whole vector per
     member, a test per _BITS_PER_TEST bits (timed on SUM3 to AP5 at p = 37
     to 1009).  The r = 1 constants come from timing passes, slices and
     products at p = 101 to 2003 against the mask tests of R4 at p = 101,
@@ -161,12 +161,10 @@ def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
     free = parametrize_kernel(mat, p).free_columns
     bits = _packed_bits(mat, p, members)
     tests = len(targets) * mat.rows * math.prod(sum(members[c]) for c in free[:-1])
-    if mat.rows == 1:
-        steps = [min(l % p, -l % p) for l in mat.entries[0] if l % p]
-        product = (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3)
-        cost = sum(steps) + len(steps) * (p / _CELLS_PER_TEST + product)
-    else:
-        cost = sum(map(sum, members)) * (1 + bits // _BITS_PER_TEST)
+    row = mat.entries[0] if mat.rows == 1 else (0,) * mat.cols  # _factor lays out the l % p != 0
+    steps = [min(l % p, -l % p) for l in row if l % p]
+    cost = sum(sum(arr) for l, arr in zip(row, members) if not l % p) * (1 + bits // _BITS_PER_TEST)
+    cost += sum(steps) + len(steps) * (p / _CELLS_PER_TEST + (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3))
     if bits <= _PACKED_BITS_LIMIT and cost < tests:
         count = _packed_counts(mat, p, members)
         return [count(c) for c in targets]
@@ -240,12 +238,13 @@ def _packed_bits(mat: IntMatrix, p: int, members) -> int:
 
 
 def _factor(l: int, p: int, arr, size: int) -> int:
-    """sum_{x in A} z^(l x mod p) for 0 < l < p, with size-byte slots.
+    """sum_{x in A} z^(l x mod p) for 0 < l < p with gcd(l, p) = 1, with size-byte slots.
 
     Laid out from the membership bytes by strided slice assignments: the x
-    with k p <= l x < (k + 1) p go to l x - k p, one slice per k.  When
-    l > p/2 the reflection x -> -x of A goes at stride p - l instead, so
-    there are at most (p - 1)/2 slices and the buffer stays p slots long.
+    with k p <= l x < (k + 1) p go to l x - k p, one slice per k, and no
+    two x share a slot.  When l > p/2 the reflection x -> -x of A goes at
+    stride p - l instead, so there are at most (p - 1)/2 slices and the
+    buffer stays p slots long.
     """
     a = bytes(arr)
     if 2 * l > p:
@@ -264,15 +263,14 @@ def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]],
     each taken modulo z^p - 1.  Residue c sits in slot sum_k (c_k mod p)
     (2p)^k: every digit but the last has 2p slots, so adding two reduced
     digits never carries.  The product is one int with a whole number of
-    bytes per slot (_slot_bytes), enough for every count.  At r = 1 each
-    factor is a dense vector of p slots, built by _factor (the constant
-    |A_i| where L_i = 0 mod p), and goes in as one big-int product, folded
-    back mod z^p - 1 by a shift.  At r >= 2 a factor has at most p of the
-    p (2p)^(r-1) slots, so it goes in as one shift and add per term,
-    several times faster than a Karatsuba product with the packed factor;
-    then the last digit folds back into [0, p) by a shift and every other
-    one by a mask of its slots >= p.  The finished vector is read out as
-    bytes once, so each count is a slice of its slot.
+    bytes per slot (_slot_bytes), enough for every count.  At r = 1 a
+    factor with gcd(L_i, p) = 1 is a dense vector of p slots from _factor,
+    one big-int product, folded back mod z^p - 1 by a shift.  Every other
+    factor (gcd(L_i, p) > 1, p = 1, or r >= 2) is one shift and add per
+    term, several times faster at r >= 2 than a Karatsuba product; then
+    the last digit folds back into [0, p) by a shift and every other one
+    by a mask of its slots >= p.  The finished vector is read out as bytes
+    once, so each count is a slice of its slot.
     """
     strides = [(2 * p) ** k for k in range(mat.rows)]
     slots = p * strides[-1]
@@ -293,8 +291,8 @@ def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]],
     acc = 1  # the empty product
     for i, arr in enumerate(members):
         col = [row[i] for row in mat.entries]
-        if mat.rows == 1:
-            acc *= _factor(col[0] % p, p, arr, size) if col[0] % p else sum(arr)
+        if mat.rows == 1 and math.gcd(col[0], p) == 1 < p:
+            acc *= _factor(col[0] % p, p, arr, size)
         else:
             acc = sum(acc << (slot([a * x for a in col]) * w) for x in range(p) if arr[x])
         acc = (acc & low) + (acc >> (slots * w))

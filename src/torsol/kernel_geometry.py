@@ -405,7 +405,7 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
     yield from rec(0, [(tuple(blocks.q * v for v in pt), mask) for pt, mask in decomp._vertices[comp.level]])
 
 
-def _single_row_measure(row, blocks) -> Fraction:
+def _single_row_measure(row, grid: _GridBlocks) -> Fraction:
     """product_measure for one equation l . x in Z, with no slices walked.
 
     Zero entries leave their coordinates free, each contributing its
@@ -419,32 +419,28 @@ def _single_row_measure(row, blocks) -> Fraction:
     sum (z^(l_i a) - z^(l_i b)) over the blocks (de Boor, Hollig and
     Riemenschneider, Box Splines, 1993).  It is continuous, so its values
     at the integer levels lo..hi give the exact half-open measure.  All
-    exponents are integers on the common denominator q of the endpoints,
-    and only the final value is a Fraction.
+    exponents are the integer endpoints on the grid q of _GridBlocks, and
+    only the final value is a Fraction.
     """
-    moving = [i for i, l in enumerate(row) if l]
-    rest = math.prod(sum((b - a for a, b in blocks[i]), Fraction(0)) for i, l in enumerate(row) if not l)
+    q, moving = grid.q, [i for i, l in enumerate(row) if l]
+    rest = math.prod(sum(b - a for a, b in grid[i]) for i, l in enumerate(row) if not l)
+    den = q ** (len(row) - len(moving))  # rest is the free coordinates' measure times den
     if len(moving) == 1:
         (i,) = moving
         n = abs(row[i])
-        return rest * Fraction(sum(math.ceil(b * n) - math.ceil(a * n) for a, b in blocks[i]), n)
-    q = math.lcm(*(v.denominator for i in moving for pair in blocks[i] for v in pair))
+        return Fraction(rest * sum(a * n // -q - b * n // -q for a, b in grid[i]), den * n)
     poly = {0: 1}
     for i in moving:
-        factor = {}
-        for a, b in blocks[i]:
-            for v, sign in ((a, 1), (b, -1)):
-                e = row[i] * q // v.denominator * v.numerator
-                factor[e] = factor.get(e, 0) + sign
+        factor = [(row[i] * a, 1) for a, _ in grid[i]] + [(row[i] * b, -1) for _, b in grid[i]]
         merged = {}
         for c, w in poly.items():
-            for e, s in factor.items():
+            for e, s in factor:
                 merged[c + e] = merged.get(c + e, 0) + w * s
         poly = {c: w for c, w in merged.items() if w}
     n = len(moving)
     lo, hi = sum(min(0, l) for l in row), sum(max(0, l) for l in row)
     total = sum(w * (q * y - c) ** (n - 1) for c, w in poly.items() for y in range(lo, hi + 1) if q * y > c)
-    return rest * Fraction(total, math.factorial(n - 1) * math.prod(row[i] for i in moving) * q ** (n - 1))
+    return Fraction(rest * total, den * math.factorial(n - 1) * math.prod(row[i] for i in moving) * q ** (n - 1))
 
 
 def _reachable(decomp: KernelDecomposition, grid: _GridBlocks):
@@ -475,13 +471,13 @@ def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
     slice_leaves over the _reachable slices, with the blocks put on their
     integer grid once.  A box of side 1/p with p above every row sum of
     |entries| reaches at most 2^r of them.  The leaves share one den, so
-    only the sum is a Fraction.
+    only the sum is a Fraction.  blocks may come as a _GridBlocks already.
     """
     mat = decomp.matrix
+    grid = blocks if isinstance(blocks, _GridBlocks) else _GridBlocks(blocks)
     if mat.rows == 1:
-        return _single_row_measure(mat.entries[0], blocks)
+        return _single_row_measure(mat.entries[0], grid)
     size = den = 0
-    grid = _GridBlocks(blocks)
     for comp in _reachable(decomp, grid):
         for leaf in slice_leaves(decomp, comp, grid):
             size, den = size + leaf.size, leaf.den

@@ -12,10 +12,11 @@ geometric      exact, for any rational interval unions.  A single equation
                each slice's integer vertices clipped block by block
                (kernel_geometry.slice_leaves), with no H-polytope.
                find_positive_witness reads a point off the same slices.
-decomposition  exact: weighted sum of shifted counting densities over Z_p,
-               for p-grid-aligned sets at a suitable prime p, all from one
-               call of the Z_p counter.  Independently coded from the geometric
-               route; the two agree exactly.
+               On small grids the value is checked against the counts.
+decomposition  exact: the count identity c_param / p^(m-r) sum_b vol_b N(-b)
+               of p-grid-aligned sets at a suitable prime p, all counts from
+               one call of the Z_p counter.  Independently coded from the
+               geometric route; the two agree exactly.
 monte_carlo    statistical: samples the normalized Haar measure on the
                kernel subgroup directly, from uniform free coordinates and
                a uniform coset of the pivot minor, and reads off the pivot
@@ -51,7 +52,7 @@ from .kernel_geometry import (
 )
 from .rationals import require_int
 from .torus_sets import IntervalUnion
-from .discrete import residue_counts
+from .discrete import _packed_counts, residue_counts
 
 __all__ = [
     "MeasureReport",
@@ -62,8 +63,8 @@ __all__ = [
     "find_positive_witness",
 ]
 
-# grid sizes up to which the geometric route re-derives its value cell by
-# cell as an internal consistency check
+# q^m up to which the geometric route checks its value against the count
+# identity at the sets' own grid q
 _BOX_CROSS_CHECK_LIMIT = 200
 
 
@@ -89,32 +90,39 @@ def _check_sets(mat: IntMatrix, sets) -> list[IntervalUnion]:
     return sets
 
 
-def _grid_box_sum(mat: IntMatrix, decomp: KernelDecomposition, sets, q: int) -> Fraction:
-    """The measure re-derived with every set split into its q-grid cells."""
-    cells = [[(Fraction(k, q), Fraction(k + 1, q)) for k in s.to_discrete(q).indices()] for s in sets]
-    return product_measure(decomp, cells)
+def _count_identity(decomp: KernelDecomposition, q: int, counts) -> Fraction:
+    """c_param / q^(m-r) sum_b vol_b N(-b), the measure of q-grid-aligned sets, as one Fraction.
+
+    counts[k] = N(-b) counts the cells j of the product with L j = -b (mod q),
+    for the k-th level b of decomp._by_level, in shift_cover's order.  The box
+    at j/q holds every such level-b slice scaled by 1/q, so any q >= 1 works.
+    """
+    vols = [comp.volume_param for comp in decomp._by_level.values()]
+    den = math.lcm(*(v.denominator for v in vols))
+    total = sum(v.numerator * (den // v.denominator) * n for v, n in zip(vols, counts))
+    mat, c = decomp.matrix, decomp.c_param
+    return Fraction(total * c.numerator, den * c.denominator * q ** (mat.cols - mat.rows))
 
 
 def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     """Exact solution measure of rational interval unions, geometric route.
 
-    The value is product_measure of the sets' blocks: closed form for a
-    single equation, otherwise c_param times the sum, over kernel slices
-    and interval block combinations, of the parameter volume of the
-    restricted slice.  On small grids the same value is re-derived cell by cell and the two
-    summations are checked to agree.
+    The value is product_measure of the sets' blocks on their grid q:
+    closed form for a single equation, otherwise c_param times the parameter
+    volumes of the kernel slices restricted to block combinations.  When
+    q^m <= _BOX_CROSS_CHECK_LIMIT, _count_identity with the packed counts
+    mod q, which share no code with the walker, must give the same value.
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
-    value = product_measure(decomp, [s.intervals for s in sets])
-
-    q = math.lcm(*(v.denominator for s in sets for pair in s.intervals for v in pair))
+    grid = _GridBlocks([s.intervals for s in sets])
+    value = product_measure(decomp, grid)
+    q = grid.q
     if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
-        alt = _grid_box_sum(mat, decomp, sets, q)
+        count = _packed_counts(mat, q, [s.to_discrete(q).members for s in sets])
+        alt = _count_identity(decomp, q, [count([-v for v in b]) for b in decomp._by_level])
         if alt != value:
-            raise InternalInvariantError(
-                f"block summation {value} != cell summation {alt} on the {q}-grid"
-            )
+            raise InternalInvariantError(f"block summation {value} != count identity {alt} on the {q}-grid")
     return MeasureReport(value=value, route="geometric")
 
 
@@ -162,18 +170,16 @@ def decompose(mat: IntMatrix, p: int, sets) -> MeasureReport:
     One call of residue_counts on the discretized sets gives every
     shifted density: the shift j of level b solves L j = -b (mod p), so
     its density is N(-b) / p^(m-r).  The report carries every (shift, weight,
-    shifted density) triple; the value is their weighted sum and equals
-    the geometric route exactly: one integer sum over the weights' common
-    denominator, made a Fraction once.  The cover is the one kept on the
-    cached decomposition.
+    shifted density) triple; the value is their weighted sum,
+    _count_identity at q = p, and equals the geometric route exactly.  The
+    cover is the one kept on the cached decomposition.
     """
     sets = _check_sets(mat, sets)
-    cover = shift_cover(enumerate_components(mat), p)
+    decomp = enumerate_components(mat)
+    cover = shift_cover(decomp, p)
     members = [s.to_discrete(p).members for s in sets]
     counts = residue_counts(mat, p, members, [[-b for b in sh.level] for sh in cover])
-    den = math.lcm(*(sh.lam.denominator for sh in cover))
-    total = sum(sh.lam.numerator * (den // sh.lam.denominator) * c for sh, c in zip(cover, counts))
-    value = Fraction(total, den * p ** (mat.cols - mat.rows))
+    value = _count_identity(decomp, p, counts)
     per = PerShift(mat, p, counts)
     return MeasureReport(value=value, route="decomposition", p_used=p, per_shift=per)
 

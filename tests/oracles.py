@@ -1,23 +1,23 @@
 """Independent oracles used by the test suite.
 
 Each oracle re-derives a quantity with a different algorithm than the
-package uses: brute-force tuple enumeration for counting, a sweep-line
-integrator for planar areas, exhaustive subset search for extremal
-densities, a direct rational check of lattice membership, a lifted
-min-max program for whether a kernel slice meets the half-open cube, the
-polytope walk over every slice for single equations, whose measure the
-package takes in closed form, the basis scan of each box slice
-(slice_leaf), where the package clips the vertices of a slice of the
-unit cube, every block combination of every slice with no pruning, every
-slice scanned for a positive witness, where the package looks up the
-levels the sets can reach, a slice_leaf at every candidate level of the
-row-sum box, where the package finds the levels from the vertices of the
-slices, Smith invariants from gcds of minors, which the package gets by
-alternating Hermite forms, ranks from Laplace minors for the greedy basis
-columns and the mod-p kernel parametrization, which the package reads off
-its table of basis minors, and every member of every coset for the
-violating boxes and the greedy removal, which the package walks through
-the sets' members and counts with packed products.  They are
+package uses: brute-force tuple enumeration for counting at any modulus,
+a sweep-line integrator for planar areas, exhaustive subset search for
+extremal densities, a direct rational check of lattice membership, a
+lifted min-max program for whether a kernel slice meets the half-open
+cube, the polytope walk over every slice for single equations, whose
+measure the package takes in closed form, the basis scan of each box
+slice (slice_leaf), where the package clips the vertices of a slice of
+the unit cube, every block combination of every slice with no pruning,
+every slice scanned for a positive witness, where the package looks up
+the levels the sets can reach, a slice_leaf at every candidate level of
+the row-sum box, where the package finds the levels from the vertices of
+the slices, Smith invariants from gcds of minors, which the package gets
+by alternating Hermite forms, ranks from Laplace minors for the greedy
+basis columns and the mod-p kernel parametrization, which the package
+reads off its table of basis minors, and every member of every coset for
+the violating boxes and the greedy removal, which the package walks
+through the sets' members and counts with packed products.  They are
 deliberately slow and simple.
 """
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -43,6 +44,14 @@ def naive_density(entries, p, member_arrays, shifts=None):
             count += 1
     d = m - r
     return Fraction(count, p**d)
+
+
+def residue_histogram(entries, q, member_arrays):
+    """N(c) for every residue c mod q: each tuple of the product counted at L y mod q."""
+    counts = Counter()
+    for y in product(*([x for x in range(q) if arr[x]] for arr in member_arrays)):
+        counts[tuple(sum(a * v for a, v in zip(row, y)) % q for row in entries)] += 1
+    return counts
 
 
 def sweep_area(constraints):

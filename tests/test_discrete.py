@@ -21,6 +21,7 @@ from oracles import (
     random_full_rank_matrix,
     random_pinned_matrix,
     reference_parametrization,
+    residue_histogram,
     suitable_prime,
 )
 
@@ -181,6 +182,25 @@ def test_residue_counts_match_naive_oracle():
             assert [packed(c) for c in targets] == want
             assert _free_tuple_counts(mat, p, members, targets) == want
             assert residue_counts(mat, p, members, targets) == want
+
+
+def test_packed_counts_exact_at_every_modulus():
+    """_packed_counts against brute force on every residue mod q, q prime or not.
+
+    A coefficient sharing a factor g with q (2 in [[2, 1, -1]] at q = 6, 3 in
+    [[2, 3, -1, 5]] at q = 9) sends g members of a set to one residue, so its
+    factor must be shifted and added, not laid out by _factor; q = 1 has the
+    one residue 0.  Random and full sets, r = 1 and r = 2.
+    """
+    rng = random.Random(41)
+    for mat in (IntMatrix([[2, 1, -1]]), IntMatrix([[2, 3, -1, 5]]), AP3, AP4, PINNED):
+        for q in (1, 4, 6, 8, 9, 10, 12):
+            residues = list(product(range(q), repeat=mat.rows))
+            drawn = [tuple(rng.random() < 0.5 for _ in range(q)) for _ in range(mat.cols)]
+            for members in (drawn, [(True,) * q] * mat.cols):
+                want = residue_histogram(mat.entries, q, members)
+                packed = _packed_counts(mat, q, members)
+                assert [packed(c) for c in residues] == [want[c] for c in residues], (mat.entries, q)
 
 
 def test_residue_counts_r3_at_large_p(monkeypatch):

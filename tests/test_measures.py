@@ -13,8 +13,10 @@ from torsol import (
     monte_carlo_estimate,
     solution_measure,
 )
-from torsol.errors import DegenerateColumnsError, GridAlignmentError, InvalidInputError
-from torsol.measures import _grid_box_sum
+from torsol import kernel_geometry
+from torsol.discrete import _packed_counts
+from torsol.errors import DegenerateColumnsError, GridAlignmentError, InternalInvariantError, InvalidInputError
+from torsol.measures import _count_identity
 from torsol.kernel_geometry import enumerate_components
 
 from oracles import (
@@ -33,6 +35,8 @@ R4 = IntMatrix([[2, 3, -1, 5]])
 AP5 = IntMatrix([[1, -2, 1, 0, 0], [0, 1, -2, 1, 0], [0, 0, 1, -2, 1]])
 PINNED = IntMatrix([[1, 1, 0], [0, 0, 2]])
 PINNED_SCALED = IntMatrix([[2, 2, 0], [0, 0, 4]])
+SMITH = IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]])
+D3 = IntMatrix([[1, 2, -1, 0, 1], [0, 1, 1, -2, 1]])
 
 
 def iv(*pairs):
@@ -117,13 +121,42 @@ def test_route_agreement_at_large_moduli():
             assert sum(lam for _j, lam, _s in dec.per_shift) == 1
 
 
-def test_grid_box_sum_matches_block_sum():
+def count_identity(mat, q, sets):
+    """c_param / q^(m-r) * sum_b vol_b N_q(-b), with N_q the packed counts of the sets mod q."""
+    decomp = enumerate_components(mat)
+    count = _packed_counts(mat, q, [s.to_discrete(q).members for s in sets])
+    return _count_identity(decomp, q, [count([-v for v in b]) for b in decomp._by_level])
+
+
+def test_count_identity_matches_block_sum():
+    """The count identity equals the geometric route at any grid q, also past its self-check's gate.
+
+    Composite q, q at most the row bound (several levels in one class mod q),
+    pinned matrices, the Smith matrix and a d = 3 matrix.
+    """
     rng = random.Random(9)
-    for mat, q in ((SUM3, 5), (AP3, 6), (SUM3, 7), (PINNED, 4), (PINNED_SCALED, 4)):
-        decomp = enumerate_components(mat)
-        for _ in range(3):
+    cases = [(SUM3, 5), (AP3, 6), (SUM3, 7), (PINNED, 4), (PINNED_SCALED, 4)]
+    cases += [(SUM3, 2), (SUM3, 4), (AP3, 3), (AP3, 4), (IntMatrix([[2, 1, -1]]), 6), (R4, 6), (R4, 9)]
+    cases += [(AP4, 4), (AP4, 6), (PINNED, 6), (PINNED_SCALED, 3), (SMITH, 4), (D3, 3)]
+    for mat, q in cases:
+        for _ in range(6):
             sets = random_grid_sets(rng, q, mat.cols)
-            assert _grid_box_sum(mat, decomp, sets, q) == solution_measure(mat, sets).value
+            assert count_identity(mat, q, sets) == solution_measure(mat, sets).value, (mat.entries, q)
+
+
+def test_self_check_catches_a_wrong_closed_form(monkeypatch):
+    """A sign error on l_1 in the r = 1 closed form is refused on the 5-grid, where the check runs."""
+    rng = random.Random(11)
+    inputs = [random_grid_sets(rng, 5, 3) for _ in range(30)]
+    truth = [solution_measure(SUM3, sets).value for sets in inputs]
+    closed_form = kernel_geometry._single_row_measure
+    monkeypatch.setattr(kernel_geometry, "_single_row_measure", lambda row, grid: closed_form((-row[0], *row[1:]), grid))
+    decomp = enumerate_components(SUM3)
+    wrong = [sets for sets, value in zip(inputs, truth) if kernel_geometry.product_measure(decomp, [s.intervals for s in sets]) != value]
+    assert len(wrong) >= 5
+    for sets in wrong:
+        with pytest.raises(InternalInvariantError, match="count identity"):
+            solution_measure(SUM3, sets)
 
 
 def test_pinned_coordinate_is_tested_half_open():
