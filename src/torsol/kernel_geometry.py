@@ -95,9 +95,7 @@ class KernelDecomposition:
     reciprocal, the constant turning parameter volumes into normalized
     Haar measure.  _vertices maps each level to the vertices of its slice
     in the unit cube, as integer points at scale unit (see _slice_data),
-    each with the mask of the cube bounds it meets (see _clip).  _covers
-    keeps the shift_cover of each modulus, keyed by (type(p), p) so that
-    7.0 or True never reads the entry of 7 or 1.
+    each with the mask of the cube bounds it meets (see _clip).
     """
 
     matrix: IntMatrix
@@ -106,7 +104,6 @@ class KernelDecomposition:
     total_volume_param: Fraction
     c_param: Fraction
     _vertices: dict = field(default=None, compare=False, repr=False)
-    _covers: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def _by_level(self):
@@ -409,26 +406,25 @@ def _single_row_measure(row, grid: _GridBlocks) -> Fraction:
     """product_measure for one equation l . x in Z, with no slices walked.
 
     Zero entries leave their coordinates free, each contributing its
-    measure.  If one entry l_i is nonzero, x_i is pinned to the points
-    k/|l_i|, each of Haar weight 1/|l_i|, and the block [a, b) holds those
-    with ceil(a|l_i|) <= k < ceil(b|l_i|).  With n >= 2 nonzero entries,
-    the mass over the integer levels is a lattice sum of the univariate
-    box spline of the directions l_i (b_i - a_i): the density of l . x on
-    a block product is sum_c E_c (t - c)_+^(n-1) / ((n-1)! prod l_i), with
-    signed prod l_i, where E is the product of the factors
-    sum (z^(l_i a) - z^(l_i b)) over the blocks (de Boor, Hollig and
-    Riemenschneider, Box Splines, 1993).  It is continuous, so its values
-    at the integer levels lo..hi give the exact half-open measure.  All
-    exponents are the integer endpoints on the grid q of _GridBlocks, and
-    only the final value is a Fraction.
+    measure.  Over the n nonzero entries, the mass at the integer levels
+    is a lattice sum of the univariate box spline of the directions
+    l_i (b_i - a_i): the density of l . x on a block product is
+    sum_c E_c (t - c)_+^(n-1) / ((n-1)! prod l_i), with signed prod l_i,
+    where E is the product of the factors sum (z^(l_i a) - z^(l_i b)) over
+    the blocks (de Boor, Hollig and Riemenschneider, Box Splines, 1993).
+    With n >= 2 it is continuous, so its values at the integer levels
+    lo..hi give the exact half-open measure.  With n = 1 it is a step
+    function: x_i is pinned to the points k/|l_i|, each of Haar weight
+    1/|l_i|, so l_i is taken as |l_i| and the step at c counts at t = c,
+    which keeps the blocks half-open; for n >= 2 the term at t = c is 0.
+    All exponents are the integer endpoints on the grid q of _GridBlocks,
+    and only the final value is a Fraction.
     """
     q, moving = grid.q, [i for i, l in enumerate(row) if l]
+    if len(moving) == 1:
+        row = [abs(l) for l in row]
     rest = math.prod(sum(b - a for a, b in grid[i]) for i, l in enumerate(row) if not l)
     den = q ** (len(row) - len(moving))  # rest is the free coordinates' measure times den
-    if len(moving) == 1:
-        (i,) = moving
-        n = abs(row[i])
-        return Fraction(rest * sum(a * n // -q - b * n // -q for a, b in grid[i]), den * n)
     poly = {0: 1}
     for i in moving:
         factor = [(row[i] * a, 1) for a, _ in grid[i]] + [(row[i] * b, -1) for _, b in grid[i]]
@@ -439,7 +435,7 @@ def _single_row_measure(row, grid: _GridBlocks) -> Fraction:
         poly = {c: w for c, w in merged.items() if w}
     n = len(moving)
     lo, hi = sum(min(0, l) for l in row), sum(max(0, l) for l in row)
-    total = sum(w * (q * y - c) ** (n - 1) for c, w in poly.items() for y in range(lo, hi + 1) if q * y > c)
+    total = sum(w * (q * y - c) ** (n - 1) for c, w in poly.items() for y in range(lo, hi + 1) if q * y >= c)
     return Fraction(rest * total, den * math.factorial(n - 1) * math.prod(row[i] for i in moving) * q ** (n - 1))
 
 
@@ -508,10 +504,6 @@ def weight(decomp: KernelDecomposition, j, p: int) -> Fraction:
     return box_measure(decomp, j, p) * Fraction(p) ** (mat.cols - mat.rows)
 
 
-# shift covers kept per decomposition, the oldest dropped first
-_COVERS_KEPT = 64
-
-
 def shift_cover(decomp: KernelDecomposition, p: int) -> tuple[WeightedShift, ...]:
     """One weighted shift per positive-weight residue class of grid boxes.
 
@@ -531,13 +523,16 @@ def shift_cover(decomp: KernelDecomposition, p: int) -> tuple[WeightedShift, ...
     whose solution with free part 0 is each representative), and p strictly
     larger than every row sum of absolute entries (so distinct levels stay
     distinct mod p and each box meets a single slice family).  Built once
-    per modulus and kept on the decomposition; the last _COVERS_KEPT
-    moduli stay.
+    per (L, p) in an lru_cache that keys on decomp.matrix, of which decomp
+    is a function, and on the type of p, so 7.0 or True never reads the
+    entry of 7 or 1.
     """
-    key = (type(p), p)
-    if key in decomp._covers:
-        return decomp._covers[key]
-    mat = decomp.matrix
+    return _shift_cover(decomp.matrix, p)
+
+
+@lru_cache(maxsize=256, typed=True)
+def _shift_cover(mat: IntMatrix, p: int) -> tuple[WeightedShift, ...]:
+    decomp = enumerate_components(mat)
     param = parametrize_kernel(mat, p)
     bound = mat.max_row_abs_sum()
     if p <= bound:
@@ -549,10 +544,7 @@ def shift_cover(decomp: KernelDecomposition, p: int) -> tuple[WeightedShift, ...
     for comp in decomp._by_level.values():
         j = kernel_element(param, mat.cols, zero, [-v for v in comp.level])
         shifts.append(WeightedShift(p=p, j=j, lam=comp.volume_param * decomp.c_param, level=comp.level))
-    if len(decomp._covers) >= _COVERS_KEPT:
-        del decomp._covers[next(iter(decomp._covers))]
-    decomp._covers[key] = cover = tuple(shifts)
-    return cover
+    return tuple(shifts)
 
 
 @dataclass(frozen=True)

@@ -130,9 +130,9 @@ class PerShift(Sequence):
     """The (j, lambda, density) triples of a decomposition, built on access.
 
     Keeps only the count of each shift, packed into one int.  The shifts
-    and weights come back from the shift_cover kept on the cached kernel
-    decomposition, so a caller that keeps many reports holds a fifth of
-    the memory that tuples of triples would take.
+    and weights come back from the cached shift_cover, so a caller that
+    keeps many reports holds a fifth of the memory that tuples of triples
+    would take.
     """
 
     __slots__ = ("mat", "p", "n", "packed", "width")

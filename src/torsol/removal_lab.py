@@ -14,7 +14,9 @@ but the last run through their own sets and the last as a bit mask, so
 the cost follows the sets' sizes and the number of boxes rather than
 p^(m-r).  The greedy lists no boxes: it reads how many boxes lie on each
 cell off one packed count vector per coordinate (discrete._packed_counts,
-with that coordinate's set left out).
+with that coordinate's set left out).  The density search, exhaustive or
+local, at every p, keeps a set solution-free against one edge set: the
+minimal supports of ker L mod p, found by submask lookup (_edges_mod_p).
 """
 
 from __future__ import annotations
@@ -229,22 +231,29 @@ def szemeredi_probe(mat: IntMatrix, alpha, trials: int, seed: int):
     return best, best_set
 
 
-def _edges_mod_p(param, m: int, minimalize: bool) -> list[int]:
-    """Support bitmasks of kernel elements; optionally reduced to minimal ones."""
+def _edges_mod_p(param, m: int) -> list[int]:
+    """The minimal supports of ker L mod p, as bitmasks over Z_p.
+
+    The support of a kernel element x is the set {x_1, ..., x_m} of
+    residues.  A set avoids every support exactly when it avoids the
+    minimal ones, so both searches run on these alone.  A support is kept
+    when none of its proper submasks is a support too: at most 2^m set
+    lookups each.  Sorted by size, then by mask.
+    """
     supports = set()
     for x in kernel_elements(param, m):
         mask = 0
         for v in x:
             mask |= 1 << v
         supports.add(mask)
-    edges = sorted(supports, key=lambda e: (e.bit_count(), e))
-    if not minimalize:
-        return edges
-    minimal: list[int] = []
-    for e in edges:
-        if not any((f & e) == f for f in minimal):
+    minimal = []
+    for e in supports:
+        sub = (e - 1) & e
+        while sub and sub not in supports:
+            sub = (sub - 1) & e
+        if not sub:
             minimal.append(e)
-    return minimal
+    return sorted(minimal, key=lambda e: (e.bit_count(), e))
 
 
 def _greedy_fill(addable, order) -> int:
@@ -258,21 +267,20 @@ def _greedy_fill(addable, order) -> int:
 def _conflicts(p: int, edges: list[int]):
     """addable(mask, e): whether e can join the solution-free set mask.
 
-    It cannot when e is banned outright (a singleton edge) or when adding
-    it fills one of the larger edges through e.
+    It cannot when adding it fills an edge through e, a singleton edge
+    {e} included.  Each edge is listed under its own bits.
     """
-    banned = {e.bit_length() - 1 for e in edges if e.bit_count() == 1}
     edges_by_elem = [[] for _ in range(p)]
     for e in edges:
-        if e.bit_count() == 1:
-            continue
-        for x in range(p):
-            if e >> x & 1:
-                edges_by_elem[x].append(e)
+        rest = e
+        while rest:
+            low = rest & -rest
+            edges_by_elem[low.bit_length() - 1].append(e)
+            rest ^= low
 
     def addable(mask: int, e: int) -> bool:
         new = mask | 1 << e
-        return e not in banned and all(edge & ~new for edge in edges_by_elem[e])
+        return all(edge & ~new for edge in edges_by_elem[e])
 
     return addable
 
@@ -337,8 +345,10 @@ def density_search(mat: IntMatrix, p: int, mode: str = "exhaustive", seed: int =
     admit only the empty set: a warning is issued and density 0 returned.
     Exhaustive mode (p <= 22) is optimal by construction; local mode runs
     seeded hill climbing with restarts and reports the best set found.
-    The mode, the modulus (a prime int, full rank mod p) and then the
-    exhaustive size limit are checked first, for invariant systems too.
+    Both modes test candidates against the minimal kernel supports of
+    _edges_mod_p at every p.  The mode, the modulus (a prime int, full
+    rank mod p) and then the exhaustive size limit are checked first, for
+    invariant systems too.
     """
     if mode not in ("exhaustive", "local"):
         raise InvalidInputError(f"unknown mode {mode!r}")
@@ -351,10 +361,10 @@ def density_search(mat: IntMatrix, p: int, mode: str = "exhaustive", seed: int =
             "set is solution-free; density is 0 under the all-solutions convention"
         )
         return Fraction(0), DiscreteSet(p, [False] * p)
+    edges = _edges_mod_p(param, mat.cols)
     if mode == "exhaustive":
-        mask = _exhaustive_search(p, _edges_mod_p(param, mat.cols, minimalize=True))
+        mask = _exhaustive_search(p, edges)
     else:
-        edges = _edges_mod_p(param, mat.cols, minimalize=p <= 64)
         mask = _local_search(p, edges, random.Random(seed))
     members = [bool(mask >> x & 1) for x in range(p)]
     return Fraction(mask.bit_count(), p), DiscreteSet(p, members)

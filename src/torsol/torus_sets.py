@@ -10,6 +10,7 @@ subsets of Z_p and convert back and forth losslessly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -215,17 +216,9 @@ class DiscreteSet:
         return sum(self.members)
 
     def to_interval_union(self) -> IntervalUnion:
-        out = []
-        start = None
-        for x in range(self.p):
-            if self.members[x] and start is None:
-                start = x
-            elif not self.members[x] and start is not None:
-                out.append((Fraction(start, self.p), Fraction(x, self.p)))
-                start = None
-        if start is not None:
-            out.append((Fraction(start, self.p), Fraction(self.p, self.p)))
-        return IntervalUnion(out)
+        """One interval [start/p, end/p) per run of members."""
+        runs = re.finditer(rb"\x01+", bytes(self.members))
+        return IntervalUnion([(Fraction(r.start(), self.p), Fraction(r.end(), self.p)) for r in runs])
 
 
 def from_discrete(dset: DiscreteSet) -> IntervalUnion:

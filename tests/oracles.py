@@ -15,10 +15,11 @@ the row-sum box, where the package finds the levels from the vertices of
 the slices, Smith invariants from gcds of minors, which the package gets
 by alternating Hermite forms, ranks from Laplace minors for the greedy
 basis columns and the mod-p kernel parametrization, which the package
-reads off its table of basis minors, and every member of every coset for
-the violating boxes and the greedy removal, which the package walks
-through the sets' members and counts with packed products.  They are
-deliberately slow and simple.
+reads off its table of basis minors, the pairwise pass over all supports
+for the minimal kernel supports, which the package finds by submask
+lookup, and every member of every coset for the violating boxes and the
+greedy removal, which the package walks through the sets' members and
+counts with packed products.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -339,6 +340,22 @@ def brute_max_free_density(entries, p):
         best = len(members)
         best_set = members
     return Fraction(best, p), best_set
+
+
+def pairwise_minimal_supports(param, m):
+    """The minimal supports of ker L mod p by a pairwise pass, as bitmasks.
+
+    All supports, sorted by size and then by mask; each is kept unless a
+    support kept before it is a submask of it.  Quadratic in their number.
+    """
+    from torsol.discrete import kernel_elements
+
+    supports = {sum(1 << v for v in set(x)) for x in kernel_elements(param, m)}
+    minimal = []
+    for e in sorted(supports, key=lambda e: (e.bit_count(), e)):
+        if not any(f & e == f for f in minimal):
+            minimal.append(e)
+    return minimal
 
 
 def in_lattice(columns, vec):

@@ -298,7 +298,17 @@ def _rational_blocks(rng, m, most):
 
 @pytest.mark.parametrize(
     "row",
-    [[1, 1, -1], [1, -2, 1], [2, 3, -1, 5], [2, -4, 6], [3, 0, -1], [1, 1, 1, 1, 1], [0, 0, 2], [0, 0, -3]],
+    [
+        [1, 1, -1],
+        [1, -2, 1],
+        [2, 3, -1, 5],
+        [2, -4, 6],
+        [3, 0, -1],
+        [1, 1, 1, 1, 1],
+        [0, 0, 2],
+        [0, 0, -3],
+        [0, -7, 0, 0],
+    ],
 )
 def test_single_row_closed_form_matches_walker(row):
     rng = random.Random(sum(row) + 10 * len(row))

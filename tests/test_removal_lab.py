@@ -19,7 +19,13 @@ from torsol import (
 from torsol import discrete, removal_lab
 from torsol.errors import PositiveMeasureError, PreconditionError
 
-from oracles import brute_max_free_density, enumerated_greedy, enumerated_violating, random_grid_sets
+from oracles import (
+    brute_max_free_density,
+    enumerated_greedy,
+    enumerated_violating,
+    pairwise_minimal_supports,
+    random_grid_sets,
+)
 
 SUM3 = IntMatrix([[1, 1, -1]])
 AP3 = IntMatrix([[1, -2, 1]])
@@ -269,6 +275,44 @@ def test_density_search_deterministic_local():
     a = density_search(SUM3, 17, mode="local", seed=11)
     b = density_search(SUM3, 17, mode="local", seed=11)
     assert a == b
+
+
+# (matrix, primes): m - r = 3 for R4, [[1,1,-1,-2]] and the 2 x 5 matrix; p > 64 at r = 1 and r = 2
+_EDGE_CASES = [
+    ([[1, 1, -1]], (2, 3, 5, 7, 11, 13, 67)),
+    ([[1, 1, -3]], (5, 7, 11, 71)),
+    ([[2, 3, -1, 5]], (7, 11, 13, 17)),
+    ([[1, 1, -1, -2]], (5, 7, 11, 13)),
+    ([[2, 1, -1]], (5, 13, 73)),
+    ([[1, -2, 1]], (5, 67)),
+    ([[1, -2, 1, 0], [0, 1, -2, 1]], (7, 13)),
+    ([[1, 1, 0], [0, 0, 2]], (3, 67)),
+    ([[1, 2, -1, 0, 1], [0, 1, 1, -2, 1]], (7, 11)),
+    ([[1, 3, 4], [4, 1, 5]], (13,)),
+]
+
+
+@pytest.mark.parametrize("rows, p", [(rows, p) for rows, ps in _EDGE_CASES for p in ps])
+def test_edges_are_the_pairwise_minimal_supports(rows, p):
+    param = discrete.parametrize_kernel(IntMatrix(rows), p)
+    assert removal_lab._edges_mod_p(param, len(rows[0])) == pairwise_minimal_supports(param, len(rows[0]))
+
+
+@pytest.mark.parametrize(
+    "rows, p, members",
+    [
+        ([[1, 1, -1]], 67, [1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 46, 48, 50, 52, 54, 56, 58, 60, 62, 64, 66]),
+        ([[1, 1, -1]], 71, [2, 3, 8, 9, 13, 14, 19, 20, 24, 25, 30, 35, 36, 41, 46, 47, 51, 52, 57, 58, 62, 63, 68, 69]),
+        ([[1, 1, -3]], 67, [3, 8, 14, 19, 20, 25, 31, 36, 42, 47, 48, 53, 59, 64]),
+        ([[1, 1, -3]], 71, [2, 9, 16, 23, 27, 30, 34, 37, 41, 48, 55, 59, 62, 66]),
+    ],
+)
+def test_density_search_local_above_64_is_pinned(rows, p, members):
+    # the answers of a local search over all supports, which a set avoids
+    # exactly when it avoids the minimal ones
+    dens, best = density_search(IntMatrix(rows), p, mode="local", seed=0)
+    assert dens == F(len(members), p)
+    assert best.indices() == members
 
 
 def test_density_trend_rows():
