@@ -156,10 +156,10 @@ def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
     products at p = 101 to 2003 against the mask tests of R4 at p = 101,
     and were checked on SUM3, AP3 and R4 at p = 37 to 1009.  The vector is
     built only when it is the cheaper side and fits in _PACKED_BITS_LIMIT
-    bits.
+    bits; else the free tuples, which hold no vector, are walked.
     """
     free = parametrize_kernel(mat, p).free_columns
-    bits = _packed_bits(mat, p, members)
+    bits = p * (2 * p) ** (mat.rows - 1) * 8 * _slot_bytes(members)  # _packed_counts' vector
     tests = len(targets) * mat.rows * math.prod(sum(members[c]) for c in free[:-1])
     row = mat.entries[0] if mat.rows == 1 else (0,) * mat.cols  # _factor lays out the l % p != 0
     steps = [min(l % p, -l % p) for l in row if l % p]
@@ -230,11 +230,6 @@ def _slot_bytes(members) -> int:
     rounded up to whole bytes so that a count is read as a slice.
     """
     return (math.prod(map(sum, members)).bit_length() + 8) // 8
-
-
-def _packed_bits(mat: IntMatrix, p: int, members) -> int:
-    """Size in bits of the count vector that _packed_counts builds."""
-    return p * (2 * p) ** (mat.rows - 1) * 8 * _slot_bytes(members)
 
 
 def _factor(l: int, p: int, arr, size: int) -> int:

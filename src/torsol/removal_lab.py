@@ -13,10 +13,10 @@ counts over the free tuples (discrete._solutions): the free coordinates
 but the last run through their own sets and the last as a bit mask, so
 the cost follows the sets' sizes and the number of boxes rather than
 p^(m-r).  The greedy lists no boxes: it reads how many boxes lie on each
-cell off one packed count vector per coordinate (discrete._packed_counts,
-with that coordinate's set left out).  The density search, exhaustive or
-local, at every p, keeps a set solution-free against one edge set: the
-minimal supports of ker L mod p, found by submask lookup (_edges_mod_p).
+cell off one residue_counts call per coordinate, with that coordinate's
+set left out.  The density search, exhaustive or local, at every p, keeps
+a set solution-free against one edge set: the minimal supports of ker L
+mod p, found by submask lookup (_edges_mod_p).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import discrete
-from .discrete import kernel_elements, parametrize_kernel
+from .discrete import kernel_elements, parametrize_kernel, residue_counts
 from .errors import InvalidInputError, PositiveMeasureError, PreconditionError
 from .intmat import IntMatrix, analyze_matrix
 from .kernel_geometry import enumerate_components, shift_cover
@@ -88,18 +88,16 @@ def find_violating_boxes(mat: IntMatrix, p: int, sets):
     Empty list exactly when the sets are essentially solution-free (the
     product meets the kernel subgroup in a null set).  The boxes are listed
     coset by coset of the shift cover, walking the free coordinates through
-    their own sets.  The witness, when one exists, is an interior point of
-    one box's slice with L x integral.
+    their own sets.  The witness, None when there are no boxes, is an
+    interior point of the first box's slice with L x integral: a box of
+    positive weight has a full-dimensional leaf, whose centroid serves.
     """
     members = _member_arrays(mat, p, sets)
     boxes = _violating(mat, p, members, shift_cover(enumerate_components(mat), p))
-    witness = None
-    for j, _lam in boxes:
-        cells = [IntervalUnion([(Fraction(v, p), Fraction(v + 1, p))]) for v in j]
-        witness = find_positive_witness(mat, cells)
-        if witness is not None:
-            break
-    return boxes, witness
+    if not boxes:
+        return boxes, None
+    cells = [IntervalUnion([(Fraction(v, p), Fraction(v + 1, p))]) for v in boxes[0][0]]
+    return boxes, find_positive_witness(mat, cells)
 
 
 def _incidences(mat: IntMatrix, p: int, members, cover) -> dict[tuple[int, int], int]:
@@ -107,27 +105,20 @@ def _incidences(mat: IntMatrix, p: int, members, cover) -> dict[tuple[int, int],
 
     A box j lies in the coset of the level-b shift exactly when
     L j = -b (mod p), so inc(i, x) = sum_b N_-i(-b - x L_i), where N_-i
-    counts L y over the product with A_i replaced by {0}: one packed count
-    vector per coordinate.  Where a vector would exceed _PACKED_BITS_LIMIT
-    bits, the boxes are listed by _violating and counted instead.  Cells
-    that lie on no box are left out.
+    counts L y over the product with A_i replaced by {0}: one
+    residue_counts call per coordinate, a target per member x and level b.
+    Cells that lie on no box are left out.
     """
-    zero = [True] + [False] * (p - 1)
-    rests = [members[:i] + [zero] + members[i + 1 :] for i in range(mat.cols)]
     counts: dict[tuple[int, int], int] = {}
-    if max(discrete._packed_bits(mat, p, rest) for rest in rests) > discrete._PACKED_BITS_LIMIT:
-        for j, _lam in _violating(mat, p, members, cover):
-            for cell in enumerate(j):
-                counts[cell] = counts.get(cell, 0) + 1
-        return counts
-    for i, rest in enumerate(rests):
-        n = discrete._packed_counts(mat, p, rest)
+    for i in range(mat.cols):
+        rest = members[:i] + [[True] + [False] * (p - 1)] + members[i + 1 :]
         col = [row[i] for row in mat.entries]
-        for x in range(p):
-            if members[i][x]:
-                c = sum(n([-b - x * a for b, a in zip(sh.level, col)]) for sh in cover)
-                if c:
-                    counts[(i, x)] = c
+        xs = [x for x in range(p) if members[i][x]]
+        targets = [[-b - x * a for b, a in zip(sh.level, col)] for x in xs for sh in cover]
+        n = residue_counts(mat, p, rest, targets)
+        for k, x in enumerate(xs):
+            if c := sum(n[k * len(cover) : (k + 1) * len(cover)]):
+                counts[(i, x)] = c
     return counts
 
 
@@ -136,10 +127,10 @@ def greedy_removal(mat: IntMatrix, p: int, sets) -> RemovalOutcome:
 
     Each round removes the cell (coordinate i, cell x) lying on the most
     currently-violating boxes, ties broken by smallest i then smallest x;
-    the counts come from _incidences, with no box listed while the packed
-    count vectors fit.  The shift cover is computed once.  Terminates on
-    the finite grid; the outcome is re-verified with an independent
-    geometric measure computation.  No optimality is claimed.
+    the counts come from _incidences, which lists no box.  The shift cover
+    is computed once.  Terminates on the finite grid; the outcome is
+    re-verified with an independent geometric measure computation.  No
+    optimality is claimed.
     """
     members = _member_arrays(mat, p, sets)
     cover = shift_cover(enumerate_components(mat), p)
@@ -326,7 +317,7 @@ def _local_search(p: int, edges: list[int], rng: random.Random) -> int:
             if addable(mask, e):
                 mask |= 1 << e
             else:
-                inside = [x for x in range(p) if mask >> x & 1]
+                inside = [x for x, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
                 if not inside:
                     continue
                 out = rng.choice(inside)

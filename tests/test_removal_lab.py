@@ -133,16 +133,14 @@ def test_violating_boxes_match_enumeration():
     assert listed >= 500, listed
 
 
-@pytest.mark.parametrize("packed", [True, False], ids=["packed", "listed"])
+@pytest.mark.parametrize("packed", [True, False], ids=["packed", "free-tuples"])
 def test_greedy_removal_matches_enumeration(monkeypatch, packed):
     # the counted greedy removes the cells that the enumerating greedy removes, in the same order
-    real_violating, real_incidences = removal_lab._violating, removal_lab._incidences
-    listings, snapshots = [], []
+    real_incidences = removal_lab._incidences
+    snapshots = []
 
     def violating(*args):
-        assert not packed, "boxes listed while the packed counts fit"
-        listings.append(args)
-        return real_violating(*args)
+        raise AssertionError("boxes listed by the greedy")
 
     def incidences(mat, p, members, cover):
         snapshots.append([list(arr) for arr in members])
@@ -169,7 +167,25 @@ def test_greedy_removal_matches_enumeration(monkeypatch, packed):
         assert out.verified_free
         rounds += len(cells)
     assert rounds >= 50, rounds
-    assert packed or len(listings) == rounds + len(_seeded_cases())
+
+
+def test_greedy_removal_ap5_counts_over_the_free_tuples(monkeypatch):
+    """AP5 at p = 53 on 60%-dense sets: the cost model walks the free tuples, and the
+    outcome is the one the packed leave-one-out vectors gave."""
+
+    def refuse(*args):
+        raise AssertionError("packed count vector built")
+
+    monkeypatch.setattr(discrete, "_packed_counts", refuse)
+    rng = random.Random(2)
+    sets = [DiscreteSet(53, [rng.random() < 0.6 for _ in range(53)]).to_interval_union() for _ in range(5)]
+    out = greedy_removal(AP5, 53, sets)
+    assert out.verified_free
+    assert out.iterations == 29
+    assert out.removed_measures == (F(29, 53), 0, 0, 0, 0)
+    assert out.removed[0].to_discrete(53).indices() == [
+        2, 3, 7, 10, 11, 12, 13, 17, 18, 19, 20, 21, 22, 23, 24, 26, 27, 28, 29, 30, 31, 32, 35, 42, 45, 48, 49, 50, 52
+    ]
 
 
 def test_zero_measure_check_worked_example():
