@@ -2,18 +2,22 @@
 
 `residue_counts` gives N(c), the number of y in A_1 x ... x A_m with
 L y = c (mod p), for a list of targets c, counted over the cheaper of two
-sides.  One side is the whole count vector as a product of polynomials:
-coordinate i contributes sum_{x in A_i} z^(x L_i), modulo z^p - 1 in each
-of the r residue digits, packed into one big int with whole-byte slots
-(Kronecker substitution; Harvey, J. Symb. Comput. 2009).  At r = 1 a
-factor with gcd(L_i, p) = 1 is laid out from the membership bytes and
-multiplied in as one big-int product; each other factor is one shift and
-add per member, so the vector is exact at any modulus.  It is read out as
-bytes once, so a count is a slice of its slot.  The other side walks the
-free coordinates through their own sets; the dependent ones follow from
-the target, and the last free coordinate runs as a bit mask, whose set
-bits list_solutions and removal_lab expand into points.  A shifted density is
-one count over p^(m-r), the kernel size once L keeps full rank mod p.
+sides.  The sets come in as membership bytes (IntervalUnion.cells), one
+byte per cell, and are read as they are: sizes by .count(1), members by
+itertools.compress, layouts by strided slices.  One side is the whole
+count vector as a product of polynomials: coordinate i contributes
+sum_{x in A_i} z^(x L_i), modulo z^p - 1 in each of the r residue digits,
+packed into one big int with whole-byte slots (Kronecker substitution;
+Harvey, J. Symb. Comput. 2009).  At r = 1 a factor with gcd(L_i, p) = 1
+is laid out from the membership bytes and multiplied in as one big-int
+product; each other factor is one shift and add per member, so the vector
+is exact at any modulus.  It is read out as bytes once, so a count is a
+slice of its slot.  The other side walks the tuples of all free
+coordinates but the last through their own sets, as the rows of one
+big-int bit matrix per dependent coordinate: each target costs a few
+shifts and ands of whole matrices, whose set bits list_solutions and
+removal_lab expand into points.  A shifted density is one count over
+p^(m-r), the kernel size once L keeps full rank mod p.
 `parametrize_kernel` inverts a basis minor of L mod p and writes the
 solutions of L x = c as linear functions of the free coordinates and c;
 `kernel_element` maps one free tuple through it, and `kernel_elements`
@@ -27,7 +31,8 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import compress, islice, product
+from operator import mul
 
 from .errors import BadModulusError, InvalidInputError
 from .intmat import IntMatrix, basis_minors, is_prime
@@ -132,81 +137,130 @@ def _check_shifts(mat: IntMatrix, p: int, shifts) -> tuple[int, ...]:
 
 # a packed count vector larger than this many bits is never built
 _PACKED_BITS_LIMIT = 1 << 27
-# r >= 2: packed bits that one shift and add handles in the time of one mask test
+# bits of one bit matrix of the free side held at once
+_CHUNK_BITS = 1 << 20
+# big-int bits that one shift and add, or shift and and, handles in one unit of work
 _BITS_PER_TEST = 1 << 14
-# r = 1, in the time of one mask test: the membership cells that one pass
-# over a set reads, and the size in bits of two packed vectors that
-# Karatsuba multiplies in (size / _PRODUCT_BITS_PER_TEST)^log2(3) tests
+# r = 1, in one unit of work: the membership cells that one pass over a
+# set reads, and the size in bits of two packed vectors that Karatsuba
+# multiplies in (size / _PRODUCT_BITS_PER_TEST)^log2(3) units
 _CELLS_PER_TEST = 64
-_PRODUCT_BITS_PER_TEST = 720
+_PRODUCT_BITS_PER_TEST = 900
+# the free side: units of work that its set-up takes whatever the sets, and
+# rows of a bit matrix that it slices from the masks in one unit
+_WALK_TESTS = 20
+_ROWS_PER_TEST = 4
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
     """N(c) = #{y in A_1 x ... x A_m : L y = c (mod p)} for each target c.
 
-    Counts over the smaller side, in units of one mask test.  The free
-    tuples cost r mask tests per target and per tuple of all but the last
-    free coordinate.  The packed count vector of all p^r residues costs
-    the same whatever the targets.  For r = 1 that is, per set with
-    L_i != 0 mod p, one pass over its p cells, one slice assignment per
-    stride step of _factor (a test each), and one product of two packed
-    vectors; each other set costs one shift and add of the whole vector per
-    member, a test per _BITS_PER_TEST bits (timed on SUM3 to AP5 at p = 37
-    to 1009).  The r = 1 constants come from timing passes, slices and
-    products at p = 101 to 2003 against the mask tests of R4 at p = 101,
-    and were checked on SUM3, AP3 and R4 at p = 37 to 1009.  The vector is
-    built only when it is the cheaper side and fits in _PACKED_BITS_LIMIT
-    bits; else the free tuples, which hold no vector, are walked.
+    members are the sets' membership bytes (or any sequences of 0/1 or
+    bools); sizes are their .count(1).  Counts over the cheaper side, in
+    units of work of about a microsecond (2-vCPU host, Python 3.11).  The
+    free side (_line_masks) has a per-tuple set-up: for each tuple of all
+    but the last free coordinate, r rows sliced from the masks,
+    _ROWS_PER_TEST to a unit, after _WALK_TESTS units and the _layout
+    strides of its r masks.  Then each target costs r + 1 shifts and ands
+    of the bit matrices, a unit per _BITS_PER_TEST bits and one per chunk,
+    and reading the matrices in costs about two targets more.  The packed
+    count vector of all p^r residues costs the same whatever the targets.
+    For r = 1 that is, per set with L_i != 0 mod p, one pass over its p
+    cells, one slice per stride of _layout, and, from the second set on,
+    one product of two packed vectors; each other set costs one shift and
+    add of the whole vector per member, a unit per _BITS_PER_TEST bits.
+    The constants come from timing both sides on SUM3, AP3, AP4, R4, AP5
+    and [[1,1,0],[0,0,2]] at p = 37 to 1009, with 1 to 100 targets.  The
+    vector is built only when it is the cheaper side and fits in
+    _PACKED_BITS_LIMIT bits; else the free side, which holds no vector,
+    counts.
     """
-    free = parametrize_kernel(mat, p).free_columns
+    param = parametrize_kernel(mat, p)
+    rows = math.prod(members[c].count(1) for c in param.free_columns[:-1])
+    matrix = rows * 8 * _row_bytes(p)  # bits of one of _line_masks' bit matrices
+    walk = _WALK_TESTS + sum(_stride(row[-1], p) for row in param.coefficients)
+    walk += mat.rows * rows / _ROWS_PER_TEST
+    walk += (len(targets) + 2) * (mat.rows + 1) * (-(-matrix // _CHUNK_BITS) + matrix / _BITS_PER_TEST)
     bits = p * (2 * p) ** (mat.rows - 1) * 8 * _slot_bytes(members)  # _packed_counts' vector
-    tests = len(targets) * mat.rows * math.prod(sum(members[c]) for c in free[:-1])
     row = mat.entries[0] if mat.rows == 1 else (0,) * mat.cols  # _factor lays out the l % p != 0
-    steps = [min(l % p, -l % p) for l in row if l % p]
-    cost = sum(sum(arr) for l, arr in zip(row, members) if not l % p) * (1 + bits // _BITS_PER_TEST)
-    cost += sum(steps) + len(steps) * (p / _CELLS_PER_TEST + (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3))
-    if bits <= _PACKED_BITS_LIMIT and cost < tests:
+    steps = [_stride(l % p, p) for l in row if l % p]
+    cost = sum(arr.count(1) for l, arr in zip(row, members) if not l % p) * (1 + bits // _BITS_PER_TEST)
+    cost += sum(steps) + len(steps) * p / _CELLS_PER_TEST
+    cost += max(len(steps) - 1, 0) * (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3)  # the first meets one slot
+    if bits <= _PACKED_BITS_LIMIT and cost < walk:
         count = _packed_counts(mat, p, members)
         return [count(c) for c in targets]
     return _free_tuple_counts(mat, p, members, targets)
 
 
 def _line_masks(param: KernelParametrization, members, targets):
-    """Walk the free coordinates but the last through their own sets.
+    """Walk the free coordinates but the last through their own sets, as rows of bit matrices.
 
-    Yields (i, y, hits) for each such tuple y and each target index i
-    with hits nonzero: bit t of hits is set exactly when the solution x of
-    L x = targets[i] with free part (y, t) lies in A_1 x ... x A_m.  Its
-    dependent coordinate k is b_k + o_k + K_kt t, with b = M^-1 c and
-    o = K y, so it lies in A_k for the t in {t : K_kt t in A_k} rotated by
-    (b_k + o_k) / K_kt: r ands per target and tuple.
+    Yields (i, tuples, hits) for each chunk of tuples y of the outer free
+    coordinates and each target index i with hits nonzero.  hits holds one
+    row of _row_bytes(p) bytes per tuple, row n from bit 8 n _row_bytes(p):
+    bit t of row n is set exactly when the solution x of L x = targets[i]
+    with free part (tuples[n], t) lies in A_1 x ... x A_m.
+
+    Its dependent coordinate k is b_k + o_k + K_kt t, with b = M^-1 c and
+    o = K y, so it lies in A_k for the t in S_k = {t : K_kt t in A_k}
+    rotated by (b_k + o_k) / K_kt.  Row n of coordinate k's matrix holds S_k
+    rotated by o_k / K_kt and doubled, in its low 2p bits, so one shift of
+    the whole matrix by b_k / K_kt rotates every row at once: a target
+    costs r shifts and ands and an and with A_last in the low p bits of
+    every row, which also clears what the shift brings down from the bits
+    above 2p.  When K_kt = 0 the coordinate is pinned at b_k + o_k: its
+    rows hold A_k rotated by o_k, and after the shift by b_k the low bit
+    of each row, spread over p bits, says whether the pin lies in A_k.
+
+    S_k is _layout's strided bytes, read as one int by a translate to
+    '0'/'1' and int(..., 2), and repeated m - r + 1 times, since the
+    offset o_k / K_kt is kept as a sum of m - r - 1 residues.  A row is a
+    byte slice of that int shifted right by its offset mod 8, so a chunk is
+    one join and one int.from_bytes per matrix, and no Python loop runs
+    over the p cells.  A chunk holds at most _CHUNK_BITS bits per matrix,
+    or one row.
     """
-    p = param.p
+    p, size = param.p, _row_bytes(param.p)
     *outer, last = param.free_columns
-    rotations = []  # per dependent coordinate: its doubled mask and 1 / K_kt, or its set and 0
-    for row, arr in zip(param.coefficients, (members[c] for c in param.dependent_columns)):
-        if row[-1]:
-            mask = sum(1 << t for t in range(p) if arr[row[-1] * t % p])
-            rotations.append((mask | mask << p, pow(row[-1], -1, p)))
-        else:
-            rotations.append((arr, 0))
-    last_mask = sum(1 << t for t in range(p) if members[last][t])
-    bases = [[sum(a * v for a, v in zip(inv, c)) for inv in param.inverse] for c in targets]
-    for y in product(*([x for x in range(p) if members[c][x]] for c in outer)):
-        offsets = [sum(a * v for a, v in zip(row, y)) for row in param.coefficients]
-        for i, base in enumerate(bases):
-            hits = last_mask
-            for (arr, inv), b, o in zip(rotations, base, offsets):
-                if inv:
-                    hits &= arr >> ((b + o) * inv % p)
-                elif not arr[(b + o) % p]:
-                    hits = 0
+    outer_members = [list(compress(range(p), members[c])) for c in outer]
+    scales = [pow(row[-1], -1, p) if row[-1] else 1 for row in param.coefficients]  # 1 / K_kt, 1 if pinned
+    pins = [not row[-1] for row in param.coefficients]
+    offsets = []  # per dependent coordinate: o_k / K_kt, tuple by tuple, each a sum of residues
+    views = []  # per dependent coordinate: S_k repeated, shifted right by 0, ..., 7 bits, as bytes
+    for row, s, c in zip(param.coefficients, scales, param.dependent_columns):
+        terms = [[a * s * y % p for y in ys] for a, ys in zip(row, outer_members)]
+        offsets.append(map(sum, product(*terms)))
+        mask = _bits(_layout(s, p, members[c]))
+        repeated = sum(mask << k * p for k in range(len(outer) + 2))  # a row reads 2p bits from below len(outer) p
+        views.append([(repeated >> j).to_bytes((len(outer) + 2) * size, "little") for j in range(8)])
+    last_row = _bits(members[last]).to_bytes(size, "little")
+    low_bit = b"\x01".ljust(size, b"\x00")
+    shifts = [[sum(map(mul, inv, c)) * s % p for inv, s in zip(param.inverse, scales)] for c in targets]
+    tuples = product(*outer_members)
+    per_chunk = max(1, _CHUNK_BITS // (8 * size))
+    while chunk := list(islice(tuples, per_chunk)):
+        matrices = []
+        for offs, view in zip(offsets, views):
+            row_slices = [view[o & 7][o >> 3 : (o >> 3) + size] for o in islice(offs, len(chunk))]
+            matrices.append(int.from_bytes(b"".join(row_slices), "little"))
+        lows = int.from_bytes(last_row * len(chunk), "little")
+        ones = int.from_bytes(low_bit * len(chunk), "little") if any(pins) else 0
+        for i, shift in enumerate(shifts):
+            hits = lows
+            for matrix, s, pinned in zip(matrices, shift, pins):
+                if pinned:
+                    flag = matrix >> s & ones
+                    hits &= (flag << p) - flag
+                else:
+                    hits &= matrix >> s
             if hits:
-                yield i, y, hits
+                yield i, chunk, hits
 
 
 def _free_tuple_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
-    """N(c) by walking the free coordinates through their own sets: the popcounts of _line_masks."""
+    """N(c) over the free tuples: the popcounts of _line_masks' bit matrices."""
     counts = [0] * len(targets)
     for i, _, hits in _line_masks(parametrize_kernel(mat, p), members, targets):
         counts[i] += hits.bit_count()
@@ -215,12 +269,13 @@ def _free_tuple_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
 
 def _solutions(param: KernelParametrization, members, targets):
     """(i, x) for each x in A_1 x ... x A_m with L x = targets[i] (mod p): _line_masks' set bits."""
-    m = len(members)
-    for i, y, hits in _line_masks(param, members, targets):
-        while hits:
-            t = (hits & -hits).bit_length() - 1
-            hits ^= 1 << t
-            yield i, kernel_element(param, m, (*y, t), targets[i])
+    m, width = len(members), 8 * _row_bytes(param.p)
+    for i, tuples, hits in _line_masks(param, members, targets):
+        bits = bin(hits)[:1:-1]
+        at = bits.find("1")
+        while at >= 0:
+            yield i, kernel_element(param, m, (*tuples[at // width], at % width), targets[i])
+            at = bits.find("1", at + 1)
 
 
 def _slot_bytes(members) -> int:
@@ -229,26 +284,59 @@ def _slot_bytes(members) -> int:
     The bit length of prod |A_i|, which bounds every count, plus 1,
     rounded up to whole bytes so that a count is read as a slice.
     """
-    return (math.prod(map(sum, members)).bit_length() + 8) // 8
+    return (math.prod(arr.count(1) for arr in members).bit_length() + 8) // 8
+
+
+def _row_bytes(p: int) -> int:
+    """Bytes per row of _line_masks' bit matrices: 2p bits, padded to whole bytes."""
+    return (2 * p + 7) // 8
+
+
+def _bits(arr) -> int:
+    """The int with bit x set exactly when arr[x] is 1: one translate and one int(..., 2)."""
+    return int(bytes(arr)[::-1].translate(_BIT_CHARS), 2)
+
+
+def _stride(l: int, p: int) -> int:
+    """The strided slices that _layout(l, p, ...) takes: 0 for l = 0."""
+    if not l:
+        return 0
+    g = pow(l, -1, p)
+    return min(l, p - l, g, p - g)
+
+
+def _layout(l: int, p: int, arr, size: int = 1) -> bytearray:
+    """The bytes with arr[x] at slot l x mod p, size bytes a slot, for 0 < l < p coprime to p.
+
+    Strided slices, _stride(l, p) of them.  Either the x with
+    k p <= l x < (k + 1) p go to l x - k p, every l-th slot, one slice per
+    k; or slot u reads arr[g u] for g = l^-1 mod p, the u with
+    k p <= g u < (k + 1) p from every g-th byte from g u - k p, one slice
+    per k, whichever stride is nearer 0 or p.  When that stride s exceeds
+    p/2 the reflection x -> -x of arr goes at stride p - s instead.
+    """
+    arr = bytes(arr)
+    g = pow(l, -1, p)
+    gather = min(g, p - g) < min(l, p - l)
+    s = g if gather else l
+    if 2 * s > p:
+        arr, s = arr[:1] + arr[:0:-1], p - s
+    buf = bytearray(p * size)
+    if gather:
+        buf[::size] = b"".join([arr[-k * p % s :: s] for k in range(s)])
+    else:
+        for k in range(s):
+            lo, hi = -(-k * p // s), -(-(k + 1) * p // s)
+            buf[(s * lo - k * p) * size :: s * size] = arr[lo:hi]
+    return buf
 
 
 def _factor(l: int, p: int, arr, size: int) -> int:
     """sum_{x in A} z^(l x mod p) for 0 < l < p with gcd(l, p) = 1, with size-byte slots.
 
-    Laid out from the membership bytes by strided slice assignments: the x
-    with k p <= l x < (k + 1) p go to l x - k p, one slice per k, and no
-    two x share a slot.  When l > p/2 the reflection x -> -x of A goes at
-    stride p - l instead, so there are at most (p - 1)/2 slices and the
-    buffer stays p slots long.
+    The membership bytes laid out by _layout: no two x share a slot.
     """
-    a = bytes(arr)
-    if 2 * l > p:
-        a, l = a[:1] + a[:0:-1], p - l
-    buf = bytearray(p * size)
-    for k in range(l):
-        lo, hi = -(-k * p // l), -(-(k + 1) * p // l)
-        buf[(l * lo - k * p) * size :: l * size] = a[lo:hi]
-    return int.from_bytes(buf, "little")
+    return int.from_bytes(_layout(l, p, arr, size), "little")
 
 
 def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]], int]:
@@ -289,7 +377,7 @@ def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]],
         if mat.rows == 1 and math.gcd(col[0], p) == 1 < p:
             acc *= _factor(col[0] % p, p, arr, size)
         else:
-            acc = sum(acc << (slot([a * x for a in col]) * w) for x in range(p) if arr[x])
+            acc = sum(acc << (slot([a * x for a in col]) * w) for x in compress(range(p), arr))
         acc = (acc & low) + (acc >> (slots * w))
         for mask, half in folds:
             hi = acc & mask

@@ -119,7 +119,7 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     value = product_measure(decomp, grid)
     q = grid.q
     if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
-        count = _packed_counts(mat, q, [s.to_discrete(q).members for s in sets])
+        count = _packed_counts(mat, q, [s.cells(q) for s in sets])
         alt = _count_identity(decomp, q, [count([-v for v in b]) for b in decomp._by_level])
         if alt != value:
             raise InternalInvariantError(f"block summation {value} != count identity {alt} on the {q}-grid")
@@ -177,7 +177,7 @@ def decompose(mat: IntMatrix, p: int, sets) -> MeasureReport:
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
     cover = shift_cover(decomp, p)
-    members = [s.to_discrete(p).members for s in sets]
+    members = [s.cells(p) for s in sets]
     counts = residue_counts(mat, p, members, [[-b for b in sh.level] for sh in cover])
     value = _count_identity(decomp, p, counts)
     per = PerShift(mat, p, counts)

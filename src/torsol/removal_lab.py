@@ -8,15 +8,17 @@ after passing to density points, probing the guaranteed-positive measure of
 invariant systems on random sets, and searching for the densest
 solution-free subset of Z_p.
 
-The boxes are listed coset by coset of the shift cover by the walk that
-counts over the free tuples (discrete._solutions): the free coordinates
-but the last run through their own sets and the last as a bit mask, so
-the cost follows the sets' sizes and the number of boxes rather than
+The sets are handled as membership bytes (IntervalUnion.cells).  The
+boxes are listed coset by coset of the shift cover by the walk that counts
+over the free tuples (discrete._solutions): the free coordinates but the
+last run through their own sets, as rows of bit matrices over the last,
+so the cost follows the sets' sizes and the number of boxes rather than
 p^(m-r).  The greedy lists no boxes: it reads how many boxes lie on each
 cell off one residue_counts call per coordinate, with that coordinate's
-set left out.  The density search, exhaustive or local, at every p, keeps
-a set solution-free against one edge set: the minimal supports of ker L
-mod p, found by submask lookup (_edges_mod_p).
+set left out, and clears a removed cell's byte in place.  The density
+search, exhaustive or local, at every p, keeps a set solution-free
+against one edge set: the minimal supports of ker L mod p, found by
+submask lookup (_edges_mod_p).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import random
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from . import discrete
 from .discrete import kernel_elements, parametrize_kernel, residue_counts
@@ -62,8 +65,8 @@ class RemovalOutcome:
     iterations: int
 
 
-def _member_arrays(mat: IntMatrix, p: int, sets) -> list[list[bool]]:
-    return [list(s.to_discrete(p).members) for s in _check_sets(mat, sets)]
+def _member_arrays(mat: IntMatrix, p: int, sets) -> list[bytearray]:
+    return [s.cells(p) for s in _check_sets(mat, sets)]
 
 
 def _violating(mat: IntMatrix, p: int, members, cover):
@@ -111,9 +114,9 @@ def _incidences(mat: IntMatrix, p: int, members, cover) -> dict[tuple[int, int],
     """
     counts: dict[tuple[int, int], int] = {}
     for i in range(mat.cols):
-        rest = members[:i] + [[True] + [False] * (p - 1)] + members[i + 1 :]
+        rest = members[:i] + [b"\x01" + bytes(p - 1)] + members[i + 1 :]
         col = [row[i] for row in mat.entries]
-        xs = [x for x in range(p) if members[i][x]]
+        xs = list(compress(range(p), members[i]))
         targets = [[-b - x * a for b, a in zip(sh.level, col)] for x in xs for sh in cover]
         n = residue_counts(mat, p, rest, targets)
         for k, x in enumerate(xs):
@@ -139,7 +142,7 @@ def greedy_removal(mat: IntMatrix, p: int, sets) -> RemovalOutcome:
     iterations = 0
     while counts := _incidences(mat, p, members, cover):
         i, x = min(counts, key=lambda cell: (-counts[cell], cell))
-        members[i][x] = False
+        members[i][x] = 0
         removed[i].add(x)
         iterations += 1
     removed_sets = tuple(

@@ -151,13 +151,21 @@ class IntervalUnion:
     def is_grid_aligned(self, p: int) -> bool:
         return all((a * p).denominator == 1 and (b * p).denominator == 1 for a, b in self.intervals)
 
-    def to_discrete(self, p: int) -> "DiscreteSet":
-        """Subset of Z_p matching a p-grid-aligned set cell by cell, one slice assignment per block."""
-        members = [False] * require_grid(p)
+    def cells(self, p: int) -> bytearray:
+        """Membership bytes of a p-grid-aligned set: byte x is 1 when [x/p, (x+1)/p) lies in it.
+
+        One slice assignment per block; an endpoint off the grid raises
+        GridAlignmentError.  The Z_p counter reads these bytes as they are.
+        """
+        cells = bytearray(require_grid(p))
         for a, b in self.intervals:
             lo, hi = _cell(a, p), _cell(b, p)
-            members[lo:hi] = [True] * (hi - lo)
-        return DiscreteSet(p, tuple(members))
+            cells[lo:hi] = b"\x01" * (hi - lo)
+        return cells
+
+    def to_discrete(self, p: int) -> "DiscreteSet":
+        """Subset of Z_p matching a p-grid-aligned set cell by cell: its cells as bools."""
+        return DiscreteSet(p, map(bool, self.cells(p)))
 
     def density_points(self) -> list[tuple[Fraction, Fraction]]:
         """Points of local density 1: the interior of the closure.

@@ -1,5 +1,6 @@
+import math
 import random
-from itertools import product
+from itertools import compress, product
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,7 @@ from torsol import (
     solution_density,
 )
 from torsol import discrete
-from torsol.discrete import _free_tuple_counts, _packed_counts, residue_counts
+from torsol.discrete import _free_tuple_counts, _packed_counts, kernel_element, residue_counts
 from torsol.errors import BadModulusError, InvalidInputError
 
 from oracles import (
@@ -243,6 +244,53 @@ def test_counts_over_the_smaller_side(monkeypatch):
     assert [residue_counts(*case) for case in cases[2:]] == want[2:]
     monkeypatch.setattr(discrete, "_PACKED_BITS_LIMIT", 0)
     assert residue_counts(*cases[1]) == want[1]
+
+
+M3X7 = IntMatrix([[1, -1, 2, -1, 3, 2, 3], [2, 2, 1, -3, 3, 0, 3], [-2, 2, -3, -2, -3, -1, 0]])
+FREE_SIDE_CASES = [
+    ("R4", IntMatrix([[2, 3, -1, 5]]), 13, 0.5),
+    ("R4-ones", IntMatrix([[1, 1, -1, -1]]), 13, 0.5),
+    ("AP5", AP5, 11, 0.5),
+    ("3x7", M3X7, 17, 0.3),
+    ("pinned", PINNED, 13, 0.6),
+    ("pinned-with-outer", IntMatrix([[1, 1, 0, 1], [0, 0, 2, 0]]), 13, 0.6),
+    ("zero-column", ZERO_COLUMN, 5, 0.8),
+]
+
+
+@pytest.mark.parametrize("rows_per_chunk", [None, 2], ids=["one-chunk", "two-row-chunks"])
+@pytest.mark.parametrize("name, mat, p, density", FREE_SIDE_CASES, ids=[case[0] for case in FREE_SIDE_CASES])
+def test_free_side_matches_brute_force(monkeypatch, rows_per_chunk, name, mat, p, density):
+    """_free_tuple_counts and list_solutions against the product listed point by point.
+
+    d = m - r is 3 for the r = 1 matrices and 4 for the 3x7 one; PINNED has a
+    dependent coordinate whose coefficient on the last free coordinate is 0 mod p
+    (with no outer free coordinate, and with one), ZERO_COLUMN a column that
+    vanishes mod p.  Each case also runs with its first outer free set empty (the
+    last free set when there is no outer one), and 120 random targets with repeats
+    follow every residue that the product reaches, as _incidences sends them.
+    With two rows per chunk, the outer tuples span several chunks.
+    """
+    if rows_per_chunk:
+        monkeypatch.setattr(discrete, "_CHUNK_BITS", rows_per_chunk * 8 * discrete._row_bytes(p))
+    rng = random.Random(name)
+    param = parametrize_kernel(mat, p)
+    outer = param.free_columns[:-1]
+    drawn = [bytes(rng.random() < density for _ in range(p)) for _ in range(mat.cols)]
+    empty_outer = [bytes(p) if c == param.free_columns[0] else arr for c, arr in enumerate(drawn)]
+    assert math.prod(drawn[c].count(1) for c in outer) > 2 or not outer
+    for members in (drawn, empty_outer):
+        by_residue = {}
+        for y in product(*(list(compress(range(p), arr)) for arr in members)):
+            by_residue.setdefault(tuple(v % p for v in mat.apply_int(y)), []).append(y)
+        targets = list(by_residue) + [tuple(rng.randrange(p) for _ in range(mat.rows)) for _ in range(120)]
+        assert _free_tuple_counts(mat, p, members, targets) == [len(by_residue.get(c, ())) for c in targets]
+        sets = [DiscreteSet(p, arr) for arr in members]
+        for c in targets[:: max(1, len(targets) // 25)]:
+            shifts = kernel_element(param, mat.cols, (0,) * len(param.free_columns), c)  # L shifts = c
+            want = sorted(tuple((v - s) % p for v, s in zip(y, shifts)) for y in by_residue.get(c, ()))
+            assert list_solutions(mat, p, sets, shifts, limit=p**mat.cols) == want, (name, c)
+        assert (members is drawn) == bool(by_residue)
 
 
 def test_additive_in_disjoint_union_of_one_argument():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -81,6 +82,31 @@ def test_to_discrete_examples():
 def test_to_discrete_rejects_misaligned():
     with pytest.raises(GridAlignmentError, match="1/3"):
         iv((0, F(1, 3))).to_discrete(5)
+
+
+def test_cells_are_the_membership_bytes():
+    # the bytes the counter reads, against the drawn cells and the DiscreteSet's bools:
+    # empty, full and seeded sets, p = 1 included; each call hands out a fresh bytearray
+    rng = random.Random(17)
+    cases = [(IntervalUnion.empty(), (False,) * p) for p in (1, 2, 13)]
+    cases += [(IntervalUnion.full(), (True,) * p) for p in (1, 2, 13)]
+    for p in (1, 2, 3, 7, 13, 101, 1009):
+        for density in (0.1, 0.5, 0.9):
+            members = tuple(rng.random() < density for _ in range(p))
+            cases.append((DiscreteSet(p, members).to_interval_union(), members))
+    for s, members in cases:
+        p = len(members)
+        cells = s.cells(p)
+        assert isinstance(cells, bytearray) and cells.count(1) + cells.count(0) == p
+        assert tuple(map(bool, cells)) == members == s.to_discrete(p).members
+        assert s.cells(p) is not cells
+    assert IntervalUnion.full().cells(1) == b"\x01" and IntervalUnion.empty().cells(1) == b"\x00"
+    assert iv((F(1, 5), F(2, 5)), (F(4, 5), 1)).cells(5) == b"\x00\x01\x00\x00\x01"
+    for p in (2, 4, 5):
+        with pytest.raises(GridAlignmentError, match="1/3"):
+            iv((0, F(1, 3))).cells(p)
+    with pytest.raises(GridAlignmentError, match=r"2/7 is not a multiple of 1/5"):
+        iv((F(1, 5), F(2, 7))).cells(5)
 
 
 def test_membership_arrays_longer_than_the_limit_are_refused():
