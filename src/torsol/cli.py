@@ -18,7 +18,6 @@ import json
 import math
 import random
 import sys
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .errors import InvalidInputError, PreconditionError, TorsolError
@@ -26,6 +25,7 @@ from .intmat import IntMatrix, analyze_matrix, matrix_from_json
 from .kernel_geometry import central_section_check, enumerate_components, shift_cover, weight
 from .measures import decompose, monte_carlo_estimate, solution_measure
 from .rationals import format_rational, int_from_json
+from .records import Record
 from .removal_lab import density_search, density_trend, find_violating_boxes, greedy_removal
 from .discrete import kernel_element, parametrize_kernel
 from .torus_sets import DiscreteSet, IntervalUnion, require_grid, sets_from_json, sets_to_json
@@ -36,18 +36,37 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class JobSpec:
-    command: str
-    matrix_path: str | None = None
-    sets_path: str | None = None
-    p: int | None = None
-    samples: int = 100000
-    seed: int = 0
-    workers: int = 1
-    format: str = "json"
-    mode: str = "exhaustive"
-    trend: str | None = None
+class JobSpec(Record):
+    """The resolved parameters of one CLI job; unlike the other records it stays mutable and unhashable."""
+
+    __slots__ = ("command", "matrix_path", "sets_path", "p", "samples", "seed", "workers", "format", "mode", "trend")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        command: str,
+        matrix_path: str | None = None,
+        sets_path: str | None = None,
+        p: int | None = None,
+        samples: int = 100000,
+        seed: int = 0,
+        workers: int = 1,
+        format: str = "json",
+        mode: str = "exhaustive",
+        trend: str | None = None,
+    ):
+        self.command = command
+        self.matrix_path = matrix_path
+        self.sets_path = sets_path
+        self.p = p
+        self.samples = samples
+        self.seed = seed
+        self.workers = workers
+        self.format = format
+        self.mode = mode
+        self.trend = trend
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +121,8 @@ def _load_json(path: str):
 
 
 def _spec_echo(spec: JobSpec) -> dict:
-    return {k: v for k, v in asdict(spec).items() if v is not None}
+    pairs = ((name, getattr(spec, name)) for name in spec._fields)
+    return {k: v for k, v in pairs if v is not None}
 
 
 def _frac(x: Fraction) -> dict:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice, product
@@ -37,6 +36,7 @@ from operator import mul
 from .errors import BadModulusError, InvalidInputError
 from .intmat import IntMatrix, basis_minors, is_prime
 from .rationals import is_integral, require_int
+from .records import Record
 from .torus_sets import DiscreteSet
 
 __all__ = [
@@ -50,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelParametrization:
+class KernelParametrization(Record):
     """ker L over Z_p as dependent coordinates of free ones.
 
     dependent_columns are the greedy basis from the right: each column
@@ -60,13 +59,25 @@ class KernelParametrization:
     lexicographically smallest.  inverse is M^-1 mod p for the minor M on
     the dependent columns, and coefficients K = -M^-1 L_F, so
     x_D = M^-1 c + K x_F and the p^(m-r) free tuples give the kernel once.
+    coefficients is r x (m-r) (dependent = coefficients @ free mod p) and
+    inverse r x r.  A frozen Record.
     """
 
-    p: int
-    free_columns: tuple[int, ...]
-    dependent_columns: tuple[int, ...]
-    coefficients: tuple[tuple[int, ...], ...]  # r x (m-r), dependent = coeff @ free mod p
-    inverse: tuple[tuple[int, ...], ...]  # r x r, M^-1 mod p
+    __slots__ = ("p", "free_columns", "dependent_columns", "coefficients", "inverse")
+
+    def __init__(
+        self,
+        p: int,
+        free_columns: tuple[int, ...],
+        dependent_columns: tuple[int, ...],
+        coefficients: tuple[tuple[int, ...], ...],
+        inverse: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "free_columns", free_columns)
+        object.__setattr__(self, "dependent_columns", dependent_columns)
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "inverse", inverse)
 
 
 @lru_cache(maxsize=256, typed=True)

@@ -12,18 +12,19 @@ degenerate-column witnesses and the Monte Carlo coset ranges; the
 fraction-free `_bareiss` gives ranks, determinants and `basis_minors`, the
 cached table of L's invertible r x r minors with their adjugates, where
 every module takes its basis minor and its inverse, over Q and mod p.
+`_det` expands the small determinants of the volume fans by cofactors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError, RankDeficientError
 from .rationals import int_from_json, int_to_json, is_integral
+from .records import Record
 
 __all__ = [
     "IntMatrix",
@@ -92,6 +93,34 @@ def _bareiss(rows) -> tuple[int, int]:
     return rank, (sign * prev if rank == n == ncols else 0)
 
 
+def _det(rows) -> int:
+    """Determinant of a small square integer matrix, with no elimination up to 4 x 4.
+
+    Closed forms up to 3 x 3, and the cofactors of the first row at
+    4 x 4, take a few dozen multiplications; that is what each simplex of
+    kernel_geometry._leaf's fans costs.  From 5 x 5 on, where cofactors
+    grow as n!, the matrix goes to _bareiss.
+    """
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n > 4:
+        return _bareiss(rows)[1]
+    first, rest = rows[0], rows[1:]
+    total, sign = 0, 1
+    for j, a in enumerate(first):
+        if a:
+            total += sign * a * _det([row[:j] + row[j + 1 :] for row in rest])
+        sign = -sign
+    return total
+
+
 def _adjugate(rows) -> list[list[int]]:
     """The integer adjugate of a square integer matrix, from its cofactors; [[1]] for 1 x 1."""
     n = len(rows)
@@ -104,28 +133,33 @@ def _adjugate(rows) -> list[list[int]]:
     ]
 
 
-@dataclass(frozen=True)
-class DegenerateColumn:
+class DegenerateColumn(Record):
     """A column whose deletion drops the rank to r-1.
 
     `column` is 1-based.  `witness` is an integer vector v of content 1 with
     v^T L zero everywhere except the entry `multiplier` != 0 at `column`;
     on the circle it forces multiplier * x_column = 0 for every solution.
+    A frozen Record.
     """
 
-    column: int
-    witness: tuple[int, ...]
-    multiplier: int
+    __slots__ = ("column", "witness", "multiplier")
+
+    def __init__(self, column: int, witness: tuple[int, ...], multiplier: int):
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "multiplier", multiplier)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """An r x m integer matrix of full row rank r, with m > r.
 
     Entries are arbitrary-precision integers; full rank over the rationals
-    is enforced at construction.
+    is enforced at construction.  A frozen Record; as the key of every
+    per-matrix cache it compares its entries directly and computes its
+    hash once, here.
     """
 
+    __slots__ = ("entries", "_hash")
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, entries):
@@ -143,6 +177,7 @@ class IntMatrix:
         if m <= r:
             raise InvalidInputError(f"need more columns than rows, got {r}x{m}")
         object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "_hash", hash((rows,)))
         found = _bareiss(rows)[0]
         if found != r:
             cols = tuple(range(1, r + 1))
@@ -150,6 +185,14 @@ class IntMatrix:
                 f"matrix has rank {found} < {r}; every {r}x{r} minor vanishes, "
                 f"e.g. the minor on columns {cols}"
             )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def rows(self) -> int:
@@ -174,22 +217,32 @@ class IntMatrix:
         return max(sum(abs(v) for v in row) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class MatrixProfile:
+class MatrixProfile(Record):
     """Derived lattice data of an IntMatrix.
 
     kernel_basis is an m x (m-r) integer matrix (row-major) whose columns
     are a basis of the saturated lattice ker L over the integers, held in
     canonical column Hermite normal form.  smith_invariants are the
     elementary divisors d_1 | d_2 | ... | d_r of L; their product counts the
-    connected components of the kernel subgroup of the torus.
+    connected components of the kernel subgroup of the torus.  A frozen
+    Record.
     """
 
-    rank: int
-    kernel_basis: tuple[tuple[int, ...], ...]
-    smith_invariants: tuple[int, ...]
-    is_invariant: bool
-    degenerate_columns: tuple[DegenerateColumn, ...]
+    __slots__ = ("rank", "kernel_basis", "smith_invariants", "is_invariant", "degenerate_columns")
+
+    def __init__(
+        self,
+        rank: int,
+        kernel_basis: tuple[tuple[int, ...], ...],
+        smith_invariants: tuple[int, ...],
+        is_invariant: bool,
+        degenerate_columns: tuple[DegenerateColumn, ...],
+    ):
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "kernel_basis", kernel_basis)
+        object.__setattr__(self, "smith_invariants", smith_invariants)
+        object.__setattr__(self, "is_invariant", is_invariant)
+        object.__setattr__(self, "degenerate_columns", degenerate_columns)
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
         """The basis as a list of m-dimensional column vectors."""

@@ -38,16 +38,16 @@ counting in Z_p; the shifts come from discrete.parametrize_kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from itertools import product
 from operator import add, mul, or_
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
 from .discrete import kernel_element, parametrize_kernel
-from .intmat import IntMatrix, _bareiss, analyze_matrix, basis_minors
+from .intmat import IntMatrix, _bareiss, _det, analyze_matrix, basis_minors
 from .rationals import is_integral, require_int
+from .records import Record
 
 __all__ = [
     "KernelComponent",
@@ -65,8 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class KernelComponent:
+class KernelComponent(Record):
     """One affine slice of the kernel subgroup inside the unit cube.
 
     level: the integer vector b = Lx shared by all points of the slice.
@@ -75,19 +74,22 @@ class KernelComponent:
     volume_param: the (m-r)-volume of {t : x_b + B t in [0,1]^m} in the
         canonical kernel-basis coordinates; slices touching the cube only
         in a face have volume 0 and are retained but flagged.
+    A frozen Record.
     """
 
-    level: tuple[int, ...]
-    representative: tuple[Fraction, ...]
-    volume_param: Fraction
+    __slots__ = ("level", "representative", "volume_param")
+
+    def __init__(self, level: tuple[int, ...], representative: tuple[Fraction, ...], volume_param: Fraction):
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "volume_param", volume_param)
 
     @property
     def is_flat(self) -> bool:
         return self.volume_param == 0
 
 
-@dataclass(frozen=True)
-class KernelDecomposition:
+class KernelDecomposition(Record):
     """All slices of the kernel subgroup, with normalization data.
 
     total_volume_param equals the product of the Smith invariants of L
@@ -96,23 +98,31 @@ class KernelDecomposition:
     Haar measure.  _vertices maps each level to the vertices of its slice
     in the unit cube, as integer points at scale unit (see _slice_data),
     each with the mask of the cube bounds it meets (see _clip).
+    _by_level maps each level of positive volume to its component.  A
+    frozen Record; _vertices and _by_level stay out of ==, hash and repr.
     """
 
-    matrix: IntMatrix
-    basis_columns: tuple[tuple[int, ...], ...]
-    components: tuple[KernelComponent, ...]
-    total_volume_param: Fraction
-    c_param: Fraction
-    _vertices: dict = field(default=None, compare=False, repr=False)
+    __slots__ = ("matrix", "basis_columns", "components", "total_volume_param", "c_param", "_vertices", "_by_level")
 
-    @cached_property
-    def _by_level(self):
-        """The components of positive volume, keyed by level."""
-        return {c.level: c for c in self.components if c.volume_param}
+    def __init__(
+        self,
+        matrix: IntMatrix,
+        basis_columns: tuple[tuple[int, ...], ...],
+        components: tuple[KernelComponent, ...],
+        total_volume_param: Fraction,
+        c_param: Fraction,
+        _vertices: dict | None = None,
+    ):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "basis_columns", basis_columns)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "total_volume_param", total_volume_param)
+        object.__setattr__(self, "c_param", c_param)
+        object.__setattr__(self, "_vertices", _vertices)
+        object.__setattr__(self, "_by_level", {c.level: c for c in components if c.volume_param})
 
 
-@dataclass(frozen=True)
-class WeightedShift:
+class WeightedShift(Record):
     """A coset representative j with its weight.
 
     j is the lexicographically smallest solution of L j = -level (mod p)
@@ -120,12 +130,16 @@ class WeightedShift:
     measure of the grid box at j/p, a positive rational constant across
     the whole coset of j.  In closed form lam = c_param * vol_b, the Haar
     share of the level-b slice: the box holds that slice scaled by 1/p.
+    A frozen Record.
     """
 
-    p: int
-    j: tuple[int, ...]
-    lam: Fraction
-    level: tuple[int, ...]
+    __slots__ = ("p", "j", "lam", "level")
+
+    def __init__(self, p: int, j: tuple[int, ...], lam: Fraction, level: tuple[int, ...]):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "level", level)
 
 
 @lru_cache(maxsize=128)
@@ -158,19 +172,22 @@ def _slice_data(mat: IntMatrix):
     return minors, unit, minors[0][1], free_det
 
 
-@dataclass(frozen=True)
-class SliceLeaf:
+class SliceLeaf(Record):
     """The polytope {x : Lx = b, lows <= x <= highs} of one slice and one box.
 
     points are its vertices as integer vectors, scale * x for each vertex
     x, sorted (so lexicographically by x); volume = size / den is its
     (m-r)-volume in the parameters t of x = x_b + B t; den = d! scale^d |det B_F|.
+    A frozen Record.
     """
 
-    size: int
-    den: int
-    points: tuple[tuple[int, ...], ...]
-    scale: int
+    __slots__ = ("size", "den", "points", "scale")
+
+    def __init__(self, size: int, den: int, points: tuple[tuple[int, ...], ...], scale: int):
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "scale", scale)
 
     @property
     def volume(self) -> Fraction:
@@ -220,16 +237,17 @@ def _leaf(verts, scale: int, free, free_det: int) -> SliceLeaf:
 
     verts are the vertices of {x : Lx = b, lows <= x <= highs}, scaled
     like the bounds, each with its mask of bounds as in _clip.  The volume
-    comes in the free coordinates x_F from a fan triangulation with
-    fraction-free determinants, and is kept as an integer size over
-    den = d! scale^d |det B_F|, the parameter volume size / den.
+    comes in the free coordinates x_F from a fan triangulation, with one
+    integer determinant (intmat._det, by cofactors) per simplex, and is
+    kept as an integer size over den = d! scale^d |det B_F|, the
+    parameter volume size / den.
     """
     verts = sorted(verts)
     d = len(free)
     total = 0
     if len(verts) > d:
         for v0, *rest in _simplices(verts, d):
-            total += abs(_bareiss([[v[i] - v0[i] for i in free] for v in rest])[1])
+            total += abs(_det([[v[i] - v0[i] for i in free] for v in rest]))
     den = math.factorial(d) * scale**d * abs(free_det)
     return SliceLeaf(size=total, den=den, points=tuple(pt for pt, _ in verts), scale=scale)
 
@@ -547,13 +565,18 @@ def _shift_cover(mat: IntMatrix, p: int) -> tuple[WeightedShift, ...]:
     return tuple(shifts)
 
 
-@dataclass(frozen=True)
-class CentralSectionResult:
-    """The central cube section of a kernel basis B; passes is vol^2 * det(B^T B) >= 1 (Vaaler, 1979)."""
+class CentralSectionResult(Record):
+    """The central cube section of a kernel basis B; passes is vol^2 * det(B^T B) >= 1 (Vaaler, 1979).
 
-    vol_param: Fraction
-    gram_det: int
-    passes: bool
+    A frozen Record.
+    """
+
+    __slots__ = ("vol_param", "gram_det", "passes")
+
+    def __init__(self, vol_param: Fraction, gram_det: int, passes: bool):
+        object.__setattr__(self, "vol_param", vol_param)
+        object.__setattr__(self, "gram_det", gram_det)
+        object.__setattr__(self, "passes", passes)
 
 
 def central_section_check(mat: IntMatrix) -> CentralSectionResult:

@@ -35,7 +35,6 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -51,6 +50,7 @@ from .kernel_geometry import (
     slice_leaves,
 )
 from .rationals import require_int
+from .records import Record
 from .torus_sets import IntervalUnion
 from .discrete import _packed_counts, residue_counts
 
@@ -68,16 +68,33 @@ __all__ = [
 _BOX_CROSS_CHECK_LIMIT = 200
 
 
-@dataclass(frozen=True, slots=True)
-class MeasureReport:
-    value: object  # Fraction for exact routes, float for monte_carlo
-    route: str
-    p_used: int | None = None
-    per_shift: Sequence | None = None  # (j, lambda, density) triples
-    ci99: float | None = None
-    n_samples: int | None = None
-    seed: int | None = None
-    workers: int | None = None
+class MeasureReport(Record):
+    """The answer of one route: value is a Fraction for the exact routes, a float for monte_carlo.
+
+    per_shift holds decompose's (j, lambda, density) triples.  A frozen Record.
+    """
+
+    __slots__ = ("value", "route", "p_used", "per_shift", "ci99", "n_samples", "seed", "workers")
+
+    def __init__(
+        self,
+        value: object,
+        route: str,
+        p_used: int | None = None,
+        per_shift: Sequence | None = None,
+        ci99: float | None = None,
+        n_samples: int | None = None,
+        seed: int | None = None,
+        workers: int | None = None,
+    ):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "route", route)
+        object.__setattr__(self, "p_used", p_used)
+        object.__setattr__(self, "per_shift", per_shift)
+        object.__setattr__(self, "ci99", ci99)
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "workers", workers)
 
 
 def _check_sets(mat: IntMatrix, sets) -> list[IntervalUnion]:

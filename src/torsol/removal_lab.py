@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
@@ -37,6 +36,7 @@ from .intmat import IntMatrix, analyze_matrix
 from .kernel_geometry import enumerate_components, shift_cover
 from .measures import _check_sets, find_positive_witness, solution_measure
 from .rationals import parse_rational, require_int
+from .records import Record
 from .torus_sets import DiscreteSet, IntervalUnion
 
 __all__ = [
@@ -50,19 +50,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RemovalOutcome:
+class RemovalOutcome(Record):
     """Result of greedy cell removal.
 
     removed holds the deleted p-grid-aligned sets E_i; verified_free means
     the geometric route confirms the remaining sets have solution measure
-    exactly 0 (and no positive-weight box survives).
+    exactly 0 (and no positive-weight box survives).  A frozen Record.
     """
 
-    removed: tuple[IntervalUnion, ...]
-    removed_measures: tuple[Fraction, ...]
-    verified_free: bool
-    iterations: int
+    __slots__ = ("removed", "removed_measures", "verified_free", "iterations")
+
+    def __init__(
+        self,
+        removed: tuple[IntervalUnion, ...],
+        removed_measures: tuple[Fraction, ...],
+        verified_free: bool,
+        iterations: int,
+    ):
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "removed_measures", removed_measures)
+        object.__setattr__(self, "verified_free", verified_free)
+        object.__setattr__(self, "iterations", iterations)
 
 
 def _member_arrays(mat: IntMatrix, p: int, sets) -> list[bytearray]:

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
 from .errors import GridAlignmentError, InvalidInputError, PreconditionError
 from .rationals import format_rational, parse_rational, require_int
+from .records import Record
 
 __all__ = ["IntervalUnion", "DiscreteSet", "from_discrete", "sets_to_json", "sets_from_json"]
 
@@ -59,15 +59,15 @@ def _cell(v: Fraction, p: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class IntervalUnion:
+class IntervalUnion(Record):
     """Normalized finite union of half-open rational intervals in the circle.
 
     Endpoints, points and shifts are ints, Fractions or "n/d" strings; bools
     and floats raise InvalidInputError (0.1 is not 1/10, and (False, True)
-    is no interval).
+    is no interval).  A frozen Record.
     """
 
+    __slots__ = ("intervals",)
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __init__(self, pairs=()):
@@ -189,11 +189,10 @@ class IntervalUnion:
         return " u ".join(f"[{format_rational(a)},{format_rational(b)})" for a, b in self.intervals)
 
 
-@dataclass(frozen=True)
-class DiscreteSet:
-    """Subset of Z_p as a boolean membership array of length p."""
+class DiscreteSet(Record):
+    """Subset of Z_p as a boolean membership array of length p; a frozen Record."""
 
-    p: int
+    __slots__ = ("p", "members")
     members: tuple[bool, ...]
 
     def __init__(self, p: int, members):

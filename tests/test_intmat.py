@@ -15,6 +15,7 @@ from torsol import intmat
 from torsol.discrete import kernel_element, parametrize_kernel
 from torsol.errors import BadModulusError, InternalInvariantError, InvalidInputError, RankDeficientError
 from torsol.intmat import PRIME_BOUND, _bareiss, basis_minors, is_prime
+from torsol.intmat import _det as int_det
 from torsol.polytope import _det, _rank, _solve
 
 from oracles import (
@@ -309,6 +310,19 @@ def test_rank_det_solve_over_q_random():
         if x is not None:
             assert all(isinstance(v, Fraction) for v in x)
             assert _matvec(square, x) == rhs
+
+
+def test_cofactor_determinants_match_bareiss():
+    # _det, one per fan simplex of the volume walk, agrees with _bareiss and Leibniz, sparse or singular
+    rng = random.Random(11)
+    for n in range(1, 7):
+        for _ in range(40):
+            values = (0, 0, 1, -1, 3, -7, 12) if rng.random() < 0.5 else range(-9, 10)
+            rows = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
+            d = int_det(rows)
+            assert type(d) is int and d == _bareiss(rows)[1] == _leibniz(rows)
 
 
 def test_integer_input_stays_exact():

@@ -339,6 +339,25 @@ def test_package_imports_leave_polytope_out():
     assert (out.returncode, out.stdout) == (0, "False False\n"), out.stderr
 
 
+def test_package_imports_leave_dataclasses_out():
+    # the records are plain slotted classes: a cold CLI process loads neither dataclasses nor inspect
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import torsol
+
+    src = str(Path(torsol.__file__).resolve().parents[1])
+    code = (
+        "import sys; heavy = {'dataclasses', 'inspect'}; import torsol; a = sorted(heavy & set(sys.modules)); "
+        "import torsol.cli; print(a, sorted(heavy & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "[] []\n"), out.stderr
+
+
 def test_single_equations_walk_no_slices(monkeypatch):
     # r = 1 takes the closed form; only r >= 2 reaches the slice walker
     import torsol.kernel_geometry
