@@ -18,11 +18,12 @@ import json
 import math
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 from .errors import InvalidInputError, PreconditionError, TorsolError
 from .intmat import IntMatrix, analyze_matrix, matrix_from_json
-from .kernel_geometry import central_section_check, enumerate_components, shift_cover, weight
+from .kernel_geometry import central_section_check, enumerate_components, product_measure, shift_cover, weight
 from .measures import decompose, monte_carlo_estimate, solution_measure
 from .rationals import format_rational, int_from_json
 from .records import Record
@@ -288,10 +289,10 @@ def _cmd_verify(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None)
                 constant = False
     results.append(("weight_constant_on_cosets", constant))
 
-    agree = True
+    agree = True  # the walker against the counts, whichever route solution_measure would take
     for _ in range(5):
         sets = _random_aligned_sets(mat, p, rng)
-        if solution_measure(mat, sets).value != decompose(mat, p, sets).value:
+        if product_measure(decomp, [s.intervals for s in sets]) != decompose(mat, p, sets).value:
             agree = False
     results.append(("route_agreement", agree))
 
@@ -316,12 +317,19 @@ _DISPATCH = {
 }
 
 
+def _plain_warning(message, category, filename, lineno, file=None, line=None):
+    """warnings.showwarning for the CLI: the message alone, with no source path or line."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(spec: JobSpec, out=None) -> int:
     """Execute a job and print its report; returns the exit code.
 
     The matrix file, and the sets file where the command takes one, are
     read here once and handed to the command; the library checks that
-    there is one set per column.
+    there is one set per column.  A warning that the command raises goes
+    to stderr as a plain "warning: ..." line when it is raised, under the
+    caller's warning filters.
     """
     out = out or sys.stdout
     if spec.command not in _DISPATCH:
@@ -334,7 +342,9 @@ def run(spec: JobSpec, out=None) -> int:
         raise UsageError("density trend tables take their moduli from --trend; drop --p")
     mat = matrix_from_json(_load_json(spec.matrix_path))
     sets = None if spec.sets_path is None else sets_from_json(_load_json(spec.sets_path))
-    result = _DISPATCH[spec.command](spec, mat, sets)
+    with warnings.catch_warnings():
+        warnings.showwarning = _plain_warning
+        result = _DISPATCH[spec.command](spec, mat, sets)
     if isinstance(result, str):
         out.write(result)
     else:

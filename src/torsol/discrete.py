@@ -176,33 +176,50 @@ def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
     strides of its r masks.  Then each target costs r + 1 shifts and ands
     of the bit matrices, a unit per _BITS_PER_TEST bits and one per chunk,
     and reading the matrices in costs about two targets more.  The packed
-    count vector of all p^r residues costs the same whatever the targets.
-    For r = 1 that is, per set with L_i != 0 mod p, one pass over its p
-    cells, one slice per stride of _layout, and, from the second set on,
-    one product of two packed vectors; each other set costs one shift and
-    add of the whole vector per member, a unit per _BITS_PER_TEST bits.
+    count vector of all p^r residues costs the same whatever the targets:
+    _packed_cost prices it from the set sizes alone, the one model that
+    measures.solution_measure also reads to price its count identity.
     The constants come from timing both sides on SUM3, AP3, AP4, R4, AP5
     and [[1,1,0],[0,0,2]] at p = 37 to 1009, with 1 to 100 targets.  The
-    vector is built only when it is the cheaper side and fits in
-    _PACKED_BITS_LIMIT bits; else the free side, which holds no vector,
-    counts.
+    vector is built only when it is the cheaper side; else the free side,
+    which holds no vector, counts.
     """
     param = parametrize_kernel(mat, p)
-    rows = math.prod(members[c].count(1) for c in param.free_columns[:-1])
+    sizes = [arr.count(1) for arr in members]
+    rows = math.prod(sizes[c] for c in param.free_columns[:-1])
     matrix = rows * 8 * _row_bytes(p)  # bits of one of _line_masks' bit matrices
     walk = _WALK_TESTS + sum(_stride(row[-1], p) for row in param.coefficients)
     walk += mat.rows * rows / _ROWS_PER_TEST
     walk += (len(targets) + 2) * (mat.rows + 1) * (-(-matrix // _CHUNK_BITS) + matrix / _BITS_PER_TEST)
-    bits = p * (2 * p) ** (mat.rows - 1) * 8 * _slot_bytes(members)  # _packed_counts' vector
-    row = mat.entries[0] if mat.rows == 1 else (0,) * mat.cols  # _factor lays out the l % p != 0
-    steps = [_stride(l % p, p) for l in row if l % p]
-    cost = sum(arr.count(1) for l, arr in zip(row, members) if not l % p) * (1 + bits // _BITS_PER_TEST)
-    cost += sum(steps) + len(steps) * p / _CELLS_PER_TEST
-    cost += max(len(steps) - 1, 0) * (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3)  # the first meets one slot
-    if bits <= _PACKED_BITS_LIMIT and cost < walk:
+    if _packed_cost(mat, p, sizes) < walk:
         count = _packed_counts(mat, p, members)
         return [count(c) for c in targets]
     return _free_tuple_counts(mat, p, members, targets)
+
+
+def _packed_cost(mat: IntMatrix, p: int, sizes) -> float:
+    """Units of work of _packed_counts mod p on sets of these sizes; inf past _PACKED_BITS_LIMIT bits.
+
+    At r = 1 a set with gcd(L_i, p) = 1 < p costs one pass over its p
+    cells and one slice per stride of _layout, and from the second such
+    set on one product of two packed vectors.  Every other set costs one
+    shift and add of the whole vector per member, a unit per
+    _BITS_PER_TEST bits.  Any modulus p >= 1 works, prime or not.
+    """
+    bits = p * (2 * p) ** (mat.rows - 1) * 8 * _slot_bytes(sizes)
+    if bits > _PACKED_BITS_LIMIT:
+        return math.inf
+    row = mat.entries[0] if mat.rows == 1 else (0,) * mat.cols
+    laid = strides = shifted = 0
+    for l, n in zip(row, sizes):
+        if math.gcd(l, p) == 1 < p:  # a factor that _factor lays out
+            laid += 1
+            strides += _stride(l % p, p)
+        else:
+            shifted += n
+    cost = shifted * (1 + bits // _BITS_PER_TEST)
+    cost += strides + laid * p / _CELLS_PER_TEST
+    return cost + max(laid - 1, 0) * (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3)  # the first meets one slot
 
 
 def _line_masks(param: KernelParametrization, members, targets):
@@ -289,13 +306,13 @@ def _solutions(param: KernelParametrization, members, targets):
             at = bits.find("1", at + 1)
 
 
-def _slot_bytes(members) -> int:
-    """Bytes per slot of the count vector.
+def _slot_bytes(sizes) -> int:
+    """Bytes per slot of the count vector of sets of these sizes.
 
     The bit length of prod |A_i|, which bounds every count, plus 1,
     rounded up to whole bytes so that a count is read as a slice.
     """
-    return (math.prod(arr.count(1) for arr in members).bit_length() + 8) // 8
+    return (math.prod(sizes).bit_length() + 8) // 8
 
 
 def _row_bytes(p: int) -> int:
@@ -368,7 +385,7 @@ def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]],
     """
     strides = [(2 * p) ** k for k in range(mat.rows)]
     slots = p * strides[-1]
-    size = _slot_bytes(members)
+    size = _slot_bytes([arr.count(1) for arr in members])
     w = 8 * size
 
     def slot(c) -> int:

@@ -364,8 +364,9 @@ class _GridBlocks(list):
     """Blocks with each endpoint v as the integer q * v, for q the common denominator of them all."""
 
     def __init__(self, blocks):
-        self.q = math.lcm(*(v.denominator for bl in blocks for pair in bl for v in pair))
-        super().__init__([tuple(v.numerator * (self.q // v.denominator) for v in pair) for pair in bl] for bl in blocks)
+        self.q = q = math.lcm(*(v.denominator for bl in blocks for pair in bl for v in pair))
+        scaled = [[(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)) for a, b in bl] for bl in blocks]
+        super().__init__(scaled)
 
 
 def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
@@ -497,6 +498,58 @@ def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
             size, den = size + leaf.size, leaf.den
     c = decomp.c_param
     return Fraction(size * c.numerator, den * c.denominator) if size else Fraction(0)
+
+
+# _walk_cost's divisors: clip work (block combinations times squared vertex
+# counts) and closed-form terms per unit.  Fitted, with
+# measures._IDENTITY_SETUP, to the best-of-3 times of both routes, plus
+# about 6 us wherever the counts are priced, on the 78 of 82 named inputs
+# with q^m > 200: two rounds of the benchmark's geometric jobs (seed 7);
+# SUM3, AP3 and R4 at q = 60, 200 and 1009 with dense sets and with 1-9
+# blocks per set; AP4 at 30, 60 and 101, AP5 at 12, 20, 29 and 53, the
+# Smith matrix at 11, 36 and 37, the 2 x 5 and 3 x 5 matrices at 11 and 23
+# and the 3 x 7 matrix at 11 and 17, each with dense sets and with 1-6
+# blocks per set.  A unit came to a median of 2.2 us of the closed form,
+# 2.9 us of the slice walk and 1.9 us of the count identity (quartiles
+# 1.7-2.9, 1.2-5.9 and 1.5-2.4 us).  The identity was priced lower on 47
+# inputs, and the route priced lower was at most 1.6 times slower than
+# the other (AP4 with 1-3 blocks per set at q = 30: 447 us walked, 281 us
+# counted).
+_CLIP_WORK_PER_UNIT = 8
+_TERMS_PER_UNIT = 12
+
+
+def _walk_cost(decomp: KernelDecomposition, grid: _GridBlocks) -> float:
+    """Units of work of product_measure on grid, in discrete.residue_counts' units.
+
+    For r >= 2, each reachable slice costs one _clip, of the slice's
+    squared vertex count, per block combination that slice_leaves can
+    reach on it: at most min(prod n_i, e_d(n)) with n_i blocks on
+    coordinate i, where e_d, the d-th elementary symmetric sum, counts the
+    cells of a grid that a d-flat can cross.  The cap keeps dense sets
+    from being priced as if no block product were pruned.  For r = 1, the
+    closed form's polynomial terms: those of each product of factors, at
+    most one per exponent, and the finished product's terms once per
+    integer level.  Reads only the grid's endpoints and the slices' vertex
+    counts.
+    """
+    mat = decomp.matrix
+    if mat.rows == 1:
+        terms, work, span = 1, 0, 0
+        for l, bl in zip(mat.entries[0], grid):
+            if l:
+                span += abs(l)
+                work += terms * 2 * len(bl)
+                terms = min(terms * 2 * len(bl), span * grid.q + 1)
+        return (work + terms * (span + 1)) / _TERMS_PER_UNIT
+    d = mat.cols - mat.rows
+    combos, cross = 1, [1] + [0] * d
+    for bl in grid:
+        combos *= len(bl)
+        for k in range(d, 0, -1):
+            cross[k] += cross[k - 1] * len(bl)
+    clip = sum(len(decomp._vertices[comp.level]) ** 2 for comp in _reachable(decomp, grid))
+    return min(combos, cross[d]) * clip / _CLIP_WORK_PER_UNIT
 
 
 def box_measure(decomp: KernelDecomposition, j, p: int) -> Fraction:

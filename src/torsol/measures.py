@@ -12,11 +12,17 @@ geometric      exact, for any rational interval unions.  A single equation
                each slice's integer vertices clipped block by block
                (kernel_geometry.slice_leaves), with no H-polytope.
                find_positive_witness reads a point off the same slices.
-               On small grids the value is checked against the counts.
+               The same value is the count identity of decomposition at
+               the sets' own grid q, any q >= 1.  Both are priced from the
+               blocks' endpoints before either runs (the walker by the
+               block products its slices can meet times their squared
+               vertex counts, or for r = 1 by the closed form's terms; the
+               identity by the Z_p counter's packed-side model), and the
+               cheaper answers.  When q^m <= 200 both run and must agree.
 decomposition  exact: the count identity c_param / p^(m-r) sum_b vol_b N(-b)
                of p-grid-aligned sets at a suitable prime p, all counts from
                one call of the Z_p counter.  Independently coded from the
-               geometric route; the two agree exactly.
+               walker; the two agree exactly.
 monte_carlo    statistical: samples the normalized Haar measure on the
                kernel subgroup directly, from uniform free coordinates and
                a uniform coset of the pivot minor, and reads off the pivot
@@ -44,6 +50,7 @@ from .kernel_geometry import (
     KernelDecomposition,
     _GridBlocks,
     _reachable,
+    _walk_cost,
     enumerate_components,
     product_measure,
     shift_cover,
@@ -51,8 +58,8 @@ from .kernel_geometry import (
 )
 from .rationals import require_int
 from .records import Record
-from .torus_sets import IntervalUnion
-from .discrete import _packed_counts, residue_counts
+from .torus_sets import MEMBERSHIP_LIMIT, IntervalUnion
+from .discrete import _packed_cost, _packed_counts, residue_counts
 
 __all__ = [
     "MeasureReport",
@@ -66,6 +73,11 @@ __all__ = [
 # q^m up to which the geometric route checks its value against the count
 # identity at the sets' own grid q
 _BOX_CROSS_CHECK_LIMIT = 200
+
+# units of discrete._packed_cost that the count identity pays on any sets:
+# the membership bytes, the counter's set-up and the final Fraction, and
+# pricing the counts (fitted with kernel_geometry._walk_cost's divisors)
+_IDENTITY_SETUP = 24
 
 
 class MeasureReport(Record):
@@ -124,23 +136,41 @@ def _count_identity(decomp: KernelDecomposition, q: int, counts) -> Fraction:
 def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     """Exact solution measure of rational interval unions, geometric route.
 
-    The value is product_measure of the sets' blocks on their grid q:
-    closed form for a single equation, otherwise c_param times the parameter
-    volumes of the kernel slices restricted to block combinations.  When
-    q^m <= _BOX_CROSS_CHECK_LIMIT, _count_identity with the packed counts
-    mod q, which share no code with the walker, must give the same value.
+    Two exact routes give the value, both on the sets' blocks on their
+    grid q, and neither shares code with the other: the walker
+    (product_measure: the closed form for a single equation, else c_param
+    times the parameter volumes of the kernel slices restricted to block
+    combinations) and _count_identity with the packed counts mod q.  Both
+    are priced from the blocks' endpoints, before either runs, and no
+    membership byte is built to price them: the walker by
+    kernel_geometry._walk_cost, the identity by _IDENTITY_SETUP plus one
+    unit per level plus discrete._packed_cost on the set sizes.  The last
+    is skipped when the walker costs no more than the first two.  The
+    cheaper answers; the walker does when q > MEMBERSHIP_LIMIT or when the
+    packed vector would exceed its size limit.  When
+    q^m <= _BOX_CROSS_CHECK_LIMIT both run and must give the same value.
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
     grid = _GridBlocks([s.intervals for s in sets])
-    value = product_measure(decomp, grid)
     q = grid.q
-    if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
+
+    def identity() -> Fraction:
         count = _packed_counts(mat, q, [s.cells(q) for s in sets])
-        alt = _count_identity(decomp, q, [count([-v for v in b]) for b in decomp._by_level])
+        return _count_identity(decomp, q, [count([-v for v in b]) for b in decomp._by_level])
+
+    if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
+        value, alt = product_measure(decomp, grid), identity()
         if alt != value:
             raise InternalInvariantError(f"block summation {value} != count identity {alt} on the {q}-grid")
-    return MeasureReport(value=value, route="geometric")
+        return MeasureReport(value=value, route="geometric")
+    if q <= MEMBERSHIP_LIMIT:
+        walk, price = _walk_cost(decomp, grid), _IDENTITY_SETUP + len(decomp._by_level)
+        if walk > price:  # else the identity cannot be cheaper, whatever its counts cost
+            price += _packed_cost(mat, q, [sum(b - a for a, b in bl) for bl in grid])  # inf past the vector's limit
+            if walk > price:
+                return MeasureReport(value=identity(), route="geometric")
+    return MeasureReport(value=product_measure(decomp, grid), route="geometric")
 
 
 class PerShift(Sequence):

@@ -35,6 +35,7 @@ from torsol import (
     zero_measure_check,
 )
 from torsol.errors import DegenerateColumnsError, PositiveMeasureError
+from torsol.kernel_geometry import product_measure
 
 from oracles import (
     naive_density,
@@ -70,6 +71,7 @@ def test_criterion_01_decomposition_identity():
                 geo = solution_measure(mat, sets).value
                 dec = decompose(mat, p, sets).value
                 assert geo == dec, (mat.entries, p, [str(s) for s in sets])
+                assert product_measure(enumerate_components(mat), [s.intervals for s in sets]) == dec
     report(1, "decomposition identity (geometric == shift cover, exact)")
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -198,6 +199,28 @@ def test_density_invariant_system_checks_modulus(files, capsys, p):
     assert code == 3
     assert out == ""
     assert "precondition failed" in err
+
+
+def test_density_invariant_system_warns_on_one_plain_line(files, capsys):
+    # the library's UserWarning reaches stderr as one "warning: ..." line, with no source path or line
+    warning = (
+        "warning: invariant system: every diagonal point is a solution, so no nonempty set is "
+        "solution-free; density is 0 under the all-solutions convention\n"
+    )
+    mpath = files("m.json", AP3)
+    code, out, err = run(capsys, ["density", "--matrix", mpath, "--p", "5"])
+    assert (code, json.loads(out)["density"], err) == (0, "0", warning)
+    code, out, err = run(capsys, ["density", "--matrix", mpath, "--trend", "5,7"])
+    assert (code, [row["density"] for row in json.loads(out)["trend"]], err) == (0, ["0", "0"], warning)
+    # printed when raised, so a later failure does not lose it
+    code, out, err = run(capsys, ["density", "--matrix", mpath, "--trend", "5,7,29"])
+    assert (code, out) == (3, "")
+    assert err == warning + "precondition failed: exhaustive search limited to p <= 22, got 29\n"
+    # the caller's filters still apply: -W error makes it an exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="invariant system"):
+            main(["density", "--matrix", mpath, "--p", "5"])
 
 
 def test_verify_passes(files, capsys):

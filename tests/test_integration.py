@@ -24,7 +24,7 @@ from torsol import (
 from torsol.discrete import list_solutions, solution_density
 from torsol.errors import BadModulusError, InvalidInputError
 from torsol.intmat import is_prime
-from torsol.kernel_geometry import weight
+from torsol.kernel_geometry import product_measure, weight
 from torsol.measures import monte_carlo_estimate
 from torsol.polytope import HPolytope
 from torsol.rationals import int_from_json, parse_rational
@@ -61,6 +61,7 @@ def _full_stack(mat, rng):
     assert all(sh.lam > 0 for sh in cover)
     sets = random_grid_sets(rng, p, mat.cols, density=0.5)
     assert solution_measure(mat, sets).value == decompose(mat, p, sets).value
+    assert product_measure(decomp, [s.intervals for s in sets]) == decompose(mat, p, sets).value
 
 
 def test_structured_matrices_full_stack():

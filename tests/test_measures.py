@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from torsol import (
+    DiscreteSet,
     IntMatrix,
     IntervalUnion,
     approximation_bound,
@@ -13,11 +14,12 @@ from torsol import (
     monte_carlo_estimate,
     solution_measure,
 )
-from torsol import kernel_geometry
+from torsol import kernel_geometry, measures
 from torsol.discrete import _packed_counts
 from torsol.errors import DegenerateColumnsError, GridAlignmentError, InternalInvariantError, InvalidInputError
 from torsol.measures import _count_identity
 from torsol.kernel_geometry import enumerate_components
+from torsol.torus_sets import MEMBERSHIP_LIMIT
 
 from oracles import (
     random_block_sets,
@@ -37,6 +39,7 @@ PINNED = IntMatrix([[1, 1, 0], [0, 0, 2]])
 PINNED_SCALED = IntMatrix([[2, 2, 0], [0, 0, 4]])
 SMITH = IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]])
 D3 = IntMatrix([[1, 2, -1, 0, 1], [0, 1, 1, -2, 1]])
+M3X7 = IntMatrix([[1, -1, 2, -1, 3, 2, 3], [2, 2, 1, -3, 3, 0, 3], [-2, 2, -3, -2, -3, -1, 0]])
 
 
 def iv(*pairs):
@@ -90,6 +93,15 @@ def test_decompose_requires_aligned_sets():
         decompose(SUM3, 5, [iv((0, F(1, 3)))] * 3)
 
 
+def walk(mat, sets):
+    """The walker alone: product_measure on the sets' blocks."""
+    return kernel_geometry.product_measure(enumerate_components(mat), [s.intervals for s in sets])
+
+
+def refuse_counts(*args):
+    raise AssertionError("built the packed counts")
+
+
 def test_route_agreement_randomized():
     rng = random.Random(7)
     for mat in (SUM3, AP3):
@@ -97,18 +109,22 @@ def test_route_agreement_randomized():
             for _ in range(4):
                 sets = random_grid_sets(rng, p, mat.cols)
                 assert solution_measure(mat, sets).value == decompose(mat, p, sets).value
+                assert walk(mat, sets) == decompose(mat, p, sets).value
     for _ in range(2):
         sets = random_grid_sets(rng, 5, 4)
         assert solution_measure(AP4, sets).value == decompose(AP4, 5, sets).value
+        assert walk(AP4, sets) == decompose(AP4, 5, sets).value
     sets = random_block_sets(rng, 101, 3)
     assert solution_measure(SUM3, sets).value == decompose(SUM3, 101, sets).value
+    assert walk(SUM3, sets) == decompose(SUM3, 101, sets).value
 
 
-def test_route_agreement_at_large_moduli():
+def test_route_agreement_at_large_moduli(monkeypatch):
     """Both exact routes at the benchmark's moduli, with up to 3 blocks per set.
 
     AP5 at p = 307 (r = 3) would need a packed count vector of ~0.6 GB;
-    decompose counts it over the free tuples instead.
+    decompose counts it over the free tuples instead, and solution_measure
+    walks the slices.
     """
     rng = random.Random(307)
     for mat, p, counts in ((SUM3, 307, (1, 2, 3)), (AP4, 101, (1, 2, 2, 3)), (AP5, 307, (1, 2, 1, 2, 1))):
@@ -117,8 +133,79 @@ def test_route_agreement_at_large_moduli():
             sets = random_run_sets(rng, p, order)
             assert [len(s.intervals) for s in sets] == order
             dec = decompose(mat, p, sets)
-            assert dec.value == solution_measure(mat, sets).value
+            with monkeypatch.context() as patch:
+                if mat is AP5:
+                    patch.setattr(measures, "_packed_counts", refuse_counts)
+                assert dec.value == solution_measure(mat, sets).value
+            assert walk(mat, sets) == dec.value
             assert sum(lam for _j, lam, _s in dec.per_shift) == 1
+
+
+def test_solution_measure_equals_the_walker_on_random_instances(monkeypatch):
+    """solution_measure against the walker alone on 320 seeded instances.
+
+    r <= 3, m <= 6, entries in -2..2 (zero columns included), every other
+    matrix with a pinned column, sets of one or two runs on a grid q <= 12,
+    prime or composite.  At least half the answers come from the count
+    identity, which shares no code with the walker.
+    """
+    rng = random.Random(26)
+    counted = []
+    packed = measures._packed_counts
+    monkeypatch.setattr(measures, "_packed_counts", lambda *args: counted.append(args[1]) or packed(*args))
+    for n in range(320):
+        r = rng.randint(1, 3)
+        m = rng.randint(r + 1, 6)
+        mat = (random_pinned_matrix if n % 2 else random_full_rank_matrix)(rng, r, m, -2, 2)
+        q = rng.randint(2, 12)
+        sets = random_run_sets(rng, q, [rng.randint(1, 1 + (q > 3)) for _ in range(m)])
+        assert solution_measure(mat, sets).value == walk(mat, sets), (mat.entries, q)
+    assert len(counted) >= 160 and {4, 6, 8, 9, 10, 12} <= set(counted)
+
+
+def test_small_grids_run_both_routes(monkeypatch):
+    # q^m <= 200: the walker and the count identity both run and must agree
+    calls = []
+    for name in ("product_measure", "_packed_counts"):
+        real = getattr(measures, name)
+        monkeypatch.setattr(measures, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+    assert solution_measure(SUM3, [TWO_FIFTHS] * 3).value == F(2, 25)
+    assert solution_measure(AP4, [HALF] * 4).value == F(1, 12)
+    assert calls == ["product_measure", "_packed_counts"] * 2
+    monkeypatch.setattr(measures, "product_measure", lambda decomp, grid: F(0))
+    with pytest.raises(InternalInvariantError, match="count identity"):
+        solution_measure(SUM3, [TWO_FIFTHS] * 3)
+
+
+def test_huge_grids_are_walked():
+    """Sets on the 2^26 grid, past MEMBERSHIP_LIMIT, get the walker's value with no membership bytes."""
+    q = 2**26
+    assert q > MEMBERSHIP_LIMIT
+    sets = [iv((0, F(q // 2 + 1, q))), iv((F(1, 3), F(5, 6))), iv((F(3, q), F(1, 2)), (F(3, 4), 1))]
+    assert solution_measure(SUM3, sets).value == walk(SUM3, sets) > 0
+    sets.append(iv((F(1, q), F(2, 3))))
+    assert solution_measure(AP4, sets).value == walk(AP4, sets) > 0
+
+
+def test_dense_d4_sets_are_counted(monkeypatch):
+    """The 3 x 7 matrix (d = 4) on dense 17-grid sets: the count identity answers, no slice is walked."""
+    rng = random.Random(1)
+    sets = [DiscreteSet(17, [rng.random() < 0.5 for _ in range(17)]).to_interval_union() for _ in range(7)]
+
+    def refuse(*args):
+        raise AssertionError("walked the slices")
+
+    monkeypatch.setattr(kernel_geometry, "slice_leaves", refuse)
+    assert solution_measure(M3X7, sets).value == decompose(M3X7, 17, sets).value
+
+
+def test_dense_ap5_sets_are_walked(monkeypatch):
+    """AP5 on dense 29-grid sets: the walker's estimate prunes the block products, so it answers, with no counts."""
+    rng = random.Random(1)
+    sets = [DiscreteSet(29, [rng.random() < 0.5 for _ in range(29)]).to_interval_union() for _ in range(5)]
+    expected = decompose(AP5, 29, sets).value
+    monkeypatch.setattr(measures, "_packed_counts", refuse_counts)
+    assert solution_measure(AP5, sets).value == expected > 0
 
 
 def count_identity(mat, q, sets):
@@ -142,6 +229,7 @@ def test_count_identity_matches_block_sum():
         for _ in range(6):
             sets = random_grid_sets(rng, q, mat.cols)
             assert count_identity(mat, q, sets) == solution_measure(mat, sets).value, (mat.entries, q)
+            assert count_identity(mat, q, sets) == walk(mat, sets), (mat.entries, q)
 
 
 def test_self_check_catches_a_wrong_closed_form(monkeypatch):
@@ -382,9 +470,10 @@ def test_single_equations_walk_no_slices(monkeypatch):
     assert _polytope_names_bound_outside_polytope() == []
     for (mat, sets), value, box in list(zip(cases, expected, boxes))[:-1]:
         assert solution_measure(mat, sets).value == value
+        assert walk(mat, sets) == value
         assert box_measure(enumerate_components(mat), (1,) * mat.cols, 13) == box
     with pytest.raises(AssertionError, match="walked the slices"):
-        solution_measure(AP4, cases[-1][1])
+        walk(AP4, cases[-1][1])
 
 
 def test_single_equation_with_many_blocks():
@@ -392,6 +481,7 @@ def test_single_equation_with_many_blocks():
     sets = random_run_sets(random.Random(25), 101, [25, 25, 25])
     assert all(len(s.intervals) == 25 for s in sets)
     assert solution_measure(SUM3, sets).value == decompose(SUM3, 101, sets).value
+    assert walk(SUM3, sets) == decompose(SUM3, 101, sets).value
 
 
 @pytest.mark.parametrize("q", [10, 6])
