@@ -44,30 +44,10 @@ class JobSpec(Record):
     __setattr__ = object.__setattr__
     __delattr__ = object.__delattr__
     __hash__ = None
-
-    def __init__(
-        self,
-        command: str,
-        matrix_path: str | None = None,
-        sets_path: str | None = None,
-        p: int | None = None,
-        samples: int = 100000,
-        seed: int = 0,
-        workers: int = 1,
-        format: str = "json",
-        mode: str = "exhaustive",
-        trend: str | None = None,
-    ):
-        self.command = command
-        self.matrix_path = matrix_path
-        self.sets_path = sets_path
-        self.p = p
-        self.samples = samples
-        self.seed = seed
-        self.workers = workers
-        self.format = format
-        self.mode = mode
-        self.trend = trend
+    _defaults = dict(
+        matrix_path=None, sets_path=None, p=None, samples=100000, seed=0, workers=1,
+        format="json", mode="exhaustive", trend=None,
+    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -228,7 +208,10 @@ def _cmd_remove(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None)
 
 def _cmd_density(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None):
     if spec.trend:
-        rows = density_trend(mat, [int_from_json(v) for v in spec.trend.split(",") if v])
+        moduli = [int_from_json(v) for v in spec.trend.split(",") if v]
+        if not moduli:
+            raise UsageError(f"--trend {spec.trend!r} names no modulus")
+        rows = density_trend(mat, moduli)
         if spec.format == "csv":
             lines = ["p,density_num,density_den,decimal"]
             lines += [f"{p},{num},{den},{dec}" for p, num, den, dec in rows]

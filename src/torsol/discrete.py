@@ -65,20 +65,6 @@ class KernelParametrization(Record):
 
     __slots__ = ("p", "free_columns", "dependent_columns", "coefficients", "inverse")
 
-    def __init__(
-        self,
-        p: int,
-        free_columns: tuple[int, ...],
-        dependent_columns: tuple[int, ...],
-        coefficients: tuple[tuple[int, ...], ...],
-        inverse: tuple[tuple[int, ...], ...],
-    ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "free_columns", free_columns)
-        object.__setattr__(self, "dependent_columns", dependent_columns)
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "inverse", inverse)
-
 
 @lru_cache(maxsize=256, typed=True)
 def parametrize_kernel(mat: IntMatrix, p: int) -> KernelParametrization:

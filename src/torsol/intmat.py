@@ -9,10 +9,11 @@ deletion drops the rank.  There is no floating-point code in this module.
 `_column_hnf` and `_bareiss` are the package's only eliminations.  The
 column Hermite form gives the kernel basis, the Smith invariants, the
 degenerate-column witnesses and the Monte Carlo coset ranges; the
-fraction-free `_bareiss` gives ranks, determinants and `basis_minors`, the
-cached table of L's invertible r x r minors with their adjugates, where
-every module takes its basis minor and its inverse, over Q and mod p.
-`_det` expands the small determinants of the volume fans by cofactors.
+fraction-free `_bareiss` gives ranks and the determinants above 4 x 4;
+outside the polytope oracle every determinant is a `_det`, by cofactors
+up to 4 x 4, among them those of `basis_minors`, the cached table of L's
+invertible r x r minors with their adjugates, where every module takes
+its basis minor and its inverse, over Q and mod p.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _bareiss(rows) -> tuple[int, int]:
 
 
 def _det(rows) -> int:
-    """Determinant of a small square integer matrix, with no elimination up to 4 x 4.
+    """Determinant of a square integer matrix, with no elimination up to 4 x 4; 1 for 0 x 0.
 
     Closed forms up to 3 x 3, and the cofactors of the first row at
     4 x 4, take a few dozen multiplications; that is what each simplex of
@@ -102,8 +103,8 @@ def _det(rows) -> int:
     grow as n!, the matrix goes to _bareiss.
     """
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
+    if n < 2:
+        return rows[0][0] if n else 1
     if n == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
@@ -126,7 +127,7 @@ def _adjugate(rows) -> list[list[int]]:
     n = len(rows)
     return [
         [
-            (-1) ** (i + j) * _bareiss([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])[1]
+            (-1) ** (i + j) * _det([r[:i] + r[i + 1 :] for k, r in enumerate(rows) if k != j])
             for j in range(n)
         ]
         for i in range(n)
@@ -143,11 +144,6 @@ class DegenerateColumn(Record):
     """
 
     __slots__ = ("column", "witness", "multiplier")
-
-    def __init__(self, column: int, witness: tuple[int, ...], multiplier: int):
-        object.__setattr__(self, "column", column)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "multiplier", multiplier)
 
 
 class IntMatrix(Record):
@@ -229,20 +225,6 @@ class MatrixProfile(Record):
     """
 
     __slots__ = ("rank", "kernel_basis", "smith_invariants", "is_invariant", "degenerate_columns")
-
-    def __init__(
-        self,
-        rank: int,
-        kernel_basis: tuple[tuple[int, ...], ...],
-        smith_invariants: tuple[int, ...],
-        is_invariant: bool,
-        degenerate_columns: tuple[DegenerateColumn, ...],
-    ):
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "kernel_basis", kernel_basis)
-        object.__setattr__(self, "smith_invariants", smith_invariants)
-        object.__setattr__(self, "is_invariant", is_invariant)
-        object.__setattr__(self, "degenerate_columns", degenerate_columns)
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
         """The basis as a list of m-dimensional column vectors."""
@@ -356,7 +338,7 @@ def basis_minors(mat: IntMatrix) -> tuple:
     found = []
     for cols in combinations(range(mat.cols), mat.rows):
         l_d = [[row[c] for c in cols] for row in mat.entries]
-        delta = _bareiss(l_d)[1]
+        delta = _det(l_d)
         if delta:
             found.append((cols, delta, tuple(map(tuple, _adjugate(l_d)))))
     return tuple(found)

@@ -45,7 +45,7 @@ from operator import add, mul, or_
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError
 from .discrete import kernel_element, parametrize_kernel
-from .intmat import IntMatrix, _bareiss, _det, analyze_matrix, basis_minors
+from .intmat import IntMatrix, _det, analyze_matrix, basis_minors
 from .rationals import is_integral, require_int
 from .records import Record
 
@@ -79,11 +79,6 @@ class KernelComponent(Record):
 
     __slots__ = ("level", "representative", "volume_param")
 
-    def __init__(self, level: tuple[int, ...], representative: tuple[Fraction, ...], volume_param: Fraction):
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "volume_param", volume_param)
-
     @property
     def is_flat(self) -> bool:
         return self.volume_param == 0
@@ -103,23 +98,12 @@ class KernelDecomposition(Record):
     """
 
     __slots__ = ("matrix", "basis_columns", "components", "total_volume_param", "c_param", "_vertices", "_by_level")
+    _defaults = {"_vertices": None}
+    _derived = ("_by_level",)
 
-    def __init__(
-        self,
-        matrix: IntMatrix,
-        basis_columns: tuple[tuple[int, ...], ...],
-        components: tuple[KernelComponent, ...],
-        total_volume_param: Fraction,
-        c_param: Fraction,
-        _vertices: dict | None = None,
-    ):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "basis_columns", basis_columns)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "total_volume_param", total_volume_param)
-        object.__setattr__(self, "c_param", c_param)
-        object.__setattr__(self, "_vertices", _vertices)
-        object.__setattr__(self, "_by_level", {c.level: c for c in components if c.volume_param})
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        object.__setattr__(self, "_by_level", {c.level: c for c in self.components if c.volume_param})
 
 
 class WeightedShift(Record):
@@ -134,12 +118,6 @@ class WeightedShift(Record):
     """
 
     __slots__ = ("p", "j", "lam", "level")
-
-    def __init__(self, p: int, j: tuple[int, ...], lam: Fraction, level: tuple[int, ...]):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "level", level)
 
 
 @lru_cache(maxsize=128)
@@ -182,12 +160,6 @@ class SliceLeaf(Record):
     """
 
     __slots__ = ("size", "den", "points", "scale")
-
-    def __init__(self, size: int, den: int, points: tuple[tuple[int, ...], ...], scale: int):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "scale", scale)
 
     @property
     def volume(self) -> Fraction:
@@ -626,11 +598,6 @@ class CentralSectionResult(Record):
 
     __slots__ = ("vol_param", "gram_det", "passes")
 
-    def __init__(self, vol_param: Fraction, gram_det: int, passes: bool):
-        object.__setattr__(self, "vol_param", vol_param)
-        object.__setattr__(self, "gram_det", gram_det)
-        object.__setattr__(self, "passes", passes)
-
 
 def central_section_check(mat: IntMatrix) -> CentralSectionResult:
     """The section of [-1/2, 1/2]^m by the kernel, walked one orthant at a time.
@@ -652,5 +619,5 @@ def central_section_check(mat: IntMatrix) -> CentralSectionResult:
             size, den = size + leaf.size, leaf.den
     vol = Fraction(size, den) if size else Fraction(0)
     cols = analyze_matrix(mat).kernel_columns()
-    gram_det = _bareiss([[sum(map(mul, a, b)) for b in cols] for a in cols])[1]
+    gram_det = _det([[sum(map(mul, a, b)) for b in cols] for a in cols])
     return CentralSectionResult(vol_param=vol, gram_det=gram_det, passes=vol * vol * gram_det >= 1)

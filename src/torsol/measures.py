@@ -87,26 +87,7 @@ class MeasureReport(Record):
     """
 
     __slots__ = ("value", "route", "p_used", "per_shift", "ci99", "n_samples", "seed", "workers")
-
-    def __init__(
-        self,
-        value: object,
-        route: str,
-        p_used: int | None = None,
-        per_shift: Sequence | None = None,
-        ci99: float | None = None,
-        n_samples: int | None = None,
-        seed: int | None = None,
-        workers: int | None = None,
-    ):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "route", route)
-        object.__setattr__(self, "p_used", p_used)
-        object.__setattr__(self, "per_shift", per_shift)
-        object.__setattr__(self, "ci99", ci99)
-        object.__setattr__(self, "n_samples", n_samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "workers", workers)
+    _defaults = dict.fromkeys(("p_used", "per_shift", "ci99", "n_samples", "seed", "workers"))
 
 
 def _check_sets(mat: IntMatrix, sets) -> list[IntervalUnion]:

@@ -1,7 +1,10 @@
 """The base of the package's value records: slotted classes that read like frozen dataclasses.
 
-A record lists what it stores in __slots__ and assigns it in its own
-__init__ through object.__setattr__.  The slots whose names do not start
+A record lists what it stores in __slots__, and the defaults of its
+trailing arguments in _defaults.  Record.__init__ binds arguments to the
+slots in order and refuses a bad call with TypeError, as a function
+would; a subclass writes an __init__ only to validate its arguments or to
+derive the slots it names in _derived.  The slots whose names do not start
 with an underscore are its fields, in order; they alone enter ==, hash
 and repr, which behave as a frozen dataclass's: equal only to a record
 of the same type with equal fields, hashed as the tuple of the fields,
@@ -37,11 +40,41 @@ class Record:
 
     __slots__ = ()
     __dataclass_fields__ = _DataclassFields()
+    _defaults = {}
+    _derived = ()
 
     def __init_subclass__(cls):
+        cls._params = tuple(name for name in cls.__slots__ if name not in cls._derived)
+        cls._names = frozenset(cls._params)
         cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         get = attrgetter(*fields)
         cls._key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+
+    def __init__(self, *args, **kwargs):
+        bound = {**self._defaults, **kwargs}
+        if args or bound.keys() != self._names:  # anything but keywords that, with the defaults, name each parameter
+            bound = self._bind(args, kwargs)
+        setattr_ = object.__setattr__
+        for name in self._params:
+            setattr_(self, name, bound[name])
+
+    @classmethod
+    def _bind(cls, args, kwargs) -> dict:
+        """Every argument by parameter name, defaults filled in; TypeError where a function would raise it."""
+        params, name = cls._params, cls.__name__
+        if len(args) > len(params):
+            raise TypeError(f"{name}() takes {len(params)} positional arguments but {len(args)} were given")
+        given = dict(zip(params, args))
+        for key in kwargs:
+            if key not in cls._names:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in given:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+        bound = {**cls._defaults, **given, **kwargs}
+        if len(bound) < len(params):
+            missing = ", ".join(repr(key) for key in params if key not in bound)
+            raise TypeError(f"{name}() missing required arguments: {missing}")
+        return bound
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

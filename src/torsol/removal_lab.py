@@ -60,18 +60,6 @@ class RemovalOutcome(Record):
 
     __slots__ = ("removed", "removed_measures", "verified_free", "iterations")
 
-    def __init__(
-        self,
-        removed: tuple[IntervalUnion, ...],
-        removed_measures: tuple[Fraction, ...],
-        verified_free: bool,
-        iterations: int,
-    ):
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "removed_measures", removed_measures)
-        object.__setattr__(self, "verified_free", verified_free)
-        object.__setattr__(self, "iterations", iterations)
-
 
 def _member_arrays(mat: IntMatrix, p: int, sets) -> list[bytearray]:
     return [s.cells(p) for s in _check_sets(mat, sets)]

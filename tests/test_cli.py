@@ -192,6 +192,14 @@ def test_density_trend_with_p_is_usage_error(files, capsys):
     assert "--p" in err
 
 
+@pytest.mark.parametrize("trend", ["", ",", ",,"])
+def test_density_trend_without_a_modulus_is_usage_error(files, capsys, trend):
+    # an empty table would read as a run that found nothing
+    code, out, err = run(capsys, ["density", "--matrix", files("m.json", SUM3), "--trend", trend])
+    assert (code, out) == (1, "")
+    assert "usage error" in err
+
+
 @pytest.mark.parametrize("p", ["4", "29"])
 def test_density_invariant_system_checks_modulus(files, capsys, p):
     # AP3 is invariant, which short-cuts to density 0; the modulus is still checked

@@ -323,6 +323,8 @@ def test_cofactor_determinants_match_bareiss():
                 rows[-1] = [2 * a - b for a, b in zip(rows[0], rows[1])]
             d = int_det(rows)
             assert type(d) is int and d == _bareiss(rows)[1] == _leibniz(rows)
+    # the empty minor of a 1 x 1 matrix's adjugate
+    assert int_det([]) == _bareiss([])[1] == _leibniz([]) == 1
 
 
 def test_integer_input_stays_exact():

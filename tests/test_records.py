@@ -4,7 +4,10 @@ Each record is built twice from equal inputs, through the pipeline where
 it comes from one and is not cached there.  Frozen records refuse
 assignment and deletion; JobSpec stays mutable and unhashable.  Equal
 records hash alike, records of different types are never equal, and
-pickle and copy give back an equal record.
+pickle and copy give back an equal record.  Record.__init__ binds
+positional and keyword arguments to the slots in order, fills in a
+record's defaults, and refuses a bad call with TypeError as a function
+would.
 """
 
 import copy
@@ -149,3 +152,53 @@ def test_dataclasses_functions_still_read_records():
     assert shifted.per_shift == report.per_shift and shifted.p_used == 7
     assert [f.name for f in dataclasses.fields(report)][:3] == ["value", "route", "p_used"]
     assert dataclasses.asdict(JobSpec("kernel", matrix_path="m.json"))["matrix_path"] == "m.json"
+
+
+# the records whose arguments Record.__init__ binds; the other three validate theirs
+BOUND = [cls for cls in RECORDS if cls not in (IntMatrix, IntervalUnion, DiscreteSet)]
+
+
+def test_only_validating_or_deriving_records_write_a_constructor():
+    own = {cls for cls in RECORDS if "__init__" in vars(cls)}
+    assert own == {IntMatrix, IntervalUnion, DiscreteSet, KernelDecomposition}
+
+
+@pytest.mark.parametrize("cls", BOUND, ids=lambda cls: cls.__name__)
+def test_arguments_bind_to_slots_in_order(cls):
+    record = RECORDS[cls][1]()
+    values = [getattr(record, name) for name in cls._params]
+    assert cls(*values) == record
+    assert cls(**dict(zip(cls._params, values))) == record
+    assert cls(*values[:2], **dict(zip(cls._params[2:], values[2:]))) == record
+    assert cls(**dict(reversed(list(zip(cls._params, values))))) == record
+
+
+@pytest.mark.parametrize("cls", BOUND, ids=lambda cls: cls.__name__)
+def test_bad_calls_raise_type_error(cls):
+    record = RECORDS[cls][1]()
+    values = [getattr(record, name) for name in cls._params]
+    first = cls._params[0]
+    with pytest.raises(TypeError, match=f"missing required arguments: '{first}'"):
+        cls()
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(*values, bogus=1)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'bogus'"):
+        cls(**dict(zip(cls._params[1:], values[1:])), bogus=values[0])
+    with pytest.raises(TypeError, match=f"multiple values for argument '{first}'"):
+        cls(*values, **{first: values[0]})
+    with pytest.raises(TypeError, match="positional arguments but"):
+        cls(*values, None)
+
+
+def test_defaults_of_jobspec_report_and_decomposition():
+    spec = JobSpec("measure")
+    assert [getattr(spec, name) for name in JobSpec.__slots__] == [
+        "measure", None, None, None, 100000, 0, 1, "json", "exhaustive", None,
+    ]
+    report = MeasureReport(F(1, 2), "geometric")
+    assert [getattr(report, name) for name in MeasureReport.__slots__] == [F(1, 2), "geometric"] + [None] * 6
+    decomp = fresh_decomposition()
+    bare = KernelDecomposition(decomp.matrix, decomp.basis_columns, decomp.components, decomp.total_volume_param, decomp.c_param)
+    assert bare._vertices is None and bare._by_level == decomp._by_level
+    with pytest.raises(TypeError):
+        KernelDecomposition(*(getattr(decomp, name) for name in KernelDecomposition.__slots__))
