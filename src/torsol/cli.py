@@ -208,9 +208,10 @@ def _cmd_remove(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None)
 
 def _cmd_density(spec: JobSpec, mat: IntMatrix, sets: list[IntervalUnion] | None):
     if spec.trend:
-        moduli = [int_from_json(v) for v in spec.trend.split(",") if v]
-        if not moduli:
+        entries = spec.trend.split(",")
+        if not any(entries):
             raise UsageError(f"--trend {spec.trend!r} names no modulus")
+        moduli = [int_from_json(v) for v in entries]  # an empty entry beside a modulus is malformed
         rows = density_trend(mat, moduli)
         if spec.format == "csv":
             lines = ["p,density_num,density_den,decimal"]

@@ -12,7 +12,10 @@ Harvey, J. Symb. Comput. 2009).  At r = 1 a factor with gcd(L_i, p) = 1
 is laid out from the membership bytes and multiplied in as one big-int
 product; each other factor is one shift and add per member, so the vector
 is exact at any modulus.  It is read out as bytes once, so a count is a
-slice of its slot.  The other side walks the tuples of all free
+slice of its slot.  What depends on (L, p) alone (the slot strides, the
+laid-out factors, the set-free terms of both sides' prices) is built once
+per pair by the cached _count_plan, at any modulus; measures keeps the
+slots of its own targets.  The other side walks the tuples of all free
 coordinates but the last through their own sets, as the rows of one
 big-int bit matrix per dependent coordinate: each target costs a few
 shifts and ands of whole matrices, whose set bits list_solutions and
@@ -27,7 +30,6 @@ lists the whole kernel.  Everything is exact integer arithmetic.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress, islice, product
@@ -150,18 +152,59 @@ _ROWS_PER_TEST = 4
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
+class _CountPlan(Record):
+    """What counting mod q takes from (L, q) alone; _count_plan builds it once per pair.
+
+    strides are the slot strides (2q)^k of the r residue digits and slots
+    the count vector's slot count.  factors holds, per column, l mod q when
+    _factor lays the column out (r = 1 and gcd(l, q) = 1 < q), else None,
+    and shifted marks the other columns.  laid_cost is what _packed_cost
+    charges the laid columns whatever their sets: their _layout slices and
+    one pass over q cells each; products counts their big-int products.
+    When q is a prime at which L keeps its rank, outer are the free columns
+    but the last and walk the free side's set-up units; else both are None.
+    No field grows with the count vector, whose masks are built per call.
+    """
+
+    __slots__ = ("q", "strides", "slots", "factors", "shifted", "laid_cost", "products", "outer", "walk")
+
+    def slot(self, c) -> int:
+        """The slot of residue c in the packed count vector."""
+        return sum(v % self.q * s for v, s in zip(c, self.strides))
+
+
+@lru_cache(maxsize=256, typed=True)
+def _count_plan(mat: IntMatrix, q: int) -> _CountPlan:
+    """The _CountPlan of L at modulus q, any q >= 1; typed, so 5.0 or True never reads the entry of 5 or 1."""
+    strides = tuple((2 * q) ** k for k in range(mat.rows))
+    row = mat.entries[0] if mat.rows == 1 else (0,) * mat.cols
+    factors = tuple(l % q if math.gcd(l, q) == 1 < q else None for l in row)
+    shifted = tuple(l is None for l in factors)
+    laid = [l for l in factors if l is not None]
+    laid_cost = sum(_stride(l, q) for l in laid) + len(laid) * q / _CELLS_PER_TEST
+    try:
+        param = parametrize_kernel(mat, q)
+    except BadModulusError:  # q is not prime, or L loses rank mod q: only the packed side counts
+        outer = walk = None
+    else:
+        outer, walk = param.free_columns[:-1], _WALK_TESTS + sum(_stride(k[-1], q) for k in param.coefficients)
+    return _CountPlan(q, strides, q * strides[-1], factors, shifted, laid_cost, max(len(laid) - 1, 0), outer, walk)
+
+
+def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None) -> list[int]:
     """N(c) = #{y in A_1 x ... x A_m : L y = c (mod p)} for each target c.
 
     members are the sets' membership bytes (or any sequences of 0/1 or
-    bools); sizes are their .count(1).  Counts over the cheaper side, in
-    units of work of about a microsecond (2-vCPU host, Python 3.11).  The
-    free side (_line_masks) has a per-tuple set-up: for each tuple of all
-    but the last free coordinate, r rows sliced from the masks,
-    _ROWS_PER_TEST to a unit, after _WALK_TESTS units and the _layout
-    strides of its r masks.  Then each target costs r + 1 shifts and ands
-    of the bit matrices, a unit per _BITS_PER_TEST bits and one per chunk,
-    and reading the matrices in costs about two targets more.  The packed
+    bools); sizes are their .count(1).  slots, if given, are the targets'
+    _CountPlan.slot, kept by a caller whose targets are fixed.  Counts over
+    the cheaper side, in units of work of about a microsecond (2-vCPU host,
+    Python 3.11), its set-free terms from _count_plan.  The free side
+    (_line_masks) has a per-tuple set-up: for each tuple of all but the
+    last free coordinate, r rows sliced from the masks, _ROWS_PER_TEST to
+    a unit, after _WALK_TESTS units and the _layout strides of its r
+    masks.  Then each target costs r + 1 shifts and ands of the bit
+    matrices, a unit per _BITS_PER_TEST bits and one per chunk, and
+    reading the matrices in costs about two targets more.  The packed
     count vector of all p^r residues costs the same whatever the targets:
     _packed_cost prices it from the set sizes alone, the one model that
     measures.solution_measure also reads to price its count identity.
@@ -170,16 +213,16 @@ def residue_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
     vector is built only when it is the cheaper side; else the free side,
     which holds no vector, counts.
     """
-    param = parametrize_kernel(mat, p)
+    parametrize_kernel(mat, p)  # refuses a p that is not prime, or at which L loses rank
+    plan = _count_plan(mat, p)
     sizes = [arr.count(1) for arr in members]
-    rows = math.prod(sizes[c] for c in param.free_columns[:-1])
+    rows = math.prod(sizes[c] for c in plan.outer)
     matrix = rows * 8 * _row_bytes(p)  # bits of one of _line_masks' bit matrices
-    walk = _WALK_TESTS + sum(_stride(row[-1], p) for row in param.coefficients)
-    walk += mat.rows * rows / _ROWS_PER_TEST
+    walk = plan.walk + mat.rows * rows / _ROWS_PER_TEST
     walk += (len(targets) + 2) * (mat.rows + 1) * (-(-matrix // _CHUNK_BITS) + matrix / _BITS_PER_TEST)
     if _packed_cost(mat, p, sizes) < walk:
         count = _packed_counts(mat, p, members)
-        return [count(c) for c in targets]
+        return count.at(map(plan.slot, targets) if slots is None else slots)
     return _free_tuple_counts(mat, p, members, targets)
 
 
@@ -192,20 +235,12 @@ def _packed_cost(mat: IntMatrix, p: int, sizes) -> float:
     shift and add of the whole vector per member, a unit per
     _BITS_PER_TEST bits.  Any modulus p >= 1 works, prime or not.
     """
-    bits = p * (2 * p) ** (mat.rows - 1) * 8 * _slot_bytes(sizes)
+    plan = _count_plan(mat, p)
+    bits = plan.slots * 8 * _slot_bytes(sizes)
     if bits > _PACKED_BITS_LIMIT:
         return math.inf
-    row = mat.entries[0] if mat.rows == 1 else (0,) * mat.cols
-    laid = strides = shifted = 0
-    for l, n in zip(row, sizes):
-        if math.gcd(l, p) == 1 < p:  # a factor that _factor lays out
-            laid += 1
-            strides += _stride(l % p, p)
-        else:
-            shifted += n
-    cost = shifted * (1 + bits // _BITS_PER_TEST)
-    cost += strides + laid * p / _CELLS_PER_TEST
-    return cost + max(laid - 1, 0) * (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3)  # the first meets one slot
+    cost = sum(compress(sizes, plan.shifted)) * (1 + bits // _BITS_PER_TEST) + plan.laid_cost
+    return cost + plan.products * (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3)  # the first meets one slot
 
 
 def _line_masks(param: KernelParametrization, members, targets):
@@ -353,7 +388,23 @@ def _factor(l: int, p: int, arr, size: int) -> int:
     return int.from_bytes(_layout(l, p, arr, size), "little")
 
 
-def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]], int]:
+class _CountVector:
+    """The packed count vector as bytes, size bytes a slot: self(c) is N(c), self.at(slots) the counts in those slots."""
+
+    __slots__ = ("plan", "vec", "size")
+
+    def __init__(self, plan: _CountPlan, vec: bytes, size: int):
+        self.plan, self.vec, self.size = plan, vec, size
+
+    def __call__(self, c) -> int:
+        return self.at([self.plan.slot(c)])[0]
+
+    def at(self, slots) -> list[int]:
+        vec, size = self.vec, self.size
+        return [int.from_bytes(vec[s * size : s * size + size], "little") for s in slots]
+
+
+def _packed_counts(mat: IntMatrix, p: int, members) -> _CountVector:
     """The whole count vector c -> N(c), as one product of polynomials.
 
     N is the product over i of sum_{x in A_i} z^(x L_i), in r variables
@@ -366,43 +417,34 @@ def _packed_counts(mat: IntMatrix, p: int, members) -> Callable[[Sequence[int]],
     factor (gcd(L_i, p) > 1, p = 1, or r >= 2) is one shift and add per
     term, several times faster at r >= 2 than a Karatsuba product; then
     the last digit folds back into [0, p) by a shift and every other one
-    by a mask of its slots >= p.  The finished vector is read out as bytes
-    once, so each count is a slice of its slot.
+    by a mask of its slots >= p.  The strides and the laid-out columns
+    come from the cached _count_plan; the masks, as long as the vector,
+    are built per call.  The finished vector is read out as bytes once, so
+    each count is a slice of its slot.
     """
-    strides = [(2 * p) ** k for k in range(mat.rows)]
-    slots = p * strides[-1]
+    plan = _count_plan(mat, p)
     size = _slot_bytes([arr.count(1) for arr in members])
     w = 8 * size
-
-    def slot(c) -> int:
-        return sum(v % p * s for v, s in zip(c, strides))
-
-    low = (1 << (slots * w)) - 1
+    bits = plan.slots * w
+    low = (1 << bits) - 1
     folds = []
-    for s in strides[:-1]:
+    for s in plan.strides[:-1]:
         half = p * s * w  # digit k >= p: the upper half of each 2p s slots
         mask, span = ((1 << half) - 1) << half, 2 * half
-        while span < slots * w:
+        while span < bits:
             mask, span = mask | mask << span, 2 * span
         folds.append((mask & low, half))
     acc = 1  # the empty product
-    for i, arr in enumerate(members):
-        col = [row[i] for row in mat.entries]
-        if mat.rows == 1 and math.gcd(col[0], p) == 1 < p:
-            acc *= _factor(col[0] % p, p, arr, size)
+    for arr, l, col in zip(members, plan.factors, zip(*mat.entries)):
+        if l is not None:
+            acc *= _factor(l, p, arr, size)
         else:
-            acc = sum(acc << (slot([a * x for a in col]) * w) for x in compress(range(p), arr))
-        acc = (acc & low) + (acc >> (slots * w))
+            acc = sum(acc << (plan.slot([a * x for a in col]) * w) for x in compress(range(p), arr))
+        acc = (acc & low) + (acc >> bits)
         for mask, half in folds:
             hi = acc & mask
             acc = (acc ^ hi) + (hi >> half)
-    vec = acc.to_bytes(slots * size, "little")
-
-    def count(c) -> int:
-        at = slot(c) * size
-        return int.from_bytes(vec[at : at + size], "little")
-
-    return count
+    return _CountVector(plan, acc.to_bytes(plan.slots * size, "little"), size)
 
 
 def solution_density(mat: IntMatrix, p: int, sets, shifts=None) -> Fraction:

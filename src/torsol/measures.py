@@ -21,8 +21,10 @@ geometric      exact, for any rational interval unions.  A single equation
                cheaper answers.  When q^m <= 200 both run and must agree.
 decomposition  exact: the count identity c_param / p^(m-r) sum_b vol_b N(-b)
                of p-grid-aligned sets at a suitable prime p, all counts from
-               one call of the Z_p counter.  Independently coded from the
-               walker; the two agree exactly.
+               one call of the Z_p counter.  Its targets -b, their slots and
+               the weights over one denominator are built once per (L, q)
+               (_identity_plan), for the geometric route's identity too.
+               Independently coded from the walker; the two agree exactly.
 monte_carlo    statistical: samples the normalized Haar measure on the
                kernel subgroup directly, from uniform free coordinates and
                a uniform coset of the pivot minor, and reads off the pivot
@@ -42,6 +44,7 @@ import random
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInputError
@@ -59,7 +62,7 @@ from .kernel_geometry import (
 from .rationals import require_int
 from .records import Record
 from .torus_sets import MEMBERSHIP_LIMIT, IntervalUnion
-from .discrete import _packed_cost, _packed_counts, residue_counts
+from .discrete import _count_plan, _packed_cost, _packed_counts, residue_counts
 
 __all__ = [
     "MeasureReport",
@@ -100,6 +103,23 @@ def _check_sets(mat: IntMatrix, sets) -> list[IntervalUnion]:
     return sets
 
 
+@lru_cache(maxsize=256, typed=True)
+def _identity_plan(mat: IntMatrix, q: int) -> tuple:
+    """(targets, slots, weights, den): what the count identity of L at grid q takes from (L, q) alone.
+
+    For the k-th level b of enumerate_components(L)._by_level, in shift_cover's
+    order, targets[k] = -b, slots[k] is its discrete._count_plan slot mod q and
+    weights[k] / den = c_param vol_b / q^(m-r).  Typed, as the other (L, q) caches.
+    """
+    decomp = enumerate_components(mat)
+    targets = tuple(tuple(-v for v in b) for b in decomp._by_level)
+    vols = [comp.volume_param for comp in decomp._by_level.values()]
+    den, c = math.lcm(*(v.denominator for v in vols)), decomp.c_param
+    weights = tuple(v.numerator * (den // v.denominator) * c.numerator for v in vols)
+    slots = tuple(map(_count_plan(mat, q).slot, targets))
+    return targets, slots, weights, den * c.denominator * q ** (mat.cols - mat.rows)
+
+
 def _count_identity(decomp: KernelDecomposition, q: int, counts) -> Fraction:
     """c_param / q^(m-r) sum_b vol_b N(-b), the measure of q-grid-aligned sets, as one Fraction.
 
@@ -107,11 +127,8 @@ def _count_identity(decomp: KernelDecomposition, q: int, counts) -> Fraction:
     for the k-th level b of decomp._by_level, in shift_cover's order.  The box
     at j/q holds every such level-b slice scaled by 1/q, so any q >= 1 works.
     """
-    vols = [comp.volume_param for comp in decomp._by_level.values()]
-    den = math.lcm(*(v.denominator for v in vols))
-    total = sum(v.numerator * (den // v.denominator) * n for v, n in zip(vols, counts))
-    mat, c = decomp.matrix, decomp.c_param
-    return Fraction(total * c.numerator, den * c.denominator * q ** (mat.cols - mat.rows))
+    _, _, weights, den = _identity_plan(decomp.matrix, q)
+    return Fraction(sum(map(mul, weights, counts)), den)
 
 
 def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
@@ -138,7 +155,7 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
 
     def identity() -> Fraction:
         count = _packed_counts(mat, q, [s.cells(q) for s in sets])
-        return _count_identity(decomp, q, [count([-v for v in b]) for b in decomp._by_level])
+        return _count_identity(decomp, q, count.at(_identity_plan(mat, q)[1]))
 
     if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
         value, alt = product_measure(decomp, grid), identity()
@@ -204,9 +221,9 @@ def decompose(mat: IntMatrix, p: int, sets) -> MeasureReport:
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
-    cover = shift_cover(decomp, p)
-    members = [s.cells(p) for s in sets]
-    counts = residue_counts(mat, p, members, [[-b for b in sh.level] for sh in cover])
+    shift_cover(decomp, p)  # refuses a p that the cover does not accept
+    targets, slots, _, _ = _identity_plan(mat, p)
+    counts = residue_counts(mat, p, [s.cells(p) for s in sets], targets, slots)
     value = _count_identity(decomp, p, counts)
     per = PerShift(mat, p, counts)
     return MeasureReport(value=value, route="decomposition", p_used=p, per_shift=per)

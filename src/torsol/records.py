@@ -47,8 +47,8 @@ class Record:
         cls._params = tuple(name for name in cls.__slots__ if name not in cls._derived)
         cls._names = frozenset(cls._params)
         cls._fields = fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
-        get = attrgetter(*fields)
-        cls._key = staticmethod(get if len(fields) > 1 else lambda obj: (get(obj),))
+        get = attrgetter(*fields) if fields else lambda obj: ()  # attrgetter takes one name or more
+        cls._key = staticmethod(get if len(fields) != 1 else lambda obj: (get(obj),))
 
     def __init__(self, *args, **kwargs):
         bound = {**self._defaults, **kwargs}

@@ -200,6 +200,14 @@ def test_density_trend_without_a_modulus_is_usage_error(files, capsys, trend):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("trend", ["5,,7", ",5", "5,"])
+def test_density_trend_with_an_empty_entry_is_malformed(files, capsys, trend):
+    # an empty entry beside a modulus is refused as "5, 7" is, not dropped
+    code, out, err = run(capsys, ["density", "--matrix", files("m.json", SUM3), "--trend", trend])
+    assert (code, out) == (2, "")
+    assert "malformed integer ''" in err
+
+
 @pytest.mark.parametrize("p", ["4", "29"])
 def test_density_invariant_system_checks_modulus(files, capsys, p):
     # AP3 is invariant, which short-cuts to density 0; the modulus is still checked

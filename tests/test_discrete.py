@@ -8,10 +8,12 @@ import pytest
 from torsol import (
     DiscreteSet,
     IntMatrix,
+    decompose,
     kernel_elements,
     list_solutions,
     parametrize_kernel,
     solution_density,
+    solution_measure,
 )
 from torsol import discrete
 from torsol.discrete import _free_tuple_counts, _packed_counts, kernel_element, residue_counts
@@ -244,6 +246,22 @@ def test_counts_over_the_smaller_side(monkeypatch):
     assert [residue_counts(*case) for case in cases[2:]] == want[2:]
     monkeypatch.setattr(discrete, "_PACKED_BITS_LIMIT", 0)
     assert residue_counts(*cases[1]) == want[1]
+
+
+def test_decompose_side_on_two_named_inputs(monkeypatch):
+    """decompose on dense sets: SUM3 at p = 307 builds the packed vector, AP4 at p = 101 walks the free tuples."""
+
+    def refuse(*args):
+        raise AssertionError("counted over the other side")
+
+    values = {}
+    for mat, p, other in ((SUM3, 307, "_free_tuple_counts"), (AP4, 101, "_packed_counts")):
+        rng = random.Random(2)
+        sets = [DiscreteSet(p, [rng.random() < 0.6 for _ in range(p)]).to_interval_union() for _ in range(mat.cols)]
+        with monkeypatch.context() as patch:
+            patch.setattr(discrete, other, refuse)
+            values[p] = decompose(mat, p, sets).value
+        assert values[p] == solution_measure(mat, sets).value > 0
 
 
 M3X7 = IntMatrix([[1, -1, 2, -1, 3, 2, 3], [2, 2, 1, -3, 3, 0, 3], [-2, 2, -3, -2, -3, -1, 0]])

@@ -15,9 +15,9 @@ from torsol import (
     solution_measure,
 )
 from torsol import kernel_geometry, measures
-from torsol.discrete import _packed_counts
-from torsol.errors import DegenerateColumnsError, GridAlignmentError, InternalInvariantError, InvalidInputError
-from torsol.measures import _count_identity
+from torsol.discrete import _count_plan, _packed_counts
+from torsol.errors import BadModulusError, DegenerateColumnsError, GridAlignmentError, InternalInvariantError, InvalidInputError
+from torsol.measures import _count_identity, _identity_plan
 from torsol.kernel_geometry import enumerate_components
 from torsol.torus_sets import MEMBERSHIP_LIMIT
 
@@ -230,6 +230,68 @@ def test_count_identity_matches_block_sum():
             sets = random_grid_sets(rng, q, mat.cols)
             assert count_identity(mat, q, sets) == solution_measure(mat, sets).value, (mat.entries, q)
             assert count_identity(mat, q, sets) == walk(mat, sets), (mat.entries, q)
+
+
+def dense_sets(rng, q, m):
+    return [DiscreteSet(q, [rng.random() < 0.5 for _ in range(q)]).to_interval_union() for _ in range(m)]
+
+
+def test_count_plans_are_built_once_per_matrix_and_modulus(monkeypatch):
+    """A second decompose, and a second counted solution_measure, on new sets at the same (L, q) build no plan."""
+    counted = []
+    packed = measures._packed_counts
+    monkeypatch.setattr(measures, "_packed_counts", lambda *args: counted.append(args[1]) or packed(*args))
+    rng = random.Random(28)
+    for call, mat, q in ((decompose, R4, 53), (decompose, AP4, 101), (solution_measure, R4, 17), (solution_measure, AP4, 16)):
+        args = (mat, q) if call is decompose else (mat,)
+        call(*args, dense_sets(rng, q, mat.cols))
+        before = [plan.cache_info() for plan in (_count_plan, _identity_plan)]
+        call(*args, dense_sets(rng, q, mat.cols))
+        after = [plan.cache_info() for plan in (_count_plan, _identity_plan)]
+        assert [a.misses for a in after] == [b.misses for b in before], (call.__name__, mat.entries, q)
+        assert all(a.hits > b.hits for a, b in zip(after, before)), (call.__name__, mat.entries, q)
+    assert counted == [17, 17, 16, 16]
+
+
+def test_count_plans_key_on_the_modulus_type():
+    """True and 5.0 never read the plans of 1 and 5: True builds its own, and a float fails in math.gcd."""
+    for plan in (_count_plan, _identity_plan):
+        assert plan(SUM3, True) is not plan(SUM3, 1)
+        plan(SUM3, 5)
+        with pytest.raises(TypeError):
+            plan(SUM3, 5.0)
+    assert _count_plan(SUM3, True).q is True and _count_plan(SUM3, 1).q is not True
+    for p in (True, 5.0):
+        with pytest.raises(BadModulusError):
+            decompose(SUM3, p, [HALF] * 3)
+
+
+def test_cold_and_warm_plans_give_the_same_reports():
+    rng = random.Random(5)
+    cases = [(SUM3, 307), (AP4, 101), (R4, 37), (M3X7, 17)]
+    inputs = [(mat, p, dense_sets(rng, p, mat.cols)) for mat, p in cases]
+    for clear in (True, False):
+        if clear:
+            _count_plan.cache_clear()
+            _identity_plan.cache_clear()
+        reports = [(decompose(mat, p, sets), solution_measure(mat, sets)) for mat, p, sets in inputs]
+        if clear:
+            cold = reports
+    for (dec, geo), (dec_cold, geo_cold) in zip(reports, cold):
+        assert (dec, geo) == (dec_cold, geo_cold)
+        assert tuple(dec.per_shift) == tuple(dec_cold.per_shift) and dec.value == geo.value
+
+
+def test_planned_identity_at_composite_grids():
+    """At q = 12 and 16 the identity read at the plan's slots equals the walker, levels sharing a class mod q too."""
+    rng = random.Random(12)
+    for mat in (SUM3, AP3, AP4, R4, PINNED, PINNED_SCALED, SMITH, IntMatrix([[2, 1, -1]])):
+        for q in (12, 16):
+            decomp = enumerate_components(mat)
+            for sets in (random_grid_sets(rng, q, mat.cols), dense_sets(rng, q, mat.cols)):
+                count = _packed_counts(mat, q, [s.cells(q) for s in sets])
+                value = _count_identity(decomp, q, count.at(_identity_plan(mat, q)[1]))
+                assert value == walk(mat, sets) == count_identity(mat, q, sets), (mat.entries, q)
 
 
 def test_self_check_catches_a_wrong_closed_form(monkeypatch):

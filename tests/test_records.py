@@ -33,6 +33,7 @@ from torsol.kernel_geometry import (
     slice_leaves,
 )
 from torsol.measures import MeasureReport, decompose, solution_measure
+from torsol.records import Record
 from torsol.removal_lab import RemovalOutcome, greedy_removal
 
 AP4 = [[1, -2, 1, 0], [0, 1, -2, 1]]
@@ -202,3 +203,28 @@ def test_defaults_of_jobspec_report_and_decomposition():
     assert bare._vertices is None and bare._by_level == decomp._by_level
     with pytest.raises(TypeError):
         KernelDecomposition(*(getattr(decomp, name) for name in KernelDecomposition.__slots__))
+
+
+
+
+def test_records_without_fields():
+    """Empty or all-private slots make a field-less record: it builds, equals its own type, hashes and shows as Name()."""
+
+    class Base(Record):
+        __slots__ = ()
+
+    class Hidden(Record):
+        __slots__ = ("_note",)
+
+    class Child(Base):
+        __slots__ = ("a",)
+
+    def shown(record):
+        return repr(record).rsplit(".", 1)[-1]  # the class is local: its qualified name has a prefix
+
+    assert Base() == Base() and hash(Base()) == hash(()) and shown(Base()) == "Base()"
+    assert Hidden(1) == Hidden(2) and hash(Hidden(1)) == hash(()) and shown(Hidden(1)) == "Hidden()"
+    assert Hidden(1)._note == 1 and Base() != Hidden(1)
+    assert Child(1) == Child(a=1) != Child(2) and shown(Child(1)) == "Child(a=1)" and Child(1) != Base()
+    with pytest.raises(TypeError, match="positional arguments but"):
+        Base(1)
