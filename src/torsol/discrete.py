@@ -157,9 +157,9 @@ class _CountPlan(Record):
 
     strides are the slot strides (2q)^k of the r residue digits and slots
     the count vector's slot count.  factors holds, per column, l mod q when
-    _factor lays the column out (r = 1 and gcd(l, q) = 1 < q), else None,
+    _layout lays the column out (r = 1 and gcd(l, q) = 1 < q), else None,
     and shifted marks the other columns.  laid_cost is what _packed_cost
-    charges the laid columns whatever their sets: their _layout slices and
+    charges the laid columns whatever their sets: their _slicing strides and
     one pass over q cells each; products counts their big-int products.
     When q is a prime at which L keeps its rank, outer are the free columns
     but the last and walk the free side's set-up units; else both are None.
@@ -181,13 +181,13 @@ def _count_plan(mat: IntMatrix, q: int) -> _CountPlan:
     factors = tuple(l % q if math.gcd(l, q) == 1 < q else None for l in row)
     shifted = tuple(l is None for l in factors)
     laid = [l for l in factors if l is not None]
-    laid_cost = sum(_stride(l, q) for l in laid) + len(laid) * q / _CELLS_PER_TEST
+    laid_cost = sum(_slicing(l, q)[1] for l in laid) + len(laid) * q / _CELLS_PER_TEST
     try:
         param = parametrize_kernel(mat, q)
     except BadModulusError:  # q is not prime, or L loses rank mod q: only the packed side counts
         outer = walk = None
     else:
-        outer, walk = param.free_columns[:-1], _WALK_TESTS + sum(_stride(k[-1], q) for k in param.coefficients)
+        outer, walk = param.free_columns[:-1], _WALK_TESTS + sum(_slicing(k, q)[1] for *_, k in param.coefficients if k)
     return _CountPlan(q, strides, q * strides[-1], factors, shifted, laid_cost, max(len(laid) - 1, 0), outer, walk)
 
 
@@ -201,8 +201,8 @@ def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None) -> list
     Python 3.11), its set-free terms from _count_plan.  The free side
     (_line_masks) has a per-tuple set-up: for each tuple of all but the
     last free coordinate, r rows sliced from the masks, _ROWS_PER_TEST to
-    a unit, after _WALK_TESTS units and the _layout strides of its r
-    masks.  Then each target costs r + 1 shifts and ands of the bit
+    a unit, after _WALK_TESTS units and the _slicing strides of its
+    unpinned masks.  Then each target costs r + 1 shifts and ands of the bit
     matrices, a unit per _BITS_PER_TEST bits and one per chunk, and
     reading the matrices in costs about two targets more.  The packed
     count vector of all p^r residues costs the same whatever the targets:
@@ -221,8 +221,7 @@ def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None) -> list
     walk = plan.walk + mat.rows * rows / _ROWS_PER_TEST
     walk += (len(targets) + 2) * (mat.rows + 1) * (-(-matrix // _CHUNK_BITS) + matrix / _BITS_PER_TEST)
     if _packed_cost(mat, p, sizes) < walk:
-        count = _packed_counts(mat, p, members)
-        return count.at(map(plan.slot, targets) if slots is None else slots)
+        return _packed_counts(mat, p, members, map(plan.slot, targets) if slots is None else slots)
     return _free_tuple_counts(mat, p, members, targets)
 
 
@@ -230,7 +229,7 @@ def _packed_cost(mat: IntMatrix, p: int, sizes) -> float:
     """Units of work of _packed_counts mod p on sets of these sizes; inf past _PACKED_BITS_LIMIT bits.
 
     At r = 1 a set with gcd(L_i, p) = 1 < p costs one pass over its p
-    cells and one slice per stride of _layout, and from the second such
+    cells and one slice per _slicing stride, and from the second such
     set on one product of two packed vectors.  Every other set costs one
     shift and add of the whole vector per member, a unit per
     _BITS_PER_TEST bits.  Any modulus p >= 1 works, prime or not.
@@ -346,30 +345,28 @@ def _bits(arr) -> int:
     return int(bytes(arr)[::-1].translate(_BIT_CHARS), 2)
 
 
-def _stride(l: int, p: int) -> int:
-    """The strided slices that _layout(l, p, ...) takes: 0 for l = 0."""
-    if not l:
-        return 0
+def _slicing(l: int, p: int) -> tuple[bool, int, bool]:
+    """How _layout(l, p, ...) slices, 0 < l < p coprime to p: (gather by l^-1 mod p, stride = slices, reflect)."""
     g = pow(l, -1, p)
-    return min(l, p - l, g, p - g)
+    gather = min(g, p - g) < min(l, p - l)
+    s = g if gather else l
+    return gather, min(s, p - s), 2 * s > p
 
 
 def _layout(l: int, p: int, arr, size: int = 1) -> bytearray:
     """The bytes with arr[x] at slot l x mod p, size bytes a slot, for 0 < l < p coprime to p.
 
-    Strided slices, _stride(l, p) of them.  Either the x with
+    Strided slices, as _slicing(l, p) chooses.  Either the x with
     k p <= l x < (k + 1) p go to l x - k p, every l-th slot, one slice per
     k; or slot u reads arr[g u] for g = l^-1 mod p, the u with
     k p <= g u < (k + 1) p from every g-th byte from g u - k p, one slice
     per k, whichever stride is nearer 0 or p.  When that stride s exceeds
     p/2 the reflection x -> -x of arr goes at stride p - s instead.
     """
+    gather, s, reflect = _slicing(l, p)
     arr = bytes(arr)
-    g = pow(l, -1, p)
-    gather = min(g, p - g) < min(l, p - l)
-    s = g if gather else l
-    if 2 * s > p:
-        arr, s = arr[:1] + arr[:0:-1], p - s
+    if reflect:
+        arr = arr[:1] + arr[:0:-1]
     buf = bytearray(p * size)
     if gather:
         buf[::size] = b"".join([arr[-k * p % s :: s] for k in range(s)])
@@ -380,39 +377,15 @@ def _layout(l: int, p: int, arr, size: int = 1) -> bytearray:
     return buf
 
 
-def _factor(l: int, p: int, arr, size: int) -> int:
-    """sum_{x in A} z^(l x mod p) for 0 < l < p with gcd(l, p) = 1, with size-byte slots.
-
-    The membership bytes laid out by _layout: no two x share a slot.
-    """
-    return int.from_bytes(_layout(l, p, arr, size), "little")
-
-
-class _CountVector:
-    """The packed count vector as bytes, size bytes a slot: self(c) is N(c), self.at(slots) the counts in those slots."""
-
-    __slots__ = ("plan", "vec", "size")
-
-    def __init__(self, plan: _CountPlan, vec: bytes, size: int):
-        self.plan, self.vec, self.size = plan, vec, size
-
-    def __call__(self, c) -> int:
-        return self.at([self.plan.slot(c)])[0]
-
-    def at(self, slots) -> list[int]:
-        vec, size = self.vec, self.size
-        return [int.from_bytes(vec[s * size : s * size + size], "little") for s in slots]
-
-
-def _packed_counts(mat: IntMatrix, p: int, members) -> _CountVector:
-    """The whole count vector c -> N(c), as one product of polynomials.
+def _packed_counts(mat: IntMatrix, p: int, members, slots) -> list[int]:
+    """The counts at slots (_CountPlan.slot) of the count vector c -> N(c), one product of polynomials.
 
     N is the product over i of sum_{x in A_i} z^(x L_i), in r variables
     each taken modulo z^p - 1.  Residue c sits in slot sum_k (c_k mod p)
     (2p)^k: every digit but the last has 2p slots, so adding two reduced
     digits never carries.  The product is one int with a whole number of
     bytes per slot (_slot_bytes), enough for every count.  At r = 1 a
-    factor with gcd(L_i, p) = 1 is a dense vector of p slots from _factor,
+    factor with gcd(L_i, p) = 1 is a dense vector of p slots from _layout,
     one big-int product, folded back mod z^p - 1 by a shift.  Every other
     factor (gcd(L_i, p) > 1, p = 1, or r >= 2) is one shift and add per
     term, several times faster at r >= 2 than a Karatsuba product; then
@@ -437,14 +410,15 @@ def _packed_counts(mat: IntMatrix, p: int, members) -> _CountVector:
     acc = 1  # the empty product
     for arr, l, col in zip(members, plan.factors, zip(*mat.entries)):
         if l is not None:
-            acc *= _factor(l, p, arr, size)
+            acc *= int.from_bytes(_layout(l, p, arr, size), "little")
         else:
             acc = sum(acc << (plan.slot([a * x for a in col]) * w) for x in compress(range(p), arr))
         acc = (acc & low) + (acc >> bits)
         for mask, half in folds:
             hi = acc & mask
             acc = (acc ^ hi) + (hi >> half)
-    return _CountVector(plan, acc.to_bytes(plan.slots * size, "little"), size)
+    vec = acc.to_bytes(plan.slots * size, "little")
+    return [int.from_bytes(vec[s * size : s * size + size], "little") for s in slots]
 
 
 def solution_density(mat: IntMatrix, p: int, sets, shifts=None) -> Fraction:

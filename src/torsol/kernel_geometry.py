@@ -43,7 +43,7 @@ from functools import lru_cache, reduce
 from itertools import product
 from operator import add, mul, or_
 
-from .errors import BadModulusError, InternalInvariantError, InvalidInputError
+from .errors import BadModulusError, InternalInvariantError, InvalidInputError, PreconditionError
 from .discrete import kernel_element, parametrize_kernel
 from .intmat import IntMatrix, _det, analyze_matrix, basis_minors
 from .rationals import is_integral, require_int
@@ -63,6 +63,9 @@ __all__ = [
     "shift_cover",
     "central_section_check",
 ]
+
+# candidates (a minor, a point b0 of its box, a 0/1 choice) that enumerate_components scans at most
+_CANDIDATE_LIMIT = 1 << 20
 
 
 class KernelComponent(Record):
@@ -241,14 +244,19 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
     interior point with x_i = 1 pins x_i = 1 throughout.  The representative
     is the smallest vertex.  The vertices of the kept slices, each with the
     mask of the cube bounds it meets, are where slice_leaves starts.
+    More than _CANDIDATE_LIMIT candidates raise PreconditionError.
     """
     profile = analyze_matrix(mat)
     columns = tuple(profile.kernel_columns())
     minors, unit, free, free_det = _slice_data(mat)
     m = mat.cols
+    boxes = [[range(sum(min(row[c], 0) for c in cols), sum(max(row[c], 0) for c in cols) + 1) for row in mat.entries]
+             for cols, _, _ in minors]
+    candidates = sum(math.prod(b.stop - b.start for b in box) for box in boxes) << (m - mat.rows)  # len() overflows
+    if candidates > _CANDIDATE_LIMIT:
+        raise PreconditionError(f"slice enumeration would scan {candidates} candidate vertices, over {_CANDIDATE_LIMIT}")
     found = {}
-    for cols, rest, m_d in minors:
-        box = [range(sum(min(row[c], 0) for c in cols), sum(max(row[c], 0) for c in cols) + 1) for row in mat.entries]
+    for (cols, rest, m_d), box in zip(minors, boxes):
         solved = ((b0, [sum(map(mul, m_row, b0)) for m_row in m_d]) for b0 in product(*box))
         corners = [(b0, y_d) for b0, y_d in solved if all(0 <= y <= unit for y in y_d)]
         pt = [0] * m

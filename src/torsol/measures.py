@@ -154,8 +154,7 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     q = grid.q
 
     def identity() -> Fraction:
-        count = _packed_counts(mat, q, [s.cells(q) for s in sets])
-        return _count_identity(decomp, q, count.at(_identity_plan(mat, q)[1]))
+        return _count_identity(decomp, q, _packed_counts(mat, q, [s.cells(q) for s in sets], _identity_plan(mat, q)[1]))
 
     if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
         value, alt = product_measure(decomp, grid), identity()

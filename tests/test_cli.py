@@ -364,6 +364,18 @@ def test_huge_moduli_refused_before_membership_arrays(files, capsys):
     assert (code, out) == (3, "") and "exceeds 16777216" in err
 
 
+def test_huge_entries_refused_before_the_slice_scan(files, capsys):
+    # the slice scan of [[10^18, 1, -1]] once ended in a MemoryError and of 10^30 in an OverflowError, both exit 1
+    spath = files("s.json", HALVES)
+    commands = [["kernel"], ["weights", "--p", "5"], ["verify", "--p", "5"], ["measure", "--sets", spath]]
+    commands += [[command, "--sets", spath, "--p", "2"] for command in ("decompose", "check-free", "remove")]
+    for big in (10**18, 10**30):
+        mpath = files("m.json", {"entries": [[big, 1, -1]]})
+        for argv in commands:
+            code, out, err = run(capsys, [*argv, "--matrix", mpath])
+            assert (code, out) == (3, "") and "candidate vertices" in err, (big, argv)
+
+
 def test_rank_loss_mod_p_exit_3(files, capsys):
     mpath = files("m.json", {"entries": [[1, 3, 4], [4, 1, 5]]})
     code, out, err = run(capsys, ["weights", "--matrix", mpath, "--p", "11"])

@@ -181,8 +181,7 @@ def test_residue_counts_match_naive_oracle():
         assert [discrete._slot_bytes([arr.count(1) for arr in members]) for members in by_size] == [1, 2][: len(by_size)]
         for members in (drawn, empty_first, full_last, *by_size):
             want = [naive_density(mat.entries, p, members, shift_of[c]) * p ** (m - r) for c in targets]
-            packed = _packed_counts(mat, p, members)
-            assert [packed(c) for c in targets] == want
+            assert _packed_counts(mat, p, members, map(discrete._count_plan(mat, p).slot, targets)) == want
             assert _free_tuple_counts(mat, p, members, targets) == want
             assert residue_counts(mat, p, members, targets) == want
 
@@ -192,7 +191,7 @@ def test_packed_counts_exact_at_every_modulus():
 
     A coefficient sharing a factor g with q (2 in [[2, 1, -1]] at q = 6, 3 in
     [[2, 3, -1, 5]] at q = 9) sends g members of a set to one residue, so its
-    factor must be shifted and added, not laid out by _factor; q = 1 has the
+    factor must be shifted and added, not laid out by _layout; q = 1 has the
     one residue 0.  Random and full sets, r = 1 and r = 2.
     """
     rng = random.Random(41)
@@ -202,8 +201,8 @@ def test_packed_counts_exact_at_every_modulus():
             drawn = [tuple(rng.random() < 0.5 for _ in range(q)) for _ in range(mat.cols)]
             for members in (drawn, [(True,) * q] * mat.cols):
                 want = residue_histogram(mat.entries, q, members)
-                packed = _packed_counts(mat, q, members)
-                assert [packed(c) for c in residues] == [want[c] for c in residues], (mat.entries, q)
+                packed = _packed_counts(mat, q, members, map(discrete._count_plan(mat, q).slot, residues))
+                assert packed == [want[c] for c in residues], (mat.entries, q)
 
 
 def test_residue_counts_r3_at_large_p(monkeypatch):
@@ -240,8 +239,7 @@ def test_counts_over_the_smaller_side(monkeypatch):
         patch.setattr(discrete, "_free_tuple_counts", refuse)
         assert [residue_counts(*case) for case in cases[:2]] == want[:2]
     for case, counts in zip(cases[2:], want[2:]):
-        packed = _packed_counts(*case[:3])
-        assert [packed(c) for c in case[3]] == counts
+        assert _packed_counts(*case[:3], map(discrete._count_plan(*case[:2]).slot, case[3])) == counts
     monkeypatch.setattr(discrete, "_packed_counts", refuse)
     assert [residue_counts(*case) for case in cases[2:]] == want[2:]
     monkeypatch.setattr(discrete, "_PACKED_BITS_LIMIT", 0)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 from itertools import combinations, product
 
@@ -15,7 +16,8 @@ from torsol import (
     shift_cover,
     weight,
 )
-from torsol.errors import BadModulusError, InvalidInputError
+from torsol import kernel_geometry
+from torsol.errors import BadModulusError, InvalidInputError, PreconditionError
 from torsol.kernel_geometry import _slice_data, product_measure, slice_leaves
 from torsol.polytope import slice_polytope, volume
 
@@ -566,3 +568,25 @@ def test_free_columns_and_kernel_minor_from_the_minor_table():
         assert free_det == abs(_laplace_det([list(basis[i]) for i in free])) > 0, mat.entries
         nontrivial += free_det > 1
     assert nontrivial >= 50, nontrivial
+
+
+def test_slice_scans_past_the_candidate_limit_are_refused(monkeypatch):
+    """Entries of 10^18 and 10^30 and random 5 x 9 matrices are refused before the scan, at once.
+
+    At the limit's default the 3 x 7 matrix, with 169,024 candidates, is
+    scanned (its kernel is the CI's); a limit one lower refuses it.
+    """
+    for big in (10**18, 10**30):
+        with pytest.raises(PreconditionError, match=f"scan {4 * big + 20} candidate vertices"):
+            enumerate_components(IntMatrix([[big, 1, -1]]))
+    rng = random.Random(59)
+    for _ in range(3):
+        mat = random_full_rank_matrix(rng, 5, 9, -3, 4)
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="candidate vertices"):
+            enumerate_components(mat)
+        assert time.perf_counter() - start < 1
+    m3x7 = IntMatrix([[1, -1, 2, -1, 3, 2, 3], [2, 2, 1, -3, 3, 0, 3], [-2, 2, -3, -2, -3, -1, 0]])
+    monkeypatch.setattr(kernel_geometry, "_CANDIDATE_LIMIT", 169_023)
+    with pytest.raises(PreconditionError, match="scan 169024 candidate vertices"):
+        enumerate_components.__wrapped__(m3x7)

@@ -14,7 +14,7 @@ from torsol import (
     monte_carlo_estimate,
     solution_measure,
 )
-from torsol import kernel_geometry, measures
+from torsol import discrete, kernel_geometry, measures
 from torsol.discrete import _count_plan, _packed_counts
 from torsol.errors import BadModulusError, DegenerateColumnsError, GridAlignmentError, InternalInvariantError, InvalidInputError
 from torsol.measures import _count_identity, _identity_plan
@@ -208,11 +208,71 @@ def test_dense_ap5_sets_are_walked(monkeypatch):
     assert solution_measure(AP5, sets).value == expected > 0
 
 
+def benchmark_sets(rng, q, counts):
+    """q-grid-aligned sets as perfbench's grid_set draws them: set i is counts[i] separated runs over 30-60% of the cells."""
+    out = []
+    for k in counts:
+        cells = min(max(k, round(rng.uniform(0.3, 0.6) * q)), q - k + 1)
+        cuts = sorted(rng.sample(range(1, cells), k - 1))
+        lengths = [b - a for a, b in zip((0, *cuts), (*cuts, cells))]
+        spare = q - cells - (k - 1)
+        marks = sorted(rng.randint(0, spare) for _ in range(k))
+        gaps = [b - a for a, b in zip((0, *marks), (*marks, spare))]
+        x, pairs = gaps[0], []
+        for length, gap in zip(lengths, gaps[1:]):
+            pairs.append((F(x, q), F(x + length, q)))
+            x += length + 1 + gap
+        out.append(IntervalUnion(pairs))
+    return out
+
+
+def test_benchmark_side_and_route_choices(monkeypatch):
+    """The side decompose counts on and the route solution_measure takes, for each job kind of the benchmark.
+
+    20 seeded rounds of sets drawn as the benchmark draws them, with its runs
+    per set.  decompose takes the packed side for SUM3 and AP3 at 211 and 307
+    and for R4 at 37 and 53, and the free side for AP4 at 101.
+    solution_measure walks SUM3 and AP3 at q = 7, 11 and 13, counts AP4 at
+    q = 5 to 13 and R4 at 13, and runs both routes for SUM3 and AP3 at q = 5,
+    where q^m <= 200.  Each choice is pinned by refusing the other path.
+    """
+
+    def refuse(*args):
+        raise AssertionError("took the other path")
+
+    runs = {SUM3: (1, 2, 3), AP3: (1, 2, 3), AP4: (1, 2, 2, 3), R4: (1, 2, 2, 3)}
+    zp_runs = {**runs, R4: (1, 1, 1, 2)}
+    packed = [(SUM3, 211), (SUM3, 307), (AP3, 211), (AP3, 307), (R4, 37), (R4, 53)]
+    decomposed = [(mat, p, "_free_tuple_counts") for mat, p in packed] + [(AP4, 101, "_packed_counts")]
+    walked = [(mat, q, "_packed_counts") for mat in (SUM3, AP3) for q in (7, 11, 13)]
+    counted = [(AP4, q, "product_measure") for q in (5, 7, 11, 13)] + [(R4, 13, "product_measure")]
+    rng = random.Random(29)
+    for _ in range(20):
+        for mat, p, other in decomposed:
+            sets = benchmark_sets(rng, p, rng.sample(zp_runs[mat], mat.cols))
+            with monkeypatch.context() as patch:
+                patch.setattr(discrete, other, refuse)
+                decompose(mat, p, sets)
+        for mat, q, other in walked + counted:
+            sets = benchmark_sets(rng, q, rng.sample(runs[mat], mat.cols))
+            with monkeypatch.context() as patch:
+                patch.setattr(measures, other, refuse)
+                solution_measure(mat, sets)
+        for mat in (SUM3, AP3):
+            calls = []
+            with monkeypatch.context() as patch:
+                for name in ("product_measure", "_packed_counts"):
+                    real = getattr(measures, name)
+                    patch.setattr(measures, name, lambda *args, real=real, name=name: calls.append(name) or real(*args))
+                solution_measure(mat, benchmark_sets(rng, 5, rng.sample(runs[mat], 3)))
+            assert calls == ["product_measure", "_packed_counts"]
+
+
 def count_identity(mat, q, sets):
     """c_param / q^(m-r) * sum_b vol_b N_q(-b), with N_q the packed counts of the sets mod q."""
     decomp = enumerate_components(mat)
-    count = _packed_counts(mat, q, [s.to_discrete(q).members for s in sets])
-    return _count_identity(decomp, q, [count([-v for v in b]) for b in decomp._by_level])
+    slots = [_count_plan(mat, q).slot([-v for v in b]) for b in decomp._by_level]
+    return _count_identity(decomp, q, _packed_counts(mat, q, [s.to_discrete(q).members for s in sets], slots))
 
 
 def test_count_identity_matches_block_sum():
@@ -289,8 +349,8 @@ def test_planned_identity_at_composite_grids():
         for q in (12, 16):
             decomp = enumerate_components(mat)
             for sets in (random_grid_sets(rng, q, mat.cols), dense_sets(rng, q, mat.cols)):
-                count = _packed_counts(mat, q, [s.cells(q) for s in sets])
-                value = _count_identity(decomp, q, count.at(_identity_plan(mat, q)[1]))
+                counts = _packed_counts(mat, q, [s.cells(q) for s in sets], _identity_plan(mat, q)[1])
+                value = _count_identity(decomp, q, counts)
                 assert value == walk(mat, sets) == count_identity(mat, q, sets), (mat.entries, q)
 
 
