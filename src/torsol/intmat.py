@@ -11,9 +11,9 @@ column Hermite form gives the kernel basis, the Smith invariants, the
 degenerate-column witnesses and the Monte Carlo coset ranges; the
 fraction-free `_bareiss` gives ranks and the determinants above 4 x 4;
 outside the polytope oracle every determinant is a `_det`, by cofactors
-up to 4 x 4, among them those of `basis_minors`, the cached table of L's
-invertible r x r minors with their adjugates, where every module takes
-its basis minor and its inverse, over Q and mod p.
+up to 4 x 4, among them those of `_minor_dets`, the cached table of L's
+invertible r x r minors; `basis_minors` adds their adjugates, and every
+module takes its basis minor and its inverse there, over Q and mod p.
 """
 
 from __future__ import annotations
@@ -326,8 +326,16 @@ def _degenerate_columns(mat: IntMatrix, basis_rows) -> tuple[DegenerateColumn, .
 
 
 @lru_cache(maxsize=256)
+def _minor_dets(mat: IntMatrix) -> tuple:
+    """(D, det L_D) for every r-subset D of columns with det L_D != 0, in lexicographic order; no adjugate is built."""
+    subsets = combinations(range(mat.cols), mat.rows)
+    dets = ((cols, _det([[row[c] for c in cols] for row in mat.entries])) for cols in subsets)
+    return tuple((cols, delta) for cols, delta in dets if delta)
+
+
+@lru_cache(maxsize=256)
 def basis_minors(mat: IntMatrix) -> tuple:
-    """(D, det L_D, adj L_D) for every r-subset D of columns with det L_D != 0.
+    """(D, det L_D, adj L_D) for every D of _minor_dets.
 
     The subsets D come in lexicographic order, so the first is the greedy
     basis from the left: each of its columns lies outside the span of the
@@ -335,13 +343,10 @@ def basis_minors(mat: IntMatrix) -> tuple:
     adj L_D L_D = det L_D I, the inverse of L_D is adj / det over Q, and
     adj * det^-1 mod p over GF(p) for every p not dividing det.
     """
-    found = []
-    for cols in combinations(range(mat.cols), mat.rows):
-        l_d = [[row[c] for c in cols] for row in mat.entries]
-        delta = _det(l_d)
-        if delta:
-            found.append((cols, delta, tuple(map(tuple, _adjugate(l_d)))))
-    return tuple(found)
+    return tuple(
+        (cols, delta, tuple(map(tuple, _adjugate([[row[c] for c in cols] for row in mat.entries]))))
+        for cols, delta in _minor_dets(mat)
+    )
 
 
 @lru_cache(maxsize=256)

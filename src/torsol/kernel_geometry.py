@@ -45,7 +45,7 @@ from operator import add, mul, or_
 
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError, PreconditionError
 from .discrete import kernel_element, parametrize_kernel
-from .intmat import IntMatrix, _det, analyze_matrix, basis_minors
+from .intmat import IntMatrix, _det, _minor_dets, analyze_matrix, basis_minors
 from .rationals import is_integral, require_int
 from .records import Record
 
@@ -244,17 +244,18 @@ def enumerate_components(mat: IntMatrix) -> KernelDecomposition:
     interior point with x_i = 1 pins x_i = 1 throughout.  The representative
     is the smallest vertex.  The vertices of the kept slices, each with the
     mask of the cube bounds it meets, are where slice_leaves starts.
-    More than _CANDIDATE_LIMIT candidates raise PreconditionError.
+    More than _CANDIDATE_LIMIT candidates, counted off L's minor
+    determinants before any adjugate is built, raise PreconditionError.
     """
     profile = analyze_matrix(mat)
     columns = tuple(profile.kernel_columns())
-    minors, unit, free, free_det = _slice_data(mat)
     m = mat.cols
     boxes = [[range(sum(min(row[c], 0) for c in cols), sum(max(row[c], 0) for c in cols) + 1) for row in mat.entries]
-             for cols, _, _ in minors]
+             for cols, _ in _minor_dets(mat)]
     candidates = sum(math.prod(b.stop - b.start for b in box) for box in boxes) << (m - mat.rows)  # len() overflows
     if candidates > _CANDIDATE_LIMIT:
         raise PreconditionError(f"slice enumeration would scan {candidates} candidate vertices, over {_CANDIDATE_LIMIT}")
+    minors, unit, free, free_det = _slice_data(mat)
     found = {}
     for (cols, rest, m_d), box in zip(minors, boxes):
         solved = ((b0, [sum(map(mul, m_row, b0)) for m_row in m_d]) for b0 in product(*box))
@@ -401,6 +402,15 @@ def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
     yield from rec(0, [(tuple(blocks.q * v for v in pt), mask) for pt, mask in decomp._vertices[comp.level]])
 
 
+def _leaf_sum(decomp: KernelDecomposition, walks, scale) -> Fraction:
+    """scale times the volume of the slice_leaves of each (component, blocks) of walks; their leaves share one den."""
+    size = den = 0
+    for comp, blocks in walks:
+        for leaf in slice_leaves(decomp, comp, blocks):
+            size, den = size + leaf.size, leaf.den
+    return Fraction(size * scale.numerator, den * scale.denominator) if size else Fraction(0)
+
+
 def _single_row_measure(row, grid: _GridBlocks) -> Fraction:
     """product_measure for one equation l . x in Z, with no slices walked.
 
@@ -472,12 +482,7 @@ def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
     grid = blocks if isinstance(blocks, _GridBlocks) else _GridBlocks(blocks)
     if mat.rows == 1:
         return _single_row_measure(mat.entries[0], grid)
-    size = den = 0
-    for comp in _reachable(decomp, grid):
-        for leaf in slice_leaves(decomp, comp, grid):
-            size, den = size + leaf.size, leaf.den
-    c = decomp.c_param
-    return Fraction(size * c.numerator, den * c.denominator) if size else Fraction(0)
+    return _leaf_sum(decomp, ((comp, grid) for comp in _reachable(decomp, grid)), decomp.c_param)
 
 
 # _walk_cost's divisors: clip work (block combinations times squared vertex
@@ -618,14 +623,9 @@ def central_section_check(mat: IntMatrix) -> CentralSectionResult:
     """
     decomp = enumerate_components(mat)
     halves = (Fraction(0), Fraction(1, 2), Fraction(1))
-    size = den = 0
-    for e in product((0, 1), repeat=mat.cols):
-        comp = decomp._by_level.get(mat.apply_int(e))
-        if comp is None:
-            continue
-        for leaf in slice_leaves(decomp, comp, [[halves[k : k + 2]] for k in e]):
-            size, den = size + leaf.size, leaf.den
-    vol = Fraction(size, den) if size else Fraction(0)
+    orthants = ((e, decomp._by_level.get(mat.apply_int(e))) for e in product((0, 1), repeat=mat.cols))
+    walks = ((comp, [[halves[k : k + 2]] for k in e]) for e, comp in orthants if comp is not None)
+    vol = _leaf_sum(decomp, walks, 1)
     cols = analyze_matrix(mat).kernel_columns()
     gram_det = _det([[sum(map(mul, a, b)) for b in cols] for a in cols])
     return CentralSectionResult(vol_param=vol, gram_det=gram_det, passes=vol * vol * gram_det >= 1)

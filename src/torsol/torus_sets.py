@@ -2,9 +2,9 @@
 
 A set is stored as a normalized (sorted, disjoint, non-adjacent) tuple of
 half-open intervals [a, b) with exact rational endpoints in [0, 1].  All
-set algebra (complement, intersection, union, symmetric difference, shift
-around the circle) stays exact.  Sets aligned to a 1/p grid correspond to
-subsets of Z_p and convert back and forth losslessly.
+set algebra (complement, union, intersection by De Morgan's law, symmetric
+difference, shift around the circle) stays exact.  Sets aligned to a 1/p
+grid correspond to subsets of Z_p and convert back and forth losslessly.
 """
 
 from __future__ import annotations
@@ -106,13 +106,7 @@ class IntervalUnion(Record):
         return IntervalUnion(self.intervals + other.intervals)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        for a, b in self.intervals:
-            for c, d in other.intervals:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalUnion(out)
+        return self.complement().union(other.complement()).complement()
 
     def symmetric_difference(self, other: "IntervalUnion") -> "IntervalUnion":
         both = self.intersect(other)

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 import warnings
 from fractions import Fraction as F
@@ -266,6 +267,11 @@ def test_usage_error_exit_1(files, capsys):
     assert code == 1
     code, _, err = run(capsys, ["nonsense"])
     assert code == 1
+    code, out, err = run(capsys, ["profile", "--matrix", "missing.json"])
+    assert (code, out) == (1, "")
+    assert "file not found: missing.json" in err
+    code, out, err = run(capsys, [])
+    assert (code, out, err) == (1, "", "usage error: no command given\n")
 
 
 def test_invalid_input_exit_2(files, capsys, tmp_path):
@@ -291,15 +297,40 @@ def test_matrix_float_beyond_safe_range_exit_2(files, capsys, tmp_path):
 
 
 def test_malformed_json_shapes_exit_2(files, capsys):
-    for matrix in ({"entries": 5}, {"entries": [1, 2]}):
+    for matrix in ({"entries": 5}, {"entries": [1, 2]}, [[1, 1, -1]], {"rows": 1, "cols": 3}):
         code, out, err = run(capsys, ["profile", "--matrix", files("m.json", matrix)])
         assert (code, out) == (2, "")
         assert "entries" in err
-    for sets in ([5, 5, 5], [[5], [5], [5]], [[[False, True]], [[0, 1]], [[0, 1]]]):
+    bad_sets = ([5, 5, 5], [[5], [5], [5]], [[[False, True]], [[0, 1]], [[0, 1]]], {"sets": HALVES}, [[["0", "1/0"]]] * 3)
+    for sets in bad_sets:
         argv = ["measure", "--matrix", files("m.json", SUM3), "--sets", files("s.json", sets)]
         code, out, err = run(capsys, argv)
         assert (code, out) == (2, "")
         assert "invalid input" in err
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        pytest.param({"entries": [[]]}, "at least one row and one column", id="empty-row"),
+        pytest.param({"rows": 2, "entries": [[1, 1, -1]]}, "'rows' disagrees with entries", id="rows"),
+        pytest.param({"cols": 4, "entries": [[1, 1, -1]]}, "'cols' disagrees with entries", id="cols"),
+        pytest.param({"entries": [[True, 1, -1]]}, "expected an integer, got True", id="bool"),
+        pytest.param({"entries": [[None, 1, -1]]}, "expected an integer, got None", id="null"),
+        pytest.param({"entries": [[1.5, 1, -1]]}, "expected an integer, got 1.5", id="fraction-float"),
+    ],
+)
+def test_matrix_json_refusals_exit_2(files, capsys, matrix, message):
+    code, out, err = run(capsys, ["profile", "--matrix", files("m.json", matrix)])
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: ") and message in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int string conversion")
+def test_matrix_entry_past_the_digit_limit_exit_2(files, capsys):
+    code, out, err = run(capsys, ["profile", "--matrix", files("m.json", {"entries": [["7" * 5000, 1, -1]]})])
+    assert (code, out) == (2, "")
+    assert err.startswith("invalid input: malformed integer")
 
 
 def test_measure_pinned_coordinate_half_open(files, capsys):

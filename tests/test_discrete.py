@@ -336,6 +336,13 @@ def test_invariant_diagonal_lower_bound():
         assert solution_density(AP3, p, sets) >= F(1, p**2)
 
 
+def test_set_count_and_modulus_must_match():
+    with pytest.raises(InvalidInputError, match="need 3 sets, got 2"):
+        solution_density(SUM3, 5, [full(5)] * 2)
+    with pytest.raises(InvalidInputError, match="set modulus 7 != 5"):
+        solution_density(SUM3, 5, [full(5), full(7), full(5)])
+
+
 def test_rank_drop_rejected():
     bad = IntMatrix([[5, 0, 1], [0, 5, 1]])
     with pytest.raises(BadModulusError):

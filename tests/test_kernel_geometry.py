@@ -16,7 +16,7 @@ from torsol import (
     shift_cover,
     weight,
 )
-from torsol import kernel_geometry
+from torsol import intmat, kernel_geometry
 from torsol.errors import BadModulusError, InvalidInputError, PreconditionError
 from torsol.kernel_geometry import _slice_data, product_measure, slice_leaves
 from torsol.polytope import slice_polytope, volume
@@ -590,3 +590,21 @@ def test_slice_scans_past_the_candidate_limit_are_refused(monkeypatch):
     monkeypatch.setattr(kernel_geometry, "_CANDIDATE_LIMIT", 169_023)
     with pytest.raises(PreconditionError, match="scan 169024 candidate vertices"):
         enumerate_components.__wrapped__(m3x7)
+
+
+def test_wide_matrix_refused_before_any_adjugate(monkeypatch):
+    """A seeded 7 x 14 matrix is refused off its 3,432 minor determinants alone, in under 1 s.
+
+    Its 7 x 7 adjugates, 49 cofactor determinants for each minor, take
+    seconds to build; the scan is refused before _slice_data asks for them.
+    """
+    mat = random_full_rank_matrix(random.Random(1), 7, 14, -3, 4)
+
+    def no_adjugate(rows):
+        raise AssertionError("an adjugate was built")
+
+    monkeypatch.setattr(intmat, "_adjugate", no_adjugate)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionError, match="scan 149585422836736 candidate vertices"):
+        enumerate_components(mat)
+    assert time.perf_counter() - start < 1

@@ -79,6 +79,7 @@ def test_benchmark_two_fifths_both_routes():
     assert dec.per_shift[::-1] == triples[::-1]
     again = decompose(SUM3, 5, [TWO_FIFTHS] * 3)
     assert again == dec and hash(again) == hash(dec) and dec.per_shift == triples
+    assert repr(dec.per_shift) == repr(triples)
 
 
 def test_decompose_full_and_empty():

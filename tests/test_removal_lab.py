@@ -17,7 +17,7 @@ from torsol import (
     zero_measure_check,
 )
 from torsol import discrete, removal_lab
-from torsol.errors import PositiveMeasureError, PreconditionError
+from torsol.errors import InvalidInputError, PositiveMeasureError, PreconditionError
 
 from oracles import (
     brute_max_free_density,
@@ -241,6 +241,12 @@ def test_szemeredi_probe_rejects_non_invariant():
         szemeredi_probe(SUM3, F(1, 2), trials=2, seed=1)
 
 
+@pytest.mark.parametrize("alpha", [F(0), F(3, 2)])
+def test_szemeredi_probe_alpha_outside_the_unit_interval_refused(alpha):
+    with pytest.raises(InvalidInputError, match=r"alpha must be in \(0, 1\]"):
+        szemeredi_probe(AP3, alpha, trials=2, seed=1)
+
+
 def test_density_search_exhaustive_p5():
     dens, best = density_search(SUM3, 5)
     assert dens == F(2, 5)
@@ -280,6 +286,11 @@ def test_density_search_invariant_warns_zero():
     assert dens == 0
     assert best.size() == 0
     assert any("invariant" in str(w.message) for w in caught)
+
+
+def test_density_search_unknown_mode_refused():
+    with pytest.raises(InvalidInputError, match="unknown mode 'greedy'"):
+        density_search(SUM3, 5, mode="greedy")
 
 
 def test_density_search_exhaustive_size_guard():

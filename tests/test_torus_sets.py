@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsol import DiscreteSet, IntervalUnion, from_discrete, sets_from_json, sets_to_json
+from torsol import DiscreteSet, IntMatrix, IntervalUnion, approximation_bound, from_discrete, sets_from_json, sets_to_json
 from torsol.errors import GridAlignmentError, InvalidInputError, PreconditionError
 from torsol.torus_sets import MEMBERSHIP_LIMIT
 
@@ -180,6 +180,30 @@ def test_union_intersect_basic():
     b = iv((F(1, 4), F(3, 4)))
     assert a.union(b).intervals == ((F(0), F(3, 4)),)
     assert a.intersect(b).intervals == ((F(1, 4), F(1, 2)),)
+
+
+def test_str_lists_the_blocks():
+    assert str(iv((0, F(1, 2)), (F(3, 4), 1))) == "[0,1/2) u [3/4,1)"
+    assert str(IntervalUnion.empty()) == "{}"
+
+
+def test_set_algebra_at_scale_matches_the_membership_bytes():
+    """Intersection, union and symmetric difference of ~250-block sets on the 1009-grid, cell by cell.
+
+    The bytewise and, or and xor of the operands' cells are the oracle.
+    The approximation bound is the differing cells over p.
+    """
+    p, rng = 1009, random.Random(5)
+    sets = [DiscreteSet(p, [rng.random() < 0.5 for _ in range(p)]).to_interval_union() for _ in range(6)]
+    assert min(len(s.intervals) for s in sets) > 200
+    differing = 0
+    for a, b in zip(sets[:3], sets[3:]):
+        ca, cb = a.cells(p), b.cells(p)
+        assert a.intersect(b).cells(p) == bytes(x & y for x, y in zip(ca, cb))
+        assert a.union(b).cells(p) == bytes(x | y for x, y in zip(ca, cb))
+        assert a.symmetric_difference(b).cells(p) == bytes(x ^ y for x, y in zip(ca, cb))
+        differing += sum(x != y for x, y in zip(ca, cb))
+    assert approximation_bound(IntMatrix([[1, 1, -1]]), sets[:3], sets[3:]) == F(differing, p) == F(1542, p)
 
 
 def test_contains():
