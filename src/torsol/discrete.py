@@ -10,17 +10,17 @@ sum_{x in A_i} z^(x L_i), modulo z^p - 1 in each of the r residue digits,
 packed into one big int with whole-byte slots (Kronecker substitution;
 Harvey, J. Symb. Comput. 2009).  At r = 1 a factor with gcd(L_i, p) = 1
 is laid out from the membership bytes and multiplied in as one big-int
-product; each other factor is one shift and add per member, so the vector
-is exact at any modulus.  It is read out as bytes once, so a count is a
-slice of its slot.  What depends on (L, p) alone (the slot strides, the
-laid-out factors, the set-free terms of both sides' prices) is built once
-per pair by the cached _count_plan, at any modulus; measures keeps the
-slots of its own targets.  The other side walks the tuples of all free
-coordinates but the last through their own sets, as the rows of one
-big-int bit matrix per dependent coordinate: each target costs a few
-shifts and ands of whole matrices, whose set bits list_solutions and
-removal_lab expand into points.  A shifted density is one count over
-p^(m-r), the kernel size once L keeps full rank mod p.
+product; each other factor is one shift and add per member, read off its
+slot table, so the vector is exact at any modulus.  It is read out as bytes
+once, so a count is a slice of its slot.  What depends on (L, p) alone (the
+slot strides, laid-out factors and slot tables, the set-free terms of both
+sides' prices) is built once per pair by the cached _count_plan, at any
+modulus; measures keeps the slots of its own targets.  The other side walks
+the tuples of all free coordinates but the last through their own sets, as
+the rows of one big-int bit matrix per dependent coordinate: each target
+costs a few shifts and ands of whole matrices, whose set bits
+list_solutions and removal_lab expand into points.  A shifted density is
+one count over p^(m-r), the kernel size once L keeps full rank mod p.
 `parametrize_kernel` inverts a basis minor of L mod p and writes the
 solutions of L x = c as linear functions of the free coordinates and c;
 `kernel_element` maps one free tuple through it, and `kernel_elements`
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress, islice, product
+from itertools import compress, cycle, islice, product
 from operator import mul
 
 from .errors import BadModulusError, InvalidInputError
@@ -136,6 +136,8 @@ def _check_shifts(mat: IntMatrix, p: int, shifts) -> tuple[int, ...]:
 
 # a packed count vector larger than this many bits is never built
 _PACKED_BITS_LIMIT = 1 << 27
+# slot-table entries that one _CountPlan holds at most, over all its columns
+_TABLE_LIMIT = 1 << 15
 # bits of one bit matrix of the free side held at once
 _CHUNK_BITS = 1 << 20
 # big-int bits that one shift and add, or shift and and, handles in one unit of work
@@ -158,15 +160,21 @@ class _CountPlan(Record):
     strides are the slot strides (2q)^k of the r residue digits and slots
     the count vector's slot count.  factors holds, per column, l mod q when
     _layout lays the column out (r = 1 and gcd(l, q) = 1 < q), else None,
-    and shifted marks the other columns.  laid_cost is what _packed_cost
-    charges the laid columns whatever their sets: their _slicing strides and
-    one pass over q cells each; products counts their big-int products.
+    and shifted marks the other columns; tables holds the slot table
+    x -> slot(x L_i) of each shifted column L_i over one period of x,
+    [0, q / gcd(q, L_i)) (None for a laid one), so a zero column's is (0,).
+    Memory bound: the tables exist only when the count vector fits
+    _PACKED_BITS_LIMIT and they hold at most _TABLE_LIMIT ints in all
+    (~1.2 MB), else tables is None and the packed side is not taken.
+    laid_cost is what _packed_cost charges the laid columns whatever their
+    sets: their _slicing strides and one pass over q cells each; products
+    counts their big-int products.
     When q is a prime at which L keeps its rank, outer are the free columns
     but the last and walk the free side's set-up units; else both are None.
-    No field grows with the count vector, whose masks are built per call.
+    The masks, as long as the count vector, are built per call.
     """
 
-    __slots__ = ("q", "strides", "slots", "factors", "shifted", "laid_cost", "products", "outer", "walk")
+    __slots__ = ("q", "strides", "slots", "factors", "shifted", "tables", "laid_cost", "products", "outer", "walk")
 
     def slot(self, c) -> int:
         """The slot of residue c in the packed count vector."""
@@ -180,6 +188,10 @@ def _count_plan(mat: IntMatrix, q: int) -> _CountPlan:
     row = mat.entries[0] if mat.rows == 1 else (0,) * mat.cols
     factors = tuple(l % q if math.gcd(l, q) == 1 < q else None for l in row)
     shifted = tuple(l is None for l in factors)
+    periods = [q // math.gcd(q, *col) if sh else 0 for col, sh in zip(zip(*mat.entries), shifted)]
+    fits = 8 * q * strides[-1] <= _PACKED_BITS_LIMIT and sum(periods) <= _TABLE_LIMIT
+    tables = tuple(tuple(sum(a * x % q * s for a, s in zip(col, strides)) for x in range(n)) if n else None
+                   for col, n in zip(zip(*mat.entries), periods)) if fits else None
     laid = [l for l in factors if l is not None]
     laid_cost = sum(_slicing(l, q)[1] for l in laid) + len(laid) * q / _CELLS_PER_TEST
     try:
@@ -188,7 +200,7 @@ def _count_plan(mat: IntMatrix, q: int) -> _CountPlan:
         outer = walk = None
     else:
         outer, walk = param.free_columns[:-1], _WALK_TESTS + sum(_slicing(k, q)[1] for *_, k in param.coefficients if k)
-    return _CountPlan(q, strides, q * strides[-1], factors, shifted, laid_cost, max(len(laid) - 1, 0), outer, walk)
+    return _CountPlan(q, strides, q * strides[-1], factors, shifted, tables, laid_cost, max(len(laid) - 1, 0), outer, walk)
 
 
 def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None) -> list[int]:
@@ -226,7 +238,7 @@ def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None) -> list
 
 
 def _packed_cost(mat: IntMatrix, p: int, sizes) -> float:
-    """Units of work of _packed_counts mod p on sets of these sizes; inf past _PACKED_BITS_LIMIT bits.
+    """Units of work of _packed_counts mod p on sets of these sizes; inf past _PACKED_BITS_LIMIT bits or without slot tables.
 
     At r = 1 a set with gcd(L_i, p) = 1 < p costs one pass over its p
     cells and one slice per _slicing stride, and from the second such
@@ -236,7 +248,7 @@ def _packed_cost(mat: IntMatrix, p: int, sizes) -> float:
     """
     plan = _count_plan(mat, p)
     bits = plan.slots * 8 * _slot_bytes(sizes)
-    if bits > _PACKED_BITS_LIMIT:
+    if bits > _PACKED_BITS_LIMIT or plan.tables is None:
         return math.inf
     cost = sum(compress(sizes, plan.shifted)) * (1 + bits // _BITS_PER_TEST) + plan.laid_cost
     return cost + plan.products * (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3)  # the first meets one slot
@@ -345,6 +357,7 @@ def _bits(arr) -> int:
     return int(bytes(arr)[::-1].translate(_BIT_CHARS), 2)
 
 
+@lru_cache(maxsize=1024)
 def _slicing(l: int, p: int) -> tuple[bool, int, bool]:
     """How _layout(l, p, ...) slices, 0 < l < p coprime to p: (gather by l^-1 mod p, stride = slices, reflect)."""
     g = pow(l, -1, p)
@@ -388,12 +401,13 @@ def _packed_counts(mat: IntMatrix, p: int, members, slots) -> list[int]:
     factor with gcd(L_i, p) = 1 is a dense vector of p slots from _layout,
     one big-int product, folded back mod z^p - 1 by a shift.  Every other
     factor (gcd(L_i, p) > 1, p = 1, or r >= 2) is one shift and add per
-    term, several times faster at r >= 2 than a Karatsuba product; then
-    the last digit folds back into [0, p) by a shift and every other one
-    by a mask of its slots >= p.  The strides and the laid-out columns
-    come from the cached _count_plan; the masks, as long as the vector,
-    are built per call.  The finished vector is read out as bytes once, so
-    each count is a slice of its slot.
+    term read off the column's slot table, several times faster at r >= 2
+    than a Karatsuba product; then the last digit folds back into [0, p) by
+    a shift and every other one by a mask of its slots >= p.  The strides,
+    the laid-out columns and the slot tables (within their memory bound)
+    come from the cached _count_plan; the masks, as long as the vector, are
+    built per call.  The finished vector is read out as bytes once, so each
+    count is a slice of its slot.
     """
     plan = _count_plan(mat, p)
     size = _slot_bytes([arr.count(1) for arr in members])
@@ -408,11 +422,11 @@ def _packed_counts(mat: IntMatrix, p: int, members, slots) -> list[int]:
             mask, span = mask | mask << span, 2 * span
         folds.append((mask & low, half))
     acc = 1  # the empty product
-    for arr, l, col in zip(members, plan.factors, zip(*mat.entries)):
+    for arr, l, table in zip(members, plan.factors, plan.tables):
         if l is not None:
             acc *= int.from_bytes(_layout(l, p, arr, size), "little")
         else:
-            acc = sum(acc << (plan.slot([a * x for a in col]) * w) for x in compress(range(p), arr))
+            acc = sum(acc << s * w for s in compress(cycle(table), arr))
         acc = (acc & low) + (acc >> bits)
         for mask, half in folds:
             hi = acc & mask

@@ -13,7 +13,8 @@ fraction-free `_bareiss` gives ranks and the determinants above 4 x 4;
 outside the polytope oracle every determinant is a `_det`, by cofactors
 up to 4 x 4, among them those of `_minor_dets`, the cached table of L's
 invertible r x r minors; `basis_minors` adds their adjugates, and every
-module takes its basis minor and its inverse there, over Q and mod p.
+module takes its basis minor and its inverse there, over Q and mod p, but
+the Monte Carlo sampler, which builds the one adjugate of its first minor.
 """
 
 from __future__ import annotations

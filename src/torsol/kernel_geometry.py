@@ -48,6 +48,7 @@ from .discrete import kernel_element, parametrize_kernel
 from .intmat import IntMatrix, _det, _minor_dets, analyze_matrix, basis_minors
 from .rationals import is_integral, require_int
 from .records import Record
+from .torus_sets import _fill
 
 __all__ = [
     "KernelComponent",
@@ -342,12 +343,20 @@ def _clip(verts, i: int, c: int, upper: bool, d: int):
 
 
 class _GridBlocks(list):
-    """Blocks with each endpoint v as the integer q * v, for q the common denominator of them all."""
+    """Blocks with each endpoint v as the integer q * v, for q the common denominator of them all.
+
+    reach holds what _reachable found on these blocks, with the decomposition it was found for.
+    """
 
     def __init__(self, blocks):
-        self.q = q = math.lcm(*(v.denominator for bl in blocks for pair in bl for v in pair))
-        scaled = [[(a.numerator * (q // a.denominator), b.numerator * (q // b.denominator)) for a, b in bl] for bl in blocks]
-        super().__init__(scaled)
+        ratios = [[(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in bl] for bl in blocks]
+        self.q = q = math.lcm(*{d for bl in ratios for pair in bl for _, d in pair})
+        super().__init__([[(n * (q // d), k * (q // e)) for (n, d), (k, e) in bl] for bl in ratios])
+        self.reach = None
+
+    def cells(self) -> list[bytearray]:
+        """The membership bytes of each coordinate's blocks over Z_q, as IntervalUnion.cells(q) gives them."""
+        return [_fill(bl, self.q) for bl in self]
 
 
 def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):
@@ -448,23 +457,30 @@ def _single_row_measure(row, grid: _GridBlocks) -> Fraction:
     return Fraction(rest * total, den * math.factorial(n - 1) * math.prod(row[i] for i in moving) * q ** (n - 1))
 
 
-def _reachable(decomp: KernelDecomposition, grid: _GridBlocks):
+def _reachable(decomp: KernelDecomposition, grid: _GridBlocks) -> list[KernelComponent]:
     """The slices of positive volume whose level Lx takes on the blocks' bounding box.
 
     No other slice meets the closed blocks.  The box is taken in integers
     on the blocks' grid.  Levels are looked up in the decomposition's
-    index, in lexicographic order; an empty set reaches none.
+    index, in lexicographic order; an empty set reaches none.  Found once
+    per grid and decomposition and kept on grid.reach, so pricing a walk
+    (_walk_cost) and taking it (product_measure) share one search.
     """
-    if not all(grid):
-        return
-    box = [(min(a for a, _ in bl), max(b for _, b in bl)) for bl in grid]
-    levels = []
-    for row in decomp.matrix.entries:
-        lo = sum(l * (a if l > 0 else b) for l, (a, b) in zip(row, box))
-        hi = sum(l * (b if l > 0 else a) for l, (a, b) in zip(row, box))
-        levels.append(range(-(-lo // grid.q), hi // grid.q + 1))
-    index = decomp._by_level
-    yield from (index[level] for level in product(*levels) if level in index)
+    if grid.reach is not None and grid.reach[0] is decomp:
+        return grid.reach[1]
+    found = []
+    if all(grid):
+        box = [(min(bl)[0], max(bl)[1]) for bl in grid]  # disjoint blocks: the last to start ends last
+        levels = []
+        for row in decomp.matrix.entries:
+            lo = hi = 0
+            for l, (a, b) in zip(row, box):
+                lo, hi = (lo + l * a, hi + l * b) if l > 0 else (lo + l * b, hi + l * a)
+            levels.append(range(-(-lo // grid.q), hi // grid.q + 1))
+        index = decomp._by_level
+        found = [index[level] for level in product(*levels) if level in index]
+    grid.reach = decomp, found
+    return found
 
 
 def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
@@ -487,21 +503,23 @@ def product_measure(decomp: KernelDecomposition, blocks) -> Fraction:
 
 # _walk_cost's divisors: clip work (block combinations times squared vertex
 # counts) and closed-form terms per unit.  Fitted, with
-# measures._IDENTITY_SETUP, to the best-of-3 times of both routes, plus
-# about 6 us wherever the counts are priced, on the 78 of 82 named inputs
-# with q^m > 200: two rounds of the benchmark's geometric jobs (seed 7);
-# SUM3, AP3 and R4 at q = 60, 200 and 1009 with dense sets and with 1-9
-# blocks per set; AP4 at 30, 60 and 101, AP5 at 12, 20, 29 and 53, the
-# Smith matrix at 11, 36 and 37, the 2 x 5 and 3 x 5 matrices at 11 and 23
-# and the 3 x 7 matrix at 11 and 17, each with dense sets and with 1-6
-# blocks per set.  A unit came to a median of 2.2 us of the closed form,
-# 2.9 us of the slice walk and 1.9 us of the count identity (quartiles
-# 1.7-2.9, 1.2-5.9 and 1.5-2.4 us).  The identity was priced lower on 47
-# inputs, and the route priced lower was at most 1.6 times slower than
-# the other (AP4 with 1-3 blocks per set at q = 30: 447 us walked, 281 us
-# counted).
+# measures._IDENTITY_SETUP, to the best-of-3 times of both routes, each on
+# blocks put on their grid afresh, on the 94 named inputs with q^m > 200:
+# four rounds of the benchmark's geometric jobs (seeds 7 and 11); SUM3,
+# AP3 and R4 at q = 60, 200 and 1009 with dense sets and with 1-9 blocks
+# per set; AP4 at 30, 60 and 101, AP5 at 12, 20, 29 and 53, the Smith
+# matrix at 11, 36 and 37, a 2 x 5 and a 3 x 5 matrix at 11 and 23 and
+# the 3 x 7 matrix at 11 and 17, each with dense sets and with 1-6 blocks
+# per set.  The route priced lower is the faster one on every geometric
+# job for any _TERMS_PER_UNIT from 3 to 8 with _IDENTITY_SETUP 12, and for
+# any _IDENTITY_SETUP up to 16 with _TERMS_PER_UNIT 6.  A unit came to a
+# median of 0.95 us of the closed form, 1.1 us of the slice walk and 1.1 us
+# of the count identity (quartiles 0.6-1.2, 0.6-3.7 and 0.9-1.4 us).  The
+# identity was priced lower on 86 inputs, and the route priced lower was
+# at most 1.5 times slower than the other (AP4 with 1-6 blocks per set at
+# q = 60: 1096 us walked, 749 us counted).
 _CLIP_WORK_PER_UNIT = 8
-_TERMS_PER_UNIT = 12
+_TERMS_PER_UNIT = 6
 
 
 def _walk_cost(decomp: KernelDecomposition, grid: _GridBlocks) -> float:

@@ -13,12 +13,13 @@ geometric      exact, for any rational interval unions.  A single equation
                (kernel_geometry.slice_leaves), with no H-polytope.
                find_positive_witness reads a point off the same slices.
                The same value is the count identity of decomposition at
-               the sets' own grid q, any q >= 1.  Both are priced from the
-               blocks' endpoints before either runs (the walker by the
-               block products its slices can meet times their squared
-               vertex counts, or for r = 1 by the closed form's terms; the
-               identity by the Z_p counter's packed-side model), and the
-               cheaper answers.  When q^m <= 200 both run and must agree.
+               the sets' own grid q, any q >= 1, its bytes filled from the
+               grid's integer blocks.  Both are priced from the blocks'
+               endpoints before either runs (the walker by the block
+               products its slices can meet times their squared vertex
+               counts, or for r = 1 by the closed form's terms; the identity
+               by the Z_p counter's packed-side model), and the cheaper
+               answers.  When q^m <= 200 both run and must agree.
 decomposition  exact: the count identity c_param / p^(m-r) sum_b vol_b N(-b)
                of p-grid-aligned sets at a suitable prime p, all counts from
                one call of the Z_p counter.  Its targets -b, their slots and
@@ -48,7 +49,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInputError
-from .intmat import IntMatrix, _column_hnf, analyze_matrix, basis_minors
+from .intmat import IntMatrix, _adjugate, _column_hnf, _minor_dets, analyze_matrix
 from .kernel_geometry import (
     KernelDecomposition,
     _GridBlocks,
@@ -78,9 +79,9 @@ __all__ = [
 _BOX_CROSS_CHECK_LIMIT = 200
 
 # units of discrete._packed_cost that the count identity pays on any sets:
-# the membership bytes, the counter's set-up and the final Fraction, and
-# pricing the counts (fitted with kernel_geometry._walk_cost's divisors)
-_IDENTITY_SETUP = 24
+# the membership bytes, the counter's set-up and the final Fraction
+# (fitted with kernel_geometry._walk_cost's divisors)
+_IDENTITY_SETUP = 12
 
 
 class MeasureReport(Record):
@@ -135,17 +136,19 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     """Exact solution measure of rational interval unions, geometric route.
 
     Two exact routes give the value, both on the sets' blocks on their
-    grid q, and neither shares code with the other: the walker
-    (product_measure: the closed form for a single equation, else c_param
-    times the parameter volumes of the kernel slices restricted to block
-    combinations) and _count_identity with the packed counts mod q.  Both
-    are priced from the blocks' endpoints, before either runs, and no
-    membership byte is built to price them: the walker by
-    kernel_geometry._walk_cost, the identity by _IDENTITY_SETUP plus one
-    unit per level plus discrete._packed_cost on the set sizes.  The last
-    is skipped when the walker costs no more than the first two.  The
-    cheaper answers; the walker does when q > MEMBERSHIP_LIMIT or when the
-    packed vector would exceed its size limit.  When
+    grid q (_GridBlocks, every endpoint an integer), and neither shares
+    code with the other: the walker (product_measure: the closed form for a
+    single equation, else c_param times the parameter volumes of the kernel
+    slices restricted to block combinations) and _count_identity with the
+    packed counts mod q of the grid's membership bytes.  Both are priced
+    from the blocks' endpoints, before either runs, and no membership byte
+    is built to price them: the walker by kernel_geometry._walk_cost, the
+    identity by _IDENTITY_SETUP plus one unit per level plus
+    discrete._packed_cost on the set sizes (fitted, see
+    kernel_geometry._TERMS_PER_UNIT).  The last is skipped when the walker
+    costs no more than the first two.  The walk takes the slices its price
+    found.  The cheaper answers; the walker does when q > MEMBERSHIP_LIMIT
+    or when the packed vector would exceed its size limit.  When
     q^m <= _BOX_CROSS_CHECK_LIMIT both run and must give the same value.
     """
     sets = _check_sets(mat, sets)
@@ -154,7 +157,7 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     q = grid.q
 
     def identity() -> Fraction:
-        return _count_identity(decomp, q, _packed_counts(mat, q, [s.cells(q) for s in sets], _identity_plan(mat, q)[1]))
+        return _count_identity(decomp, q, _packed_counts(mat, q, grid.cells(), _identity_plan(mat, q)[1]))
 
     if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
         value, alt = product_measure(decomp, grid), identity()
@@ -241,16 +244,17 @@ def monte_carlo_estimate(
     """Statistical estimate of the solution measure with a 99% interval.
 
     Samples the normalized Haar measure on {x in T^m : Lx = 0} through the
-    pivot columns D of L (the first minor of basis_minors, with inverse
-    adj L_D / det L_D) and the free columns F.  The map
-    x -> x_F takes the subgroup onto T^(m-r); its fibre over x_F is the
-    |det L_D| points x_D = L_D^-1 (k - L_F x_F) mod 1, one for each coset
-    k of Z^r / L_D Z^r, and the diagonal h of the column HNF of L_D lists
-    the cosets as 0 <= k_i < h_i.  Each sample draws x_F, one uniform per
-    free column in column order, then k_i uniformly for each i with
-    h_i > 1 in order, and reads off x_D.  A pivot coordinate whose row of
-    L_D^-1 L_F is zero is pinned to the exact rational (L_D^-1 k)_i mod 1
-    and tested half-open exactly; the other coordinates are floats.
+    pivot columns D of L (the first minor of intmat._minor_dets, with
+    inverse adj L_D / det L_D, the one adjugate built) and the free
+    columns F.  The map x -> x_F takes the subgroup onto T^(m-r); its
+    fibre over x_F is the |det L_D| points x_D = L_D^-1 (k - L_F x_F) mod 1,
+    one for each coset k of Z^r / L_D Z^r, and the diagonal h of the
+    column HNF of L_D lists the cosets as 0 <= k_i < h_i.  Each sample
+    draws x_F, one uniform per free column in column order, then k_i
+    uniformly for each i with h_i > 1 in order, and reads off x_D.  A
+    pivot coordinate whose row of L_D^-1 L_F is zero is pinned to the
+    exact rational (L_D^-1 k)_i mod 1 and tested half-open exactly; the
+    other coordinates are floats.
 
     Deterministic for fixed (seed, n_samples, workers); each worker w uses
     the derived stream seed "seed:w".
@@ -259,7 +263,8 @@ def monte_carlo_estimate(
     require_int("n_samples", n_samples, 1)
     require_int("workers", workers, 1)
     r, rows = mat.rows, mat.entries
-    piv, delta, adj = basis_minors(mat)[0]
+    piv, delta = _minor_dets(mat)[0]
+    adj = _adjugate([[row[c] for c in piv] for row in rows])
     free = [c for c in range(mat.cols) if c not in piv]
     inv = [[Fraction(a, delta) for a in row] for row in adj]
     drawn = [(i, col[i]) for i, col in enumerate(_column_hnf([[row[c] for row in rows] for c in piv], r)) if col[i] > 1]

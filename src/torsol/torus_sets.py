@@ -42,6 +42,11 @@ def _normalize(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
             raise InvalidInputError(f"interval [{a}, {b}) not inside [0, 1]")
         items.append((a, b))
     items.sort()
+    return _merge(items)
+
+
+def _merge(items) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Blocks sorted by their left ends, with the overlapping and touching ones merged."""
     merged: list[list[Fraction]] = []
     for a, b in items:
         if merged and a <= merged[-1][1]:
@@ -59,6 +64,14 @@ def _cell(v: Fraction, p: int) -> int:
     return k
 
 
+def _fill(blocks, p: int) -> bytearray:
+    """Membership bytes over Z_p of integer blocks: byte x is 1 when lo <= x < hi for a block (lo, hi)."""
+    cells = bytearray(p)
+    for lo, hi in blocks:
+        cells[lo:hi] = b"\x01" * (hi - lo)
+    return cells
+
+
 class IntervalUnion(Record):
     """Normalized finite union of half-open rational intervals in the circle.
 
@@ -72,6 +85,13 @@ class IntervalUnion(Record):
 
     def __init__(self, pairs=()):
         object.__setattr__(self, "intervals", _normalize(pairs))
+
+    @classmethod
+    def _of(cls, intervals) -> "IntervalUnion":
+        """The set of a tuple of blocks that is normalized already, taken as it is."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "intervals", intervals)
+        return out
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
@@ -100,10 +120,10 @@ class IntervalUnion(Record):
             cursor = b
         if cursor < 1:
             out.append((cursor, Fraction(1)))
-        return IntervalUnion(out)
+        return IntervalUnion._of(tuple(out))
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(self.intervals + other.intervals)
+        return IntervalUnion._of(_merge(sorted(self.intervals + other.intervals)))  # Timsort merges the two runs
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         return self.complement().union(other.complement()).complement()
@@ -148,14 +168,12 @@ class IntervalUnion(Record):
     def cells(self, p: int) -> bytearray:
         """Membership bytes of a p-grid-aligned set: byte x is 1 when [x/p, (x+1)/p) lies in it.
 
-        One slice assignment per block; an endpoint off the grid raises
-        GridAlignmentError.  The Z_p counter reads these bytes as they are.
+        One slice assignment per block (_fill); an endpoint off the grid
+        raises GridAlignmentError.  The Z_p counter reads these bytes as
+        they are.
         """
-        cells = bytearray(require_grid(p))
-        for a, b in self.intervals:
-            lo, hi = _cell(a, p), _cell(b, p)
-            cells[lo:hi] = b"\x01" * (hi - lo)
-        return cells
+        p = require_grid(p)
+        return _fill([(_cell(a, p), _cell(b, p)) for a, b in self.intervals], p)
 
     def to_discrete(self, p: int) -> "DiscreteSet":
         """Subset of Z_p matching a p-grid-aligned set cell by cell: its cells as bools."""

@@ -16,7 +16,7 @@ from torsol import (
     solution_measure,
 )
 from torsol import discrete
-from torsol.discrete import _free_tuple_counts, _packed_counts, kernel_element, residue_counts
+from torsol.discrete import _TABLE_LIMIT, _count_plan, _free_tuple_counts, _packed_counts, kernel_element, residue_counts
 from torsol.errors import BadModulusError, InvalidInputError
 
 from oracles import (
@@ -389,3 +389,34 @@ def test_membership_entries_must_be_bool_or_01(count):
     as_bools = [[True, True, False, False, False]] * 3
     assert count(SUM3, 5, as_ints) == count(SUM3, 5, as_bools) == count(SUM3, 5, [dset(5, [0, 1])] * 3)
     assert DiscreteSet(5, as_ints[0]) == DiscreteSet(5, as_bools[0])
+
+
+@pytest.mark.parametrize("q", [1, 2, 5, 6, 9, 12, 13])
+@pytest.mark.parametrize("mat", [AP4, PINNED, AP5, IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]])], ids=["AP4", "PINNED", "AP5", "SMITH"])
+def test_slot_tables_are_the_slots_of_each_multiple(mat, q):
+    """Every slot-table entry of the count plan is plan.slot(x L_i), at r = 2 and 3, prime and composite q.
+
+    A table holds one period of x, q / gcd(q, L_i) entries.
+    """
+    plan = _count_plan(mat, q)
+    assert len(plan.tables) == mat.cols
+    for col, table in zip(zip(*mat.entries), plan.tables):
+        assert len(table) == q // math.gcd(q, *col)
+        assert [table[x % len(table)] for x in range(2 * q)] == [plan.slot([a * x for a in col]) for x in range(2 * q)]
+
+
+def test_slot_tables_at_one_equation_and_their_bound():
+    """At r = 1 only the columns that _layout cannot lay out get a table; past the bound no plan holds one.
+
+    A zero column's table is (0,) at any modulus, so the packed side stays
+    open to it at large primes.  Without tables it is priced inf.
+    """
+    mat = IntMatrix([[2, 5, 0, 1]])
+    plan = _count_plan(mat, 12)
+    assert plan.tables[1] is plan.tables[3] is None
+    assert plan.tables[0] == (0, 2, 4, 6, 8, 10) and plan.tables[2] == (0,)
+    q = 2 * _TABLE_LIMIT + 2  # column 0 repeats every q / 2 > _TABLE_LIMIT cells
+    assert _count_plan(mat, q).tables is None and discrete._packed_cost(mat, q, [1] * 4) == math.inf
+    assert _count_plan(IntMatrix([[2, 5, 1]]), q - 2).tables[0] == tuple(range(0, q - 2, 2))  # at the bound
+    assert _count_plan(AP4, 2**61 - 1).tables is None
+    assert _count_plan(IntMatrix([[1, 1, -1, 0]]), 2 * _TABLE_LIMIT + 1).tables == (None, None, None, (0,))

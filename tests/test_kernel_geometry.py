@@ -6,7 +6,9 @@ from itertools import combinations, product
 import pytest
 
 from torsol import (
+    DiscreteSet,
     IntMatrix,
+    IntervalUnion,
     analyze_matrix,
     box_measure,
     central_section_check,
@@ -18,7 +20,7 @@ from torsol import (
 )
 from torsol import intmat, kernel_geometry
 from torsol.errors import BadModulusError, InvalidInputError, PreconditionError
-from torsol.kernel_geometry import _slice_data, product_measure, slice_leaves
+from torsol.kernel_geometry import _GridBlocks, _reachable, _slice_data, _walk_cost, product_measure, slice_leaves
 from torsol.polytope import slice_polytope, volume
 
 from oracles import (
@@ -608,3 +610,51 @@ def test_wide_matrix_refused_before_any_adjugate(monkeypatch):
     with pytest.raises(PreconditionError, match="scan 149585422836736 candidate vertices"):
         enumerate_components(mat)
     assert time.perf_counter() - start < 1
+
+
+def test_grid_bytes_are_the_sets_cells():
+    """_GridBlocks.cells() holds, set by set, IntervalUnion.cells at the grid's q.
+
+    Seeded sets on mixed grids (so q is the lcm of their denominators), with
+    empty, full and one-cell sets among them, and the all-empty and all-full
+    cases, where q is 1.
+    """
+    rng = random.Random(31)
+    special = [IntervalUnion.empty(), IntervalUnion.full()]
+    for _ in range(300):
+        sets = []
+        for _ in range(rng.randint(1, 5)):
+            den = rng.choice([1, 2, 3, 4, 5, 6, 7, 12])
+            kind = rng.random()
+            if kind < 0.15:
+                sets.append(rng.choice(special))
+            elif kind < 0.3:
+                x = rng.randrange(den)
+                sets.append(IntervalUnion([(F(x, den), F(x + 1, den))]))
+            else:
+                sets.append(DiscreteSet(den, [rng.random() < 0.5 for _ in range(den)]).to_interval_union())
+        grid = _GridBlocks([s.intervals for s in sets])
+        assert grid.cells() == [s.cells(grid.q) for s in sets]
+    for sets in ([IntervalUnion.empty()] * 3, [IntervalUnion.full()] * 2, special):
+        grid = _GridBlocks([s.intervals for s in sets])
+        assert grid.q == 1 and grid.cells() == [s.cells(1) for s in sets]
+
+
+def test_walk_takes_the_slices_its_price_found(monkeypatch):
+    """_walk_cost's search for the reachable slices is the one product_measure walks.
+
+    With the search made to find nothing after pricing, the walk still
+    takes every slice and gives the value of a fresh walk.
+    """
+    rng = random.Random(7)
+    decomp = enumerate_components(IntMatrix([[1, -2, 1, 0], [0, 1, -2, 1]]))
+    for _ in range(20):
+        sets = random_run_sets(rng, 11, [rng.randint(1, 3) for _ in range(4)])
+        expected = product_measure(decomp, [s.intervals for s in sets])
+        grid = _GridBlocks([s.intervals for s in sets])
+        _walk_cost(decomp, grid)
+        found = grid.reach[1]
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel_geometry, "product", lambda *args: iter(()))
+            assert _reachable(decomp, grid) is found
+            assert product_measure(decomp, grid) == expected

@@ -14,7 +14,7 @@ from torsol import (
     monte_carlo_estimate,
     solution_measure,
 )
-from torsol import discrete, kernel_geometry, measures
+from torsol import discrete, intmat, kernel_geometry, measures
 from torsol.discrete import _count_plan, _packed_counts
 from torsol.errors import BadModulusError, DegenerateColumnsError, GridAlignmentError, InternalInvariantError, InvalidInputError
 from torsol.measures import _count_identity, _identity_plan
@@ -233,8 +233,8 @@ def test_benchmark_side_and_route_choices(monkeypatch):
     20 seeded rounds of sets drawn as the benchmark draws them, with its runs
     per set.  decompose takes the packed side for SUM3 and AP3 at 211 and 307
     and for R4 at 37 and 53, and the free side for AP4 at 101.
-    solution_measure walks SUM3 and AP3 at q = 7, 11 and 13, counts AP4 at
-    q = 5 to 13 and R4 at 13, and runs both routes for SUM3 and AP3 at q = 5,
+    solution_measure counts SUM3 and AP3 at q = 7, 11 and 13, AP4 at q = 5
+    to 13 and R4 at 13, and runs both routes for SUM3 and AP3 at q = 5,
     where q^m <= 200.  Each choice is pinned by refusing the other path.
     """
 
@@ -245,8 +245,8 @@ def test_benchmark_side_and_route_choices(monkeypatch):
     zp_runs = {**runs, R4: (1, 1, 1, 2)}
     packed = [(SUM3, 211), (SUM3, 307), (AP3, 211), (AP3, 307), (R4, 37), (R4, 53)]
     decomposed = [(mat, p, "_free_tuple_counts") for mat, p in packed] + [(AP4, 101, "_packed_counts")]
-    walked = [(mat, q, "_packed_counts") for mat in (SUM3, AP3) for q in (7, 11, 13)]
-    counted = [(AP4, q, "product_measure") for q in (5, 7, 11, 13)] + [(R4, 13, "product_measure")]
+    counted = [(mat, q, "product_measure") for mat in (SUM3, AP3) for q in (7, 11, 13)]
+    counted += [(AP4, q, "product_measure") for q in (5, 7, 11, 13)] + [(R4, 13, "product_measure")]
     rng = random.Random(29)
     for _ in range(20):
         for mat, p, other in decomposed:
@@ -254,7 +254,7 @@ def test_benchmark_side_and_route_choices(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(discrete, other, refuse)
                 decompose(mat, p, sets)
-        for mat, q, other in walked + counted:
+        for mat, q, other in counted:
             sets = benchmark_sets(rng, q, rng.sample(runs[mat], mat.cols))
             with monkeypatch.context() as patch:
                 patch.setattr(measures, other, refuse)
@@ -486,6 +486,30 @@ def test_monte_carlo_workers_deterministic():
     b = monte_carlo_estimate(SUM3, [HALF] * 3, 4000, seed=5, workers=2)
     assert a.value == b.value
     assert a.workers == 2
+
+
+def test_monte_carlo_builds_one_adjugate(monkeypatch):
+    """sample on a seeded 7 x 14 matrix builds the adjugate of its pivot minor only.
+
+    basis_minors, which builds all 3,432 of them, is refused, and a second
+    adjugate fails the call.
+    """
+    mat = random_full_rank_matrix(random.Random(1), 7, 14, -3, 4)
+    calls = []
+
+    def one_adjugate(rows, real=measures._adjugate):
+        assert not calls, "a second adjugate was built"
+        calls.append(rows)
+        return real(rows)
+
+    def refuse(*args):
+        raise AssertionError("basis_minors was called")
+
+    monkeypatch.setattr(measures, "_adjugate", one_adjugate)
+    monkeypatch.setattr(intmat, "basis_minors", refuse)
+    rep = monte_carlo_estimate(mat, [HALF] * 14, 100, 1)
+    assert rep.n_samples == 100 and len(calls) == 1
+    assert calls[0] == [[row[c] for c in intmat._minor_dets(mat)[0][0]] for row in mat.entries]
 
 
 def test_monte_carlo_validates_input():
