@@ -11,11 +11,16 @@ packed into one big int with whole-byte slots (Kronecker substitution;
 Harvey, J. Symb. Comput. 2009).  At r = 1 a factor with gcd(L_i, p) = 1
 is laid out from the membership bytes and multiplied in as one big-int
 product; each other factor is one shift and add per member, read off its
-slot table, so the vector is exact at any modulus.  It is read out as bytes
-once, so a count is a slice of its slot.  What depends on (L, p) alone (the
-slot strides, laid-out factors and slot tables, the set-free terms of both
-sides' prices) is built once per pair by the cached _count_plan, at any
-modulus; measures keeps the slots of its own targets.  The other side walks
+slot table, so the vector is exact at any modulus.  A slot is as wide as
+prod |A_i| / max{|A_i| : column i laid} (prod |A_i| when none is), in
+whole bytes: a laid column's coefficient is a unit mod p, so its
+coordinate is fixed by the others and the target, and no count, nor any
+partial product, exceeds that bound.  The vector is read out as bytes
+once, so a count is a slice of its slot.  What depends on (L, p) alone
+(the slot strides, laid-out factors and slot tables, the free side's
+scales, the set-free terms of both sides' prices) is built once per pair
+by the cached _count_plan, at any modulus; measures keeps the slots and
+free-side shifts of its own targets.  The other side walks
 the tuples of all free coordinates but the last through their own sets, as
 the rows of one big-int bit matrix per dependent coordinate: each target
 costs a few shifts and ands of whole matrices, whose set bits
@@ -160,9 +165,11 @@ class _CountPlan(Record):
     strides are the slot strides (2q)^k of the r residue digits and slots
     the count vector's slot count.  factors holds, per column, l mod q when
     _layout lays the column out (r = 1 and gcd(l, q) = 1 < q), else None,
-    and shifted marks the other columns; tables holds the slot table
-    x -> slot(x L_i) of each shifted column L_i over one period of x,
-    [0, q / gcd(q, L_i)) (None for a laid one), so a zero column's is (0,).
+    laid lists the indices of those columns (_slot_bytes divides by the
+    largest of their sets) and shifted marks the other columns; tables
+    holds the slot table x -> slot(x L_i) of each shifted column L_i over
+    one period of x, [0, q / gcd(q, L_i)) (None for a laid one), so a zero
+    column's is (0,).
     Memory bound: the tables exist only when the count vector fits
     _PACKED_BITS_LIMIT and they hold at most _TABLE_LIMIT ints in all
     (~1.2 MB), else tables is None and the packed side is not taken.
@@ -170,15 +177,23 @@ class _CountPlan(Record):
     sets: their _slicing strides and one pass over q cells each; products
     counts their big-int products.
     When q is a prime at which L keeps its rank, outer are the free columns
-    but the last and walk the free side's set-up units; else both are None.
-    The masks, as long as the count vector, are built per call.
+    but the last and walk the free side's set-up units, scales the
+    1 / K_kt mod q of _line_masks (1 for a pinned coordinate) and unpin the
+    rows of M^-1 times those scales, from which .shifts reads each target's
+    shifts; else all four are None.  The masks, as long as the count
+    vector, are built per call.
     """
 
-    __slots__ = ("q", "strides", "slots", "factors", "shifted", "tables", "laid_cost", "products", "outer", "walk")
+    __slots__ = ("q", "strides", "slots", "factors", "laid", "shifted", "tables", "laid_cost", "products", "outer", "walk",
+                 "scales", "unpin")
 
     def slot(self, c) -> int:
         """The slot of residue c in the packed count vector."""
         return sum(v % self.q * s for v, s in zip(c, self.strides))
+
+    def shifts(self, targets) -> list[list[int]]:
+        """Per target c, the shift (M^-1 c)_k / K_kt mod q of each dependent coordinate's bit matrix in _line_masks."""
+        return [[sum(map(mul, row, c)) % self.q for row in self.unpin] for c in targets]
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -187,36 +202,40 @@ def _count_plan(mat: IntMatrix, q: int) -> _CountPlan:
     strides = tuple((2 * q) ** k for k in range(mat.rows))
     row = mat.entries[0] if mat.rows == 1 else (0,) * mat.cols
     factors = tuple(l % q if math.gcd(l, q) == 1 < q else None for l in row)
+    laid = tuple(i for i, l in enumerate(factors) if l is not None)
     shifted = tuple(l is None for l in factors)
     periods = [q // math.gcd(q, *col) if sh else 0 for col, sh in zip(zip(*mat.entries), shifted)]
     fits = 8 * q * strides[-1] <= _PACKED_BITS_LIMIT and sum(periods) <= _TABLE_LIMIT
     tables = tuple(tuple(sum(a * x % q * s for a, s in zip(col, strides)) for x in range(n)) if n else None
                    for col, n in zip(zip(*mat.entries), periods)) if fits else None
-    laid = [l for l in factors if l is not None]
-    laid_cost = sum(_slicing(l, q)[1] for l in laid) + len(laid) * q / _CELLS_PER_TEST
+    laid_cost = sum(_slicing(factors[i], q)[1] for i in laid) + len(laid) * q / _CELLS_PER_TEST
     try:
         param = parametrize_kernel(mat, q)
     except BadModulusError:  # q is not prime, or L loses rank mod q: only the packed side counts
-        outer = walk = None
+        outer = walk = scales = unpin = None
     else:
         outer, walk = param.free_columns[:-1], _WALK_TESTS + sum(_slicing(k, q)[1] for *_, k in param.coefficients if k)
-    return _CountPlan(q, strides, q * strides[-1], factors, shifted, tables, laid_cost, max(len(laid) - 1, 0), outer, walk)
+        scales = tuple(pow(k, -1, q) if k else 1 for *_, k in param.coefficients)  # 1 / K_kt, 1 if pinned
+        unpin = tuple(tuple(a * s % q for a in inv) for inv, s in zip(param.inverse, scales))
+    return _CountPlan(q, strides, q * strides[-1], factors, laid, shifted, tables, laid_cost, max(len(laid) - 1, 0),
+                      outer, walk, scales, unpin)
 
 
-def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None) -> list[int]:
+def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None, shifts=None) -> list[int]:
     """N(c) = #{y in A_1 x ... x A_m : L y = c (mod p)} for each target c.
 
     members are the sets' membership bytes (or any sequences of 0/1 or
-    bools); sizes are their .count(1).  slots, if given, are the targets'
-    _CountPlan.slot, kept by a caller whose targets are fixed.  Counts over
-    the cheaper side, in units of work of about a microsecond (2-vCPU host,
-    Python 3.11), its set-free terms from _count_plan.  The free side
-    (_line_masks) has a per-tuple set-up: for each tuple of all but the
-    last free coordinate, r rows sliced from the masks, _ROWS_PER_TEST to
-    a unit, after _WALK_TESTS units and the _slicing strides of its
-    unpinned masks.  Then each target costs r + 1 shifts and ands of the bit
-    matrices, a unit per _BITS_PER_TEST bits and one per chunk, and
-    reading the matrices in costs about two targets more.  The packed
+    bools); sizes are their .count(1), and _slot_bytes gives the packed
+    side's width from them once.  slots and shifts, if given, are the
+    targets' _CountPlan.slot and .shifts, kept by a caller whose targets
+    are fixed.  Counts over the cheaper side, in units of work of about a
+    microsecond (2-vCPU host, Python 3.11), its set-free terms from
+    _count_plan.  The free side (_line_masks) has a per-tuple set-up: for
+    each tuple of all but the last free coordinate, r rows sliced from the
+    masks, _ROWS_PER_TEST to a unit, after _WALK_TESTS units and the
+    _slicing strides of its unpinned masks.  Then each target costs r + 1
+    shifts and ands of the bit matrices, a unit per _BITS_PER_TEST bits and
+    one per chunk, and reading the matrices in costs about two targets more.  The packed
     count vector of all p^r residues costs the same whatever the targets:
     _packed_cost prices it from the set sizes alone, the one model that
     measures.solution_measure also reads to price its count identity.
@@ -232,29 +251,32 @@ def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None) -> list
     matrix = rows * 8 * _row_bytes(p)  # bits of one of _line_masks' bit matrices
     walk = plan.walk + mat.rows * rows / _ROWS_PER_TEST
     walk += (len(targets) + 2) * (mat.rows + 1) * (-(-matrix // _CHUNK_BITS) + matrix / _BITS_PER_TEST)
-    if _packed_cost(mat, p, sizes) < walk:
-        return _packed_counts(mat, p, members, map(plan.slot, targets) if slots is None else slots)
-    return _free_tuple_counts(mat, p, members, targets)
+    size = _slot_bytes(sizes, plan.laid)
+    if _packed_cost(mat, p, sizes, size) < walk:
+        return _packed_counts(mat, p, members, map(plan.slot, targets) if slots is None else slots, size)
+    return _free_tuple_counts(mat, p, members, targets, shifts)
 
 
-def _packed_cost(mat: IntMatrix, p: int, sizes) -> float:
+def _packed_cost(mat: IntMatrix, p: int, sizes, size=None) -> float:
     """Units of work of _packed_counts mod p on sets of these sizes; inf past _PACKED_BITS_LIMIT bits or without slot tables.
 
     At r = 1 a set with gcd(L_i, p) = 1 < p costs one pass over its p
     cells and one slice per _slicing stride, and from the second such
     set on one product of two packed vectors.  Every other set costs one
     shift and add of the whole vector per member, a unit per
-    _BITS_PER_TEST bits.  Any modulus p >= 1 works, prime or not.
+    _BITS_PER_TEST bits.  The vector has _slot_bytes a slot (size, if the
+    caller has it already), the width that _packed_counts builds.  Any
+    modulus p >= 1 works, prime or not.
     """
     plan = _count_plan(mat, p)
-    bits = plan.slots * 8 * _slot_bytes(sizes)
+    bits = plan.slots * 8 * (_slot_bytes(sizes, plan.laid) if size is None else size)
     if bits > _PACKED_BITS_LIMIT or plan.tables is None:
         return math.inf
     cost = sum(compress(sizes, plan.shifted)) * (1 + bits // _BITS_PER_TEST) + plan.laid_cost
     return cost + plan.products * (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3)  # the first meets one slot
 
 
-def _line_masks(param: KernelParametrization, members, targets):
+def _line_masks(mat: IntMatrix, p: int, members, targets, shifts=None):
     """Walk the free coordinates but the last through their own sets, as rows of bit matrices.
 
     Yields (i, tuples, hits) for each chunk of tuples y of the outer free
@@ -282,14 +304,13 @@ def _line_masks(param: KernelParametrization, members, targets):
     over the p cells.  A chunk holds at most _CHUNK_BITS bits per matrix,
     or one row.
     """
-    p, size = param.p, _row_bytes(param.p)
+    param, plan, size = parametrize_kernel(mat, p), _count_plan(mat, p), _row_bytes(p)
     *outer, last = param.free_columns
     outer_members = [list(compress(range(p), members[c])) for c in outer]
-    scales = [pow(row[-1], -1, p) if row[-1] else 1 for row in param.coefficients]  # 1 / K_kt, 1 if pinned
     pins = [not row[-1] for row in param.coefficients]
     offsets = []  # per dependent coordinate: o_k / K_kt, tuple by tuple, each a sum of residues
     views = []  # per dependent coordinate: S_k repeated, shifted right by 0, ..., 7 bits, as bytes
-    for row, s, c in zip(param.coefficients, scales, param.dependent_columns):
+    for row, s, c in zip(param.coefficients, plan.scales, param.dependent_columns):
         terms = [[a * s * y % p for y in ys] for a, ys in zip(row, outer_members)]
         offsets.append(map(sum, product(*terms)))
         mask = _bits(_layout(s, p, members[c]))
@@ -297,7 +318,7 @@ def _line_masks(param: KernelParametrization, members, targets):
         views.append([(repeated >> j).to_bytes((len(outer) + 2) * size, "little") for j in range(8)])
     last_row = _bits(members[last]).to_bytes(size, "little")
     low_bit = b"\x01".ljust(size, b"\x00")
-    shifts = [[sum(map(mul, inv, c)) * s % p for inv, s in zip(param.inverse, scales)] for c in targets]
+    shifts = plan.shifts(targets) if shifts is None else shifts
     tuples = product(*outer_members)
     per_chunk = max(1, _CHUNK_BITS // (8 * size))
     while chunk := list(islice(tuples, per_chunk)):
@@ -319,18 +340,18 @@ def _line_masks(param: KernelParametrization, members, targets):
                 yield i, chunk, hits
 
 
-def _free_tuple_counts(mat: IntMatrix, p: int, members, targets) -> list[int]:
+def _free_tuple_counts(mat: IntMatrix, p: int, members, targets, shifts=None) -> list[int]:
     """N(c) over the free tuples: the popcounts of _line_masks' bit matrices."""
     counts = [0] * len(targets)
-    for i, _, hits in _line_masks(parametrize_kernel(mat, p), members, targets):
+    for i, _, hits in _line_masks(mat, p, members, targets, shifts):
         counts[i] += hits.bit_count()
     return counts
 
 
-def _solutions(param: KernelParametrization, members, targets):
+def _solutions(mat: IntMatrix, p: int, members, targets):
     """(i, x) for each x in A_1 x ... x A_m with L x = targets[i] (mod p): _line_masks' set bits."""
-    m, width = len(members), 8 * _row_bytes(param.p)
-    for i, tuples, hits in _line_masks(param, members, targets):
+    param, m, width = parametrize_kernel(mat, p), len(members), 8 * _row_bytes(p)
+    for i, tuples, hits in _line_masks(mat, p, members, targets):
         bits = bin(hits)[:1:-1]
         at = bits.find("1")
         while at >= 0:
@@ -338,13 +359,20 @@ def _solutions(param: KernelParametrization, members, targets):
             at = bits.find("1", at + 1)
 
 
-def _slot_bytes(sizes) -> int:
-    """Bytes per slot of the count vector of sets of these sizes.
+def _slot_bytes(sizes, laid) -> int:
+    """Bytes per slot of the count vector of sets of these sizes, laid the columns that _layout lays out.
 
-    The bit length of prod |A_i|, which bounds every count, plus 1,
-    rounded up to whole bytes so that a count is read as a slice.
+    The bit length of B = prod |A_i| / max{|A_i| : i laid} (prod |A_i| if
+    none is), at least one byte, rounded up to whole bytes so that a count
+    is read as a slice.  B bounds every count and every partial product on
+    the way: a laid column's coefficient is a unit mod q, so its x_i is
+    fixed by the other coordinates and the target.  An empty set makes
+    B = 0 and the finished vector 0, whatever its partial products held.
     """
-    return (math.prod(sizes).bit_length() + 8) // 8
+    bound = math.prod(sizes)
+    if laid:
+        bound //= max(map(sizes.__getitem__, laid)) or 1
+    return (bound.bit_length() + 7 >> 3) or 1
 
 
 def _row_bytes(p: int) -> int:
@@ -390,14 +418,15 @@ def _layout(l: int, p: int, arr, size: int = 1) -> bytearray:
     return buf
 
 
-def _packed_counts(mat: IntMatrix, p: int, members, slots) -> list[int]:
+def _packed_counts(mat: IntMatrix, p: int, members, slots, size=None) -> list[int]:
     """The counts at slots (_CountPlan.slot) of the count vector c -> N(c), one product of polynomials.
 
     N is the product over i of sum_{x in A_i} z^(x L_i), in r variables
     each taken modulo z^p - 1.  Residue c sits in slot sum_k (c_k mod p)
     (2p)^k: every digit but the last has 2p slots, so adding two reduced
     digits never carries.  The product is one int with a whole number of
-    bytes per slot (_slot_bytes), enough for every count.  At r = 1 a
+    bytes per slot, enough for every count: _slot_bytes on the sets' sizes
+    and the plan's laid columns, or size if the caller has it.  At r = 1 a
     factor with gcd(L_i, p) = 1 is a dense vector of p slots from _layout,
     one big-int product, folded back mod z^p - 1 by a shift.  Every other
     factor (gcd(L_i, p) > 1, p = 1, or r >= 2) is one shift and add per
@@ -410,7 +439,8 @@ def _packed_counts(mat: IntMatrix, p: int, members, slots) -> list[int]:
     count is a slice of its slot.
     """
     plan = _count_plan(mat, p)
-    size = _slot_bytes([arr.count(1) for arr in members])
+    if size is None:
+        size = _slot_bytes([arr.count(1) for arr in members], plan.laid)
     w = 8 * size
     bits = plan.slots * w
     low = (1 << bits) - 1
@@ -452,5 +482,5 @@ def list_solutions(mat: IntMatrix, p: int, sets, shifts=None, limit: int = 100) 
     require_int("limit", limit, 0)
     members = _check_sets(mat, p, sets)
     shifts = _check_shifts(mat, p, shifts)
-    solutions = _solutions(parametrize_kernel(mat, p), members, [mat.apply_int(shifts)])
+    solutions = _solutions(mat, p, members, [mat.apply_int(shifts)])
     return sorted(tuple((v - s) % p for v, s in zip(y, shifts)) for _, y in solutions)[:limit]

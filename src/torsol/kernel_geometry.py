@@ -435,26 +435,45 @@ def _single_row_measure(row, grid: _GridBlocks) -> Fraction:
     function: x_i is pinned to the points k/|l_i|, each of Haar weight
     1/|l_i|, so l_i is taken as |l_i| and the step at c counts at t = c,
     which keeps the blocks half-open; for n >= 2 the term at t = c is 0.
-    All exponents are the integer endpoints on the grid q of _GridBlocks,
-    and only the final value is a Fraction.
+    E's terms, sorted by exponent c, are met once as the levels t = q y
+    rise: each level expands sum_{c <= t} E_c (t - c)^(n-1) binomially in t
+    over the running moments sum_{c <= t} E_c (-c)^k, k < n, so no power
+    is taken per term and level.  All exponents are the integer endpoints on
+    the grid q of _GridBlocks, and only the final value is a Fraction.
     """
     q, moving = grid.q, [i for i, l in enumerate(row) if l]
-    if len(moving) == 1:
+    n = len(moving)
+    if n == 1:
         row = [abs(l) for l in row]
     rest = math.prod(sum(b - a for a, b in grid[i]) for i, l in enumerate(row) if not l)
-    den = q ** (len(row) - len(moving))  # rest is the free coordinates' measure times den
     poly = {0: 1}
     for i in moving:
-        factor = [(row[i] * a, 1) for a, _ in grid[i]] + [(row[i] * b, -1) for _, b in grid[i]]
-        merged = {}
+        l, merged = row[i], {}
+        ends = [(l * a, l * b) for a, b in grid[i]]
+        get = merged.get
         for c, w in poly.items():
-            for e, s in factor:
-                merged[c + e] = merged.get(c + e, 0) + w * s
+            for a, b in ends:
+                a += c
+                b += c
+                merged[a] = get(a, 0) + w
+                merged[b] = get(b, 0) - w
         poly = {c: w for c, w in merged.items() if w}
-    n = len(moving)
-    lo, hi = sum(min(0, l) for l in row), sum(max(0, l) for l in row)
-    total = sum(w * (q * y - c) ** (n - 1) for c, w in poly.items() for y in range(lo, hi + 1) if q * y >= c)
-    return Fraction(rest * total, den * math.factorial(n - 1) * math.prod(row[i] for i in moving) * q ** (n - 1))
+    t = q * sum(l for l in row if l < 0)  # the lowest level; the highest is q times the sum of the positive l
+    poly[q * sum(l for l in row if l > 0) + 1] = 0  # a term past it closes every level
+    binomials = [math.comb(n - 1, k) for k in range(n)]
+    moments, total = [0] * n, 0  # moments[k] = sum w (-c)^k over the terms met so far
+    for c, w in sorted(poly.items()):
+        while c > t:  # level t: sum w (t - c)^(n-1) over the terms with c <= t, expanded in t
+            level = 0
+            for b, m in zip(binomials, moments):
+                level = level * t + b * m
+            total += level
+            t += q
+        for k in range(n):
+            moments[k] += w
+            w *= -c
+    # rest is the free coordinates' measure times q^(m - n)
+    return Fraction(rest * total, q ** (len(row) - 1) * math.factorial(n - 1) * math.prod(row[i] for i in moving))
 
 
 def _reachable(decomp: KernelDecomposition, grid: _GridBlocks) -> list[KernelComponent]:

@@ -63,7 +63,7 @@ from .kernel_geometry import (
 from .rationals import require_int
 from .records import Record
 from .torus_sets import MEMBERSHIP_LIMIT, IntervalUnion
-from .discrete import _count_plan, _packed_cost, _packed_counts, residue_counts
+from .discrete import _count_plan, _packed_cost, _packed_counts, _slot_bytes, residue_counts
 
 __all__ = [
     "MeasureReport",
@@ -106,10 +106,12 @@ def _check_sets(mat: IntMatrix, sets) -> list[IntervalUnion]:
 
 @lru_cache(maxsize=256, typed=True)
 def _identity_plan(mat: IntMatrix, q: int) -> tuple:
-    """(targets, slots, weights, den): what the count identity of L at grid q takes from (L, q) alone.
+    """(targets, slots, weights, den, shifts): what the count identity of L at grid q takes from (L, q) alone.
 
     For the k-th level b of enumerate_components(L)._by_level, in shift_cover's
-    order, targets[k] = -b, slots[k] is its discrete._count_plan slot mod q and
+    order, targets[k] = -b, slots[k] and shifts[k] are its discrete._count_plan
+    slot and free-side shifts mod q (shifts is None where the free side does
+    not count: q not prime, or L losing rank mod q) and
     weights[k] / den = c_param vol_b / q^(m-r).  Typed, as the other (L, q) caches.
     """
     decomp = enumerate_components(mat)
@@ -117,8 +119,9 @@ def _identity_plan(mat: IntMatrix, q: int) -> tuple:
     vols = [comp.volume_param for comp in decomp._by_level.values()]
     den, c = math.lcm(*(v.denominator for v in vols)), decomp.c_param
     weights = tuple(v.numerator * (den // v.denominator) * c.numerator for v in vols)
-    slots = tuple(map(_count_plan(mat, q).slot, targets))
-    return targets, slots, weights, den * c.denominator * q ** (mat.cols - mat.rows)
+    plan = _count_plan(mat, q)
+    slots, shifts = tuple(map(plan.slot, targets)), None if plan.unpin is None else plan.shifts(targets)
+    return targets, slots, weights, den * c.denominator * q ** (mat.cols - mat.rows), shifts
 
 
 def _count_identity(decomp: KernelDecomposition, q: int, counts) -> Fraction:
@@ -128,7 +131,7 @@ def _count_identity(decomp: KernelDecomposition, q: int, counts) -> Fraction:
     for the k-th level b of decomp._by_level, in shift_cover's order.  The box
     at j/q holds every such level-b slice scaled by 1/q, so any q >= 1 works.
     """
-    _, _, weights, den = _identity_plan(decomp.matrix, q)
+    _, _, weights, den, _ = _identity_plan(decomp.matrix, q)
     return Fraction(sum(map(mul, weights, counts)), den)
 
 
@@ -150,26 +153,30 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     found.  The cheaper answers; the walker does when q > MEMBERSHIP_LIMIT
     or when the packed vector would exceed its size limit.  When
     q^m <= _BOX_CROSS_CHECK_LIMIT both run and must give the same value.
+    The packed slots are as wide as _slot_bytes makes them for the sizes
+    the price summed, or for q^m when no price is taken.
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
     grid = _GridBlocks([s.intervals for s in sets])
     q = grid.q
 
-    def identity() -> Fraction:
-        return _count_identity(decomp, q, _packed_counts(mat, q, grid.cells(), _identity_plan(mat, q)[1]))
+    def identity(size) -> Fraction:
+        return _count_identity(decomp, q, _packed_counts(mat, q, grid.cells(), _identity_plan(mat, q)[1], size))
 
     if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
-        value, alt = product_measure(decomp, grid), identity()
+        value, alt = product_measure(decomp, grid), identity(_slot_bytes([q**mat.cols], ()))  # q^m bounds every count
         if alt != value:
             raise InternalInvariantError(f"block summation {value} != count identity {alt} on the {q}-grid")
         return MeasureReport(value=value, route="geometric")
     if q <= MEMBERSHIP_LIMIT:
         walk, price = _walk_cost(decomp, grid), _IDENTITY_SETUP + len(decomp._by_level)
         if walk > price:  # else the identity cannot be cheaper, whatever its counts cost
-            price += _packed_cost(mat, q, [sum(b - a for a, b in bl) for bl in grid])  # inf past the vector's limit
+            sizes = [sum(b - a for a, b in bl) for bl in grid]
+            size = _slot_bytes(sizes, _count_plan(mat, q).laid)
+            price += _packed_cost(mat, q, sizes, size)  # inf past the vector's limit
             if walk > price:
-                return MeasureReport(value=identity(), route="geometric")
+                return MeasureReport(value=identity(size), route="geometric")
     return MeasureReport(value=product_measure(decomp, grid), route="geometric")
 
 
@@ -224,8 +231,8 @@ def decompose(mat: IntMatrix, p: int, sets) -> MeasureReport:
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
     shift_cover(decomp, p)  # refuses a p that the cover does not accept
-    targets, slots, _, _ = _identity_plan(mat, p)
-    counts = residue_counts(mat, p, [s.cells(p) for s in sets], targets, slots)
+    targets, slots, _, _, shifts = _identity_plan(mat, p)
+    counts = residue_counts(mat, p, [s.cells(p) for s in sets], targets, slots, shifts)
     value = _count_identity(decomp, p, counts)
     per = PerShift(mat, p, counts)
     return MeasureReport(value=value, route="decomposition", p_used=p, per_shift=per)

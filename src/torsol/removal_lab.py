@@ -76,7 +76,7 @@ def _violating(mat: IntMatrix, p: int, members, cover):
     """
     cosets = [[] for _ in cover]
     targets = [[-b for b in sh.level] for sh in cover]
-    for i, j in discrete._solutions(parametrize_kernel(mat, p), members, targets):
+    for i, j in discrete._solutions(mat, p, members, targets):
         cosets[i].append(j)
     return [(j, sh.lam) for sh, coset in zip(cover, cosets) for j in sorted(coset)]
 

@@ -160,13 +160,15 @@ def test_residue_counts_match_naive_oracle():
     """N(c) for every residue class c, by both routes, against brute force at a shift s with Ls = c.
 
     Besides random sets: a coefficient 0 mod p, coefficients beyond p of both signs,
-    p = 2, and set sizes whose product 126 still fits one-byte slots while 128 takes two.
+    p = 2, and SUM3 at p = 17 with set sizes (15, 17, 17), whose counts fit one-byte
+    slots (at most 15 * 17 = 255, one column fixed by the others), while (16, 16, 16)
+    takes two (up to 256).
     """
     rng = random.Random(19)
-    cases = [(SUM3, 11), (AP3, 13), (AP4, 7), (AP5, 5), (PINNED, 5), (ZERO_COLUMN, 5)]
+    cases = [(SUM3, 11), (SUM3, 17), (AP3, 13), (AP4, 7), (AP5, 5), (PINNED, 5), (ZERO_COLUMN, 5)]
     cases += [(SUM3, 2), (AP3, 2), (R4, 2), (IntMatrix([[9, -13, 4]]), 5), (IntMatrix([[-7, 12, 30]]), 11)]
     cases += [(IntMatrix([[1, 12, -3], [0, 5, 14]]), 7)]
-    sized = {(SUM3, 11): ((7, 6, 3), (8, 4, 4))}
+    sized = {(SUM3, 17): ((15, 17, 17), (16, 16, 16))}
     for mat, p in cases:
         m, r = mat.cols, mat.rows
         shift_of = {}
@@ -178,7 +180,8 @@ def test_residue_counts_match_naive_oracle():
         empty_first = [(False,) * p] + drawn[1:]
         full_last = drawn[:-1] + [(True,) * p]
         by_size = [[dset(p, rng.sample(range(p), k)).members for k in ks] for ks in sized.get((mat, p), ())]
-        assert [discrete._slot_bytes([arr.count(1) for arr in members]) for members in by_size] == [1, 2][: len(by_size)]
+        laid = _count_plan(mat, p).laid
+        assert [discrete._slot_bytes([arr.count(1) for arr in members], laid) for members in by_size] == [1, 2][: len(by_size)]
         for members in (drawn, empty_first, full_last, *by_size):
             want = [naive_density(mat.entries, p, members, shift_of[c]) * p ** (m - r) for c in targets]
             assert _packed_counts(mat, p, members, map(discrete._count_plan(mat, p).slot, targets)) == want
@@ -203,6 +206,65 @@ def test_packed_counts_exact_at_every_modulus():
                 want = residue_histogram(mat.entries, q, members)
                 packed = _packed_counts(mat, q, members, map(discrete._count_plan(mat, q).slot, residues))
                 assert packed == [want[c] for c in residues], (mat.entries, q)
+
+
+SMITH = IntMatrix([[6, 4, 2, 0], [0, 6, 12, 18]])
+WIDTH_CASES = [
+    ("SUM3-full", SUM3, 17, "full"),  # every count is 17^2 = 289, the bound: two bytes
+    ("R4-full", R4, 7, "full"),  # every count is 7^3 = 343, the bound
+    ("SUM3-drawn", SUM3, 19, 0.8),
+    ("R4-drawn", IntMatrix([[2, 3, -1, 5]]), 7, 0.7),
+    ("shifted-column-q12", IntMatrix([[2, 1, -1]]), 12, 0.7),  # column 0 shifted (gcd 2), columns 1 and 2 laid
+    ("shifted-column-q24", IntMatrix([[2, 1, -1]]), 24, "evens"),  # N(0) = 2 * 12^2 = 288 > 12^2
+    ("AP4-full", AP4, 5, "full"),
+    ("AP4-drawn", AP4, 7, 0.6),
+    ("PINNED-full", PINNED, 7, "full"),
+    ("SMITH-drawn", SMITH, 6, 0.7),
+]
+
+
+@pytest.mark.parametrize("name, mat, q, density", WIDTH_CASES, ids=[case[0] for case in WIDTH_CASES])
+def test_packed_counts_at_the_slot_width(name, mat, q, density):
+    """_packed_counts against the residue histogram, on slots exactly as wide as _slot_bytes makes them.
+
+    At r = 1 the width bounds prod |A_i| / max{|A_i| : column i laid}: full
+    sets meet that bound at every residue.  [[2, 1, -1]] at q = 24 with A_0
+    full and A_1 = A_2 the 12 even residues has N(0) = 288, two bytes, though
+    the two laid sets' product is 144: the bound divides by a laid set only.
+    At r >= 2 no column is laid and the bound is prod |A_i|.
+    """
+    rng = random.Random(name)
+    if density == "full":
+        members = [(True,) * q] * mat.cols
+    elif density == "evens":
+        members = [(True,) * q] + [tuple(x % 2 == 0 for x in range(q))] * 2
+    else:
+        members = [tuple(rng.random() < density for _ in range(q)) for _ in range(mat.cols)]
+    plan = _count_plan(mat, q)
+    sizes = [arr.count(True) for arr in members]
+    size = discrete._slot_bytes(sizes, plan.laid)
+    want = residue_histogram(mat.entries, q, members)
+    assert max(want.values()) < 1 << 8 * size
+    if mat.rows == 1 and density in ("full", "evens"):  # a count meets the bound, past one byte
+        assert max(want.values()) == math.prod(sizes) // max(sizes[i] for i in plan.laid) > 255
+    residues = list(product(range(q), repeat=mat.rows))
+    assert _packed_counts(mat, q, members, map(plan.slot, residues), size) == [want[c] for c in residues]
+    assert _packed_counts(mat, q, members, map(plan.slot, residues)) == [want[c] for c in residues]
+
+
+def test_full_sets_count_on_the_packed_side_at_two_and_three_bytes(monkeypatch):
+    """SUM3 on full sets at p = 251 and 257: every count is p^2, 63,001 in two bytes and 66,049 in three.
+
+    decompose counts both on the packed side and gives value 1.
+    """
+
+    def refuse(*args):
+        raise AssertionError("counted over the free tuples")
+
+    monkeypatch.setattr(discrete, "_free_tuple_counts", refuse)
+    for p, size in ((251, 2), (257, 3)):
+        assert discrete._slot_bytes([p] * 3, _count_plan(SUM3, p).laid) == size
+        assert decompose(SUM3, p, [full(p).to_interval_union()] * 3).value == 1
 
 
 def test_residue_counts_r3_at_large_p(monkeypatch):
