@@ -13,10 +13,10 @@ is laid out from the membership bytes and multiplied in as one big-int
 product; each other factor is one shift and add per member, read off its
 slot table, so the vector is exact at any modulus.  A slot is as wide as
 prod |A_i| / max{|A_i| : column i laid} (prod |A_i| when none is), in
-whole bytes: a laid column's coefficient is a unit mod p, so its
-coordinate is fixed by the others and the target, and no count, nor any
-partial product, exceeds that bound.  The vector is read out as bytes
-once, so a count is a slice of its slot.  What depends on (L, p) alone
+whole bytes, decided by _packed_cost alone: a laid column's coefficient
+is a unit mod p, so its coordinate is fixed by the others and the
+target, and no count, nor any partial product, exceeds that bound.  The
+vector is read out as bytes once, so a count is a slice of its slot.  What depends on (L, p) alone
 (the slot strides, laid-out factors and slot tables, the free side's
 scales, the set-free terms of both sides' prices) is built once per pair
 by the cached _count_plan, at any modulus; measures keeps the slots and
@@ -225,10 +225,10 @@ def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None, shifts=
     """N(c) = #{y in A_1 x ... x A_m : L y = c (mod p)} for each target c.
 
     members are the sets' membership bytes (or any sequences of 0/1 or
-    bools); sizes are their .count(1), and _slot_bytes gives the packed
-    side's width from them once.  slots and shifts, if given, are the
-    targets' _CountPlan.slot and .shifts, kept by a caller whose targets
-    are fixed.  Counts over the cheaper side, in units of work of about a
+    bools); sizes are their .count(1), and _packed_cost gives the packed
+    side's price and width from them once.  slots and shifts, if given,
+    are the targets' _CountPlan.slot and .shifts, kept by a caller whose
+    targets are fixed.  Counts over the cheaper side, in units of work of about a
     microsecond (2-vCPU host, Python 3.11), its set-free terms from
     _count_plan.  The free side (_line_masks) has a per-tuple set-up: for
     each tuple of all but the last free coordinate, r rows sliced from the
@@ -251,29 +251,30 @@ def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None, shifts=
     matrix = rows * 8 * _row_bytes(p)  # bits of one of _line_masks' bit matrices
     walk = plan.walk + mat.rows * rows / _ROWS_PER_TEST
     walk += (len(targets) + 2) * (mat.rows + 1) * (-(-matrix // _CHUNK_BITS) + matrix / _BITS_PER_TEST)
-    size = _slot_bytes(sizes, plan.laid)
-    if _packed_cost(mat, p, sizes, size) < walk:
+    cost, size = _packed_cost(mat, p, sizes)
+    if cost < walk:
         return _packed_counts(mat, p, members, map(plan.slot, targets) if slots is None else slots, size)
     return _free_tuple_counts(mat, p, members, targets, shifts)
 
 
-def _packed_cost(mat: IntMatrix, p: int, sizes, size=None) -> float:
-    """Units of work of _packed_counts mod p on sets of these sizes; inf past _PACKED_BITS_LIMIT bits or without slot tables.
+def _packed_cost(mat: IntMatrix, p: int, sizes) -> tuple[float, int]:
+    """(units, slot_bytes) of _packed_counts mod p on sets of these sizes; units is inf past _PACKED_BITS_LIMIT bits or without slot tables.
 
-    At r = 1 a set with gcd(L_i, p) = 1 < p costs one pass over its p
-    cells and one slice per _slicing stride, and from the second such
-    set on one product of two packed vectors.  Every other set costs one
-    shift and add of the whole vector per member, a unit per
-    _BITS_PER_TEST bits.  The vector has _slot_bytes a slot (size, if the
-    caller has it already), the width that _packed_counts builds.  Any
-    modulus p >= 1 works, prime or not.
+    slot_bytes, _slot_bytes on the sizes and the plan's laid columns, is
+    the width that every caller hands on as _packed_counts' size: it is
+    decided here only.  At r = 1 a set with gcd(L_i, p) = 1 < p costs one
+    pass over its p cells and one slice per _slicing stride, and from the
+    second such set on one product of two packed vectors.  Every other set
+    costs one shift and add of the whole vector per member, a unit per
+    _BITS_PER_TEST bits.  Any modulus p >= 1 works, prime or not.
     """
     plan = _count_plan(mat, p)
-    bits = plan.slots * 8 * (_slot_bytes(sizes, plan.laid) if size is None else size)
+    size = _slot_bytes(sizes, plan.laid)
+    bits = plan.slots * 8 * size
     if bits > _PACKED_BITS_LIMIT or plan.tables is None:
-        return math.inf
+        return math.inf, size
     cost = sum(compress(sizes, plan.shifted)) * (1 + bits // _BITS_PER_TEST) + plan.laid_cost
-    return cost + plan.products * (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3)  # the first meets one slot
+    return cost + plan.products * (bits / _PRODUCT_BITS_PER_TEST) ** math.log2(3), size  # the first meets one slot
 
 
 def _line_masks(mat: IntMatrix, p: int, members, targets, shifts=None):
@@ -418,29 +419,26 @@ def _layout(l: int, p: int, arr, size: int = 1) -> bytearray:
     return buf
 
 
-def _packed_counts(mat: IntMatrix, p: int, members, slots, size=None) -> list[int]:
+def _packed_counts(mat: IntMatrix, p: int, members, slots, size: int) -> list[int]:
     """The counts at slots (_CountPlan.slot) of the count vector c -> N(c), one product of polynomials.
 
     N is the product over i of sum_{x in A_i} z^(x L_i), in r variables
     each taken modulo z^p - 1.  Residue c sits in slot sum_k (c_k mod p)
     (2p)^k: every digit but the last has 2p slots, so adding two reduced
-    digits never carries.  The product is one int with a whole number of
-    bytes per slot, enough for every count: _slot_bytes on the sets' sizes
-    and the plan's laid columns, or size if the caller has it.  At r = 1 a
-    factor with gcd(L_i, p) = 1 is a dense vector of p slots from _layout,
-    one big-int product, folded back mod z^p - 1 by a shift.  Every other
-    factor (gcd(L_i, p) > 1, p = 1, or r >= 2) is one shift and add per
-    term read off the column's slot table, several times faster at r >= 2
-    than a Karatsuba product; then the last digit folds back into [0, p) by
-    a shift and every other one by a mask of its slots >= p.  The strides,
-    the laid-out columns and the slot tables (within their memory bound)
-    come from the cached _count_plan; the masks, as long as the vector, are
-    built per call.  The finished vector is read out as bytes once, so each
-    count is a slice of its slot.
+    digits never carries.  The product is one int with size bytes per
+    slot, the width that _packed_cost gives for the sets' sizes, enough for
+    every count.  At r = 1 a factor with gcd(L_i, p) = 1 is a dense vector
+    of p slots from _layout, one big-int product, folded back mod z^p - 1
+    by a shift.  Every other factor (gcd(L_i, p) > 1, p = 1, or r >= 2) is
+    one shift and add per term read off the column's slot table, several
+    times faster at r >= 2 than a Karatsuba product; then the last digit
+    folds back into [0, p) by a shift and every other one by a mask of its
+    slots >= p.  The strides, the laid-out columns and the slot tables
+    (within their memory bound) come from the cached _count_plan; the
+    masks, as long as the vector, are built per call.  The finished vector
+    is read out as bytes once, so each count is a slice of its slot.
     """
     plan = _count_plan(mat, p)
-    if size is None:
-        size = _slot_bytes([arr.count(1) for arr in members], plan.laid)
     w = 8 * size
     bits = plan.slots * w
     low = (1 << bits) - 1

@@ -552,8 +552,10 @@ def _walk_cost(decomp: KernelDecomposition, grid: _GridBlocks) -> float:
     from being priced as if no block product were pruned.  For r = 1, the
     closed form's polynomial terms: those of each product of factors, at
     most one per exponent, and the finished product's terms once per
-    integer level.  Reads only the grid's endpoints and the slices' vertex
-    counts.
+    integer level, which the running-moment sum of _single_row_measure no
+    longer pays, so this overcharges the closed form; its refit waits for
+    ROADMAP item 7.  Reads only the grid's endpoints and the slices'
+    vertex counts.
     """
     mat = decomp.matrix
     if mat.rows == 1:

@@ -51,7 +51,6 @@ from operator import mul
 from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInputError
 from .intmat import IntMatrix, _adjugate, _column_hnf, _minor_dets, analyze_matrix
 from .kernel_geometry import (
-    KernelDecomposition,
     _GridBlocks,
     _reachable,
     _walk_cost,
@@ -63,7 +62,7 @@ from .kernel_geometry import (
 from .rationals import require_int
 from .records import Record
 from .torus_sets import MEMBERSHIP_LIMIT, IntervalUnion
-from .discrete import _count_plan, _packed_cost, _packed_counts, _slot_bytes, residue_counts
+from .discrete import _count_plan, _packed_cost, _packed_counts, residue_counts
 
 __all__ = [
     "MeasureReport",
@@ -124,15 +123,15 @@ def _identity_plan(mat: IntMatrix, q: int) -> tuple:
     return targets, slots, weights, den * c.denominator * q ** (mat.cols - mat.rows), shifts
 
 
-def _count_identity(decomp: KernelDecomposition, q: int, counts) -> Fraction:
+def _count_identity(plan: tuple, counts) -> Fraction:
     """c_param / q^(m-r) sum_b vol_b N(-b), the measure of q-grid-aligned sets, as one Fraction.
 
-    counts[k] = N(-b) counts the cells j of the product with L j = -b (mod q),
-    for the k-th level b of decomp._by_level, in shift_cover's order.  The box
-    at j/q holds every such level-b slice scaled by 1/q, so any q >= 1 works.
+    plan is the _identity_plan(L, q) entry that the caller read the counts
+    at: counts[k] = N(-b) counts the cells j with L j = -b (mod q) for its
+    k-th target -b, weighted by plan[2][k] / plan[3].  The box at j/q holds
+    every such level-b slice scaled by 1/q, so any q >= 1 works.
     """
-    _, _, weights, den, _ = _identity_plan(decomp.matrix, q)
-    return Fraction(sum(map(mul, weights, counts)), den)
+    return Fraction(sum(map(mul, plan[2], counts)), plan[3])
 
 
 def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
@@ -152,30 +151,28 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     costs no more than the first two.  The walk takes the slices its price
     found.  The cheaper answers; the walker does when q > MEMBERSHIP_LIMIT
     or when the packed vector would exceed its size limit.  When
-    q^m <= _BOX_CROSS_CHECK_LIMIT both run and must give the same value.
-    The packed slots are as wide as _slot_bytes makes them for the sizes
-    the price summed, or for q^m when no price is taken.
+    q^m <= _BOX_CROSS_CHECK_LIMIT both run, the walker first, and must
+    agree.  The packed slots are as wide as _packed_cost makes them.
     """
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
     grid = _GridBlocks([s.intervals for s in sets])
-    q = grid.q
+    q, sizes = grid.q, [sum(b - a for a, b in bl) for bl in grid]
 
     def identity(size) -> Fraction:
-        return _count_identity(decomp, q, _packed_counts(mat, q, grid.cells(), _identity_plan(mat, q)[1], size))
+        plan = _identity_plan(mat, q)
+        return _count_identity(plan, _packed_counts(mat, q, grid.cells(), plan[1], size))
 
     if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
-        value, alt = product_measure(decomp, grid), identity(_slot_bytes([q**mat.cols], ()))  # q^m bounds every count
+        value, alt = product_measure(decomp, grid), identity(_packed_cost(mat, q, sizes)[1])
         if alt != value:
             raise InternalInvariantError(f"block summation {value} != count identity {alt} on the {q}-grid")
         return MeasureReport(value=value, route="geometric")
     if q <= MEMBERSHIP_LIMIT:
         walk, price = _walk_cost(decomp, grid), _IDENTITY_SETUP + len(decomp._by_level)
         if walk > price:  # else the identity cannot be cheaper, whatever its counts cost
-            sizes = [sum(b - a for a, b in bl) for bl in grid]
-            size = _slot_bytes(sizes, _count_plan(mat, q).laid)
-            price += _packed_cost(mat, q, sizes, size)  # inf past the vector's limit
-            if walk > price:
+            cost, size = _packed_cost(mat, q, sizes)  # inf past the vector's limit
+            if walk > price + cost:
                 return MeasureReport(value=identity(size), route="geometric")
     return MeasureReport(value=product_measure(decomp, grid), route="geometric")
 
@@ -183,26 +180,26 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
 class PerShift(Sequence):
     """The (j, lambda, density) triples of a decomposition, built on access.
 
-    Keeps only the count of each shift, packed into one int.  The shifts
-    and weights come back from the cached shift_cover, so a caller that
-    keeps many reports holds a fifth of the memory that tuples of triples
-    would take.
+    Holds the cached shift_cover tuple that decompose fetched and the
+    count of each shift, packed into one int, and reads p, m and r off the
+    cover, so iterating reads no cache.  A caller that keeps many reports
+    holds a fifth of the memory that tuples of triples would take.
     """
 
-    __slots__ = ("mat", "p", "n", "packed", "width")
+    __slots__ = ("cover", "packed", "width")
 
-    def __init__(self, mat: IntMatrix, p: int, counts):
-        self.mat, self.p, self.n = mat, p, len(counts)
-        self.width = max(counts, default=0).bit_length()
+    def __init__(self, cover, counts):
+        self.cover, self.width = cover, max(counts, default=0).bit_length()
         self.packed = sum(c << (i * self.width) for i, c in enumerate(counts))
 
     def __iter__(self):
-        size, top = self.p ** (self.mat.cols - self.mat.rows), (1 << self.width) - 1
-        for i, sh in enumerate(shift_cover(enumerate_components(self.mat), self.p)):
+        first, top = self.cover[0], (1 << self.width) - 1
+        size = first.p ** (len(first.j) - len(first.level))
+        for i, sh in enumerate(self.cover):
             yield sh.j, sh.lam, Fraction(self.packed >> (i * self.width) & top, size)
 
     def __len__(self):
-        return self.n
+        return len(self.cover)
 
     def __getitem__(self, i):
         return tuple(self)[i]
@@ -226,16 +223,14 @@ def decompose(mat: IntMatrix, p: int, sets) -> MeasureReport:
     its density is N(-b) / p^(m-r).  The report carries every (shift, weight,
     shifted density) triple; the value is their weighted sum,
     _count_identity at q = p, and equals the geometric route exactly.  The
-    cover is the one kept on the cached decomposition.
+    report's PerShift keeps the cached shift_cover tuple.
     """
     sets = _check_sets(mat, sets)
-    decomp = enumerate_components(mat)
-    shift_cover(decomp, p)  # refuses a p that the cover does not accept
-    targets, slots, _, _, shifts = _identity_plan(mat, p)
+    cover = shift_cover(enumerate_components(mat), p)  # refuses a p that the cover does not accept
+    targets, slots, _, _, shifts = plan = _identity_plan(mat, p)
     counts = residue_counts(mat, p, [s.cells(p) for s in sets], targets, slots, shifts)
-    value = _count_identity(decomp, p, counts)
-    per = PerShift(mat, p, counts)
-    return MeasureReport(value=value, route="decomposition", p_used=p, per_shift=per)
+    return MeasureReport(value=_count_identity(plan, counts), route="decomposition", p_used=p,
+                         per_shift=PerShift(cover, counts))
 
 
 def _member(table, v) -> bool:

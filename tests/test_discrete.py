@@ -16,7 +16,7 @@ from torsol import (
     solution_measure,
 )
 from torsol import discrete
-from torsol.discrete import _TABLE_LIMIT, _count_plan, _free_tuple_counts, _packed_counts, kernel_element, residue_counts
+from torsol.discrete import _TABLE_LIMIT, _count_plan, _free_tuple_counts, _packed_cost, _packed_counts, kernel_element, residue_counts
 from torsol.errors import BadModulusError, InvalidInputError
 
 from oracles import (
@@ -180,13 +180,18 @@ def test_residue_counts_match_naive_oracle():
         empty_first = [(False,) * p] + drawn[1:]
         full_last = drawn[:-1] + [(True,) * p]
         by_size = [[dset(p, rng.sample(range(p), k)).members for k in ks] for ks in sized.get((mat, p), ())]
-        laid = _count_plan(mat, p).laid
-        assert [discrete._slot_bytes([arr.count(1) for arr in members], laid) for members in by_size] == [1, 2][: len(by_size)]
+        assert [_packed_cost(mat, p, [arr.count(1) for arr in members])[1] for members in by_size] == [1, 2][: len(by_size)]
         for members in (drawn, empty_first, full_last, *by_size):
             want = [naive_density(mat.entries, p, members, shift_of[c]) * p ** (m - r) for c in targets]
-            assert _packed_counts(mat, p, members, map(discrete._count_plan(mat, p).slot, targets)) == want
+            assert packed_counts(mat, p, members, targets) == want
             assert _free_tuple_counts(mat, p, members, targets) == want
             assert residue_counts(mat, p, members, targets) == want
+
+
+def packed_counts(mat, q, members, targets):
+    """_packed_counts at the targets' slots, as wide as _packed_cost makes them for the sets' sizes."""
+    _, size = _packed_cost(mat, q, [arr.count(1) for arr in members])
+    return _packed_counts(mat, q, members, map(_count_plan(mat, q).slot, targets), size)
 
 
 def test_packed_counts_exact_at_every_modulus():
@@ -204,7 +209,7 @@ def test_packed_counts_exact_at_every_modulus():
             drawn = [tuple(rng.random() < 0.5 for _ in range(q)) for _ in range(mat.cols)]
             for members in (drawn, [(True,) * q] * mat.cols):
                 want = residue_histogram(mat.entries, q, members)
-                packed = _packed_counts(mat, q, members, map(discrete._count_plan(mat, q).slot, residues))
+                packed = packed_counts(mat, q, members, residues)
                 assert packed == [want[c] for c in residues], (mat.entries, q)
 
 
@@ -225,7 +230,7 @@ WIDTH_CASES = [
 
 @pytest.mark.parametrize("name, mat, q, density", WIDTH_CASES, ids=[case[0] for case in WIDTH_CASES])
 def test_packed_counts_at_the_slot_width(name, mat, q, density):
-    """_packed_counts against the residue histogram, on slots exactly as wide as _slot_bytes makes them.
+    """_packed_counts against the residue histogram, on slots exactly as wide as _packed_cost makes them.
 
     At r = 1 the width bounds prod |A_i| / max{|A_i| : column i laid}: full
     sets meet that bound at every residue.  [[2, 1, -1]] at q = 24 with A_0
@@ -242,14 +247,13 @@ def test_packed_counts_at_the_slot_width(name, mat, q, density):
         members = [tuple(rng.random() < density for _ in range(q)) for _ in range(mat.cols)]
     plan = _count_plan(mat, q)
     sizes = [arr.count(True) for arr in members]
-    size = discrete._slot_bytes(sizes, plan.laid)
+    _, size = _packed_cost(mat, q, sizes)
     want = residue_histogram(mat.entries, q, members)
     assert max(want.values()) < 1 << 8 * size
     if mat.rows == 1 and density in ("full", "evens"):  # a count meets the bound, past one byte
         assert max(want.values()) == math.prod(sizes) // max(sizes[i] for i in plan.laid) > 255
     residues = list(product(range(q), repeat=mat.rows))
     assert _packed_counts(mat, q, members, map(plan.slot, residues), size) == [want[c] for c in residues]
-    assert _packed_counts(mat, q, members, map(plan.slot, residues)) == [want[c] for c in residues]
 
 
 def test_full_sets_count_on_the_packed_side_at_two_and_three_bytes(monkeypatch):
@@ -263,7 +267,7 @@ def test_full_sets_count_on_the_packed_side_at_two_and_three_bytes(monkeypatch):
 
     monkeypatch.setattr(discrete, "_free_tuple_counts", refuse)
     for p, size in ((251, 2), (257, 3)):
-        assert discrete._slot_bytes([p] * 3, _count_plan(SUM3, p).laid) == size
+        assert _packed_cost(SUM3, p, [p] * 3)[1] == size
         assert decompose(SUM3, p, [full(p).to_interval_union()] * 3).value == 1
 
 
@@ -301,7 +305,7 @@ def test_counts_over_the_smaller_side(monkeypatch):
         patch.setattr(discrete, "_free_tuple_counts", refuse)
         assert [residue_counts(*case) for case in cases[:2]] == want[:2]
     for case, counts in zip(cases[2:], want[2:]):
-        assert _packed_counts(*case[:3], map(discrete._count_plan(*case[:2]).slot, case[3])) == counts
+        assert packed_counts(*case) == counts
     monkeypatch.setattr(discrete, "_packed_counts", refuse)
     assert [residue_counts(*case) for case in cases[2:]] == want[2:]
     monkeypatch.setattr(discrete, "_PACKED_BITS_LIMIT", 0)
@@ -478,7 +482,7 @@ def test_slot_tables_at_one_equation_and_their_bound():
     assert plan.tables[1] is plan.tables[3] is None
     assert plan.tables[0] == (0, 2, 4, 6, 8, 10) and plan.tables[2] == (0,)
     q = 2 * _TABLE_LIMIT + 2  # column 0 repeats every q / 2 > _TABLE_LIMIT cells
-    assert _count_plan(mat, q).tables is None and discrete._packed_cost(mat, q, [1] * 4) == math.inf
+    assert _count_plan(mat, q).tables is None and _packed_cost(mat, q, [1] * 4) == (math.inf, 1)
     assert _count_plan(IntMatrix([[2, 5, 1]]), q - 2).tables[0] == tuple(range(0, q - 2, 2))  # at the bound
     assert _count_plan(AP4, 2**61 - 1).tables is None
     assert _count_plan(IntMatrix([[1, 1, -1, 0]]), 2 * _TABLE_LIMIT + 1).tables == (None, None, None, (0,))

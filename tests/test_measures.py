@@ -15,7 +15,7 @@ from torsol import (
     solution_measure,
 )
 from torsol import discrete, intmat, kernel_geometry, measures
-from torsol.discrete import _count_plan, _packed_counts
+from torsol.discrete import _count_plan, _packed_cost, _packed_counts
 from torsol.errors import BadModulusError, DegenerateColumnsError, GridAlignmentError, InternalInvariantError, InvalidInputError
 from torsol.measures import _count_identity, _identity_plan
 from torsol.kernel_geometry import enumerate_components
@@ -269,11 +269,16 @@ def test_benchmark_side_and_route_choices(monkeypatch):
             assert calls == ["product_measure", "_packed_counts"]
 
 
+def packed_counts(mat, q, members, slots):
+    """_packed_counts at these slots, as wide as _packed_cost makes them for the sets' sizes."""
+    return _packed_counts(mat, q, members, slots, _packed_cost(mat, q, [arr.count(1) for arr in members])[1])
+
+
 def count_identity(mat, q, sets):
-    """c_param / q^(m-r) * sum_b vol_b N_q(-b), with N_q the packed counts of the sets mod q."""
+    """c_param / q^(m-r) * sum_b vol_b N_q(-b), with N_q the packed counts of the sets mod q at slots of its own."""
     decomp = enumerate_components(mat)
     slots = [_count_plan(mat, q).slot([-v for v in b]) for b in decomp._by_level]
-    return _count_identity(decomp, q, _packed_counts(mat, q, [s.to_discrete(q).members for s in sets], slots))
+    return _count_identity(_identity_plan(mat, q), packed_counts(mat, q, [s.to_discrete(q).members for s in sets], slots))
 
 
 def test_count_identity_matches_block_sum():
@@ -348,11 +353,36 @@ def test_planned_identity_at_composite_grids():
     rng = random.Random(12)
     for mat in (SUM3, AP3, AP4, R4, PINNED, PINNED_SCALED, SMITH, IntMatrix([[2, 1, -1]])):
         for q in (12, 16):
-            decomp = enumerate_components(mat)
+            plan = _identity_plan(mat, q)
             for sets in (random_grid_sets(rng, q, mat.cols), dense_sets(rng, q, mat.cols)):
-                counts = _packed_counts(mat, q, [s.cells(q) for s in sets], _identity_plan(mat, q)[1])
-                value = _count_identity(decomp, q, counts)
+                value = _count_identity(plan, packed_counts(mat, q, [s.cells(q) for s in sets], plan[1]))
                 assert value == walk(mat, sets) == count_identity(mat, q, sets), (mat.entries, q)
+
+
+def test_composite_worked_example():
+    """SUM3 on [0, 1/3), [1/4, 3/4) and [1/6, 5/6), common grid 12: every route gives 13/96.
+
+    solution_measure, product_measure, and the count identity read at the
+    plan's slots on the 12-grid and on the 24-grid.
+    """
+    sets = [iv((0, F(1, 3))), iv((F(1, 4), F(3, 4))), iv((F(1, 6), F(5, 6)))]
+    assert solution_measure(SUM3, sets).value == F(13, 96)
+    assert kernel_geometry.product_measure(enumerate_components(SUM3), [s.intervals for s in sets]) == F(13, 96)
+    for q in (12, 24):
+        plan = _identity_plan(SUM3, q)
+        assert _count_identity(plan, packed_counts(SUM3, q, [s.cells(q) for s in sets], plan[1])) == F(13, 96), q
+
+
+def test_per_shift_reads_its_own_cover():
+    """A report's per_shift iterates off the cover it holds: with the caches cleared, the same triples and no new cover."""
+    rng = random.Random(33)
+    for mat, p in ((SUM3, 7), (AP4, 11), (PINNED, 5)):
+        dec = decompose(mat, p, dense_sets(rng, p, mat.cols))
+        triples = tuple(dec.per_shift)
+        enumerate_components.cache_clear()
+        kernel_geometry._shift_cover.cache_clear()
+        assert tuple(dec.per_shift) == triples and len(dec.per_shift) == len(triples), (mat.entries, p)
+        assert kernel_geometry._shift_cover.cache_info().misses == 0, (mat.entries, p)
 
 
 def test_self_check_catches_a_wrong_closed_form(monkeypatch):
