@@ -225,10 +225,12 @@ def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None, shifts=
     """N(c) = #{y in A_1 x ... x A_m : L y = c (mod p)} for each target c.
 
     members are the sets' membership bytes (or any sequences of 0/1 or
-    bools); sizes are their .count(1), and _packed_cost gives the packed
-    side's price and width from them once.  slots and shifts, if given,
-    are the targets' _CountPlan.slot and .shifts, kept by a caller whose
-    targets are fixed.  Counts over the cheaper side, in units of work of about a
+    bools), one per column of L, each p cells long, and each target has one
+    residue per row of L; any other count, length or cell value raises
+    InvalidInputError.  sizes are the members' .count(1), and _packed_cost
+    gives the packed side's price and width from them once.  slots and
+    shifts, if given, are the targets' _CountPlan.slot and .shifts, kept by
+    a caller whose targets are fixed.  Counts over the cheaper side, in units of work of about a
     microsecond (2-vCPU host, Python 3.11), its set-free terms from
     _count_plan.  The free side (_line_masks) has a per-tuple set-up: for
     each tuple of all but the last free coordinate, r rows sliced from the
@@ -246,7 +248,13 @@ def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None, shifts=
     """
     parametrize_kernel(mat, p)  # refuses a p that is not prime, or at which L loses rank
     plan = _count_plan(mat, p)
+    if len(members) != mat.cols:
+        raise InvalidInputError(f"need {mat.cols} members, got {len(members)}")
     sizes = [arr.count(1) for arr in members]
+    if any(len(arr) != p or arr.count(0) + size != p for arr, size in zip(members, sizes)):
+        raise InvalidInputError(f"each member must be {p} cells of 0 or 1")
+    if any(map(mat.rows.__ne__, map(len, targets))):
+        raise InvalidInputError(f"each target must have {mat.rows} residues")
     rows = math.prod(sizes[c] for c in plan.outer)
     matrix = rows * 8 * _row_bytes(p)  # bits of one of _line_masks' bit matrices
     walk = plan.walk + mat.rows * rows / _ROWS_PER_TEST

@@ -259,7 +259,9 @@ def monte_carlo_estimate(
     other coordinates are floats.
 
     Deterministic for fixed (seed, n_samples, workers); each worker w uses
-    the derived stream seed "seed:w".
+    the derived stream seed "seed:w".  Every worker but the last draws
+    n_samples // workers samples, and the last the rest, so workers beyond
+    the sample count draw nothing and no stream is seeded for them.
     """
     sets = _check_sets(mat, sets)
     require_int("n_samples", n_samples, 1)
@@ -283,13 +285,11 @@ def monte_carlo_estimate(
         else:
             pivots.append((table(sets[c], Fraction), q, []))
 
-    chunk = n_samples // workers
-    counts = [chunk] * workers
-    counts[-1] += n_samples - chunk * workers
+    chunk = n_samples // workers  # 0 when workers > n_samples: the last stream alone draws
     hits = 0
-    for w, n_chunk in enumerate(counts):
+    for w in range(0 if chunk else workers - 1, workers):
         rng = random.Random(f"{seed}:{w}")
-        for _ in range(n_chunk):
+        for _ in range(chunk if w < workers - 1 else n_samples - chunk * (workers - 1)):
             xf = [rng.random() for _ in free]
             k = [0] * r
             for i, h in drawn:

@@ -3,10 +3,11 @@
 The polytopes handled here are sections of cubes by affine subspaces, so the
 dimension is small (the kernel dimension m - r, at most 4 or so in practice)
 and constraint counts stay modest.  Vertices come from exhaustive d-subsets
-of constraints solved exactly by Cramer's rule; volumes from a fan
-triangulation anchored at the lexicographically smallest vertex.  Ranks,
-determinants and Cramer's rule run on intmat._bareiss, with each row
-cleared of its denominators.
+of constraints solved exactly by Cramer's rule; the same enumeration on the
+recession cone decides boundedness and emptiness (enumerate_vertices).
+Volumes come from a fan triangulation anchored at the lexicographically
+smallest vertex.  Ranks, determinants and Cramer's rule run on
+intmat._bareiss, with each row cleared of its denominators.
 
 No code path of the package builds H-polytopes, and neither `import
 torsol` nor the CLI imports this module: box slices, the central cube
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd, lcm, prod
+from math import factorial, lcm, prod
 
 from .errors import InvalidInputError, UnboundedPolytopeError
 from .intmat import _bareiss
@@ -110,127 +111,42 @@ def _vertices_raw(dim: int, constraints) -> list[tuple[Fraction, ...]]:
     return sorted(seen)
 
 
-def _two_sided_span(P: HPolytope) -> bool:
-    """Quick sufficient boundedness test.
-
-    Normals appearing in both orientations force the recession cone into
-    their common orthogonal complement; if those normals span the space the
-    cone is trivial.  Cube sections always pass this test.
-    """
-
-    def canon(a):
-        lcm = 1
-        for v in a:
-            lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-        ints = [int(v * lcm) for v in a]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g == 0:
-            return None, 1
-        ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        sign = 1 if lead > 0 else -1
-        return tuple(sign * v for v in ints), sign
-
-    dirs = {}
-    for a, _ in P.constraints:
-        key, sign = canon(a)
-        if key is None:
-            continue
-        dirs.setdefault(key, set()).add(sign)
-    spanning = [key for key, signs in dirs.items() if len(signs) == 2]
-    if not spanning:
-        return False
-    rows = [[Fraction(v) for v in key] for key in spanning]
-    return _rank(rows) == P.dim
-
-
-def _recession_direction(P: HPolytope):
-    """A nonzero direction t with a . t <= 0 for all constraints, or None.
-
-    Any nonzero cone element can be scaled so its largest coordinate is
-    +-1, so it suffices to probe the 2d bounded slices t_i = +-1 of the
-    cone intersected with the unit box.
-    """
-    d = P.dim
-    zero = Fraction(0)
-    one = Fraction(1)
-    homogeneous = [(a, zero) for a, _ in P.constraints]
-    for i in range(d):
-        for sign in (one, -one):
-            cons = list(homogeneous)
-            ei = tuple(one if j == i else zero for j in range(d))
-            nei = tuple(-v for v in ei)
-            cons.append((ei, sign))
-            cons.append((nei, -sign))
-            for j in range(d):
-                ej = tuple(one if k == j else zero for k in range(d))
-                cons.append((ej, one))
-                cons.append((tuple(-v for v in ej), one))
-            verts = _vertices_raw(d, cons)
-            if verts:
-                return verts[0]
-    return None
-
-
-def _fm_feasible(dim: int, constraints) -> bool:
-    """Fourier-Motzkin feasibility of a . t <= c (possibly unbounded)."""
-    cons = [(tuple(a), c) for a, c in constraints]
-    for var in range(dim):
-        pos, neg, rest = [], [], []
-        for a, c in cons:
-            if a[var] > 0:
-                pos.append((a, c))
-            elif a[var] < 0:
-                neg.append((a, c))
-            else:
-                rest.append((a, c))
-        new = rest
-        for ap, cp in pos:
-            for an, cn in neg:
-                scale_p = Fraction(1, 1) / ap[var]
-                scale_n = Fraction(-1, 1) / an[var]
-                a = tuple(x * scale_p + y * scale_n for x, y in zip(ap, an))
-                c = cp * scale_p + cn * scale_n
-                new.append((a, c))
-        seen = set()
-        cons = []
-        for a, c in new:
-            if all(v == 0 for v in a):
-                if c < 0:
-                    return False
-                continue
-            key = (a, c)
-            if key not in seen:
-                seen.add(key)
-                cons.append((a, c))
-    # once every variable is eliminated all normals are zero, so each
-    # constraint was checked and dropped above
-    return True
-
-
 def enumerate_vertices(P: HPolytope) -> list[tuple[Fraction, ...]]:
     """Exact vertex set, deduplicated and sorted lexicographically.
 
     Empty list exactly when the feasible set is empty.  Raises
     UnboundedPolytopeError, naming a recession direction, when the feasible
     set is nonempty and unbounded.
+
+    Every answer is a basic-solution enumeration (_vertices_raw).  The
+    vertices stand when the normals that occur beside their exact negation
+    span the space, as in every slice_polytope.  Otherwise the recession
+    cone {a . t <= 0} meets [-1, 1]^d in a polytope that is the point 0
+    exactly when P is bounded; else any nonzero vertex of it is the
+    direction raised with, if P is nonempty.  Its vertices with a . v = 0
+    for every a come in pairs +-v and span the lineality space, so (v, 0)
+    for each cuts P to its part orthogonal to that space, which has a
+    vertex exactly when P is nonempty (Schrijver, Theory of Linear and
+    Integer Programming, 1986, sections 8.2-8.5).
     """
+    d = P.dim
     if not P.constraints:
         raise UnboundedPolytopeError(
-            "polytope with no constraints is unbounded", direction=(Fraction(1),) * P.dim
+            "polytope with no constraints is unbounded", direction=(Fraction(1),) * d
         )
-    if not _two_sided_span(P):
-        direction = _recession_direction(P)
-        if direction is not None:
-            if _fm_feasible(P.dim, P.constraints):
-                raise UnboundedPolytopeError(
-                    f"unbounded polytope: recession direction {direction}",
-                    direction=direction,
-                )
-            return []
-    return _vertices_raw(P.dim, P.constraints)
+    verts = _vertices_raw(d, P.constraints)
+    normals = {a for a, _ in P.constraints}
+    if _rank([a for a in normals if tuple(-x for x in a) in normals]) == d:
+        return verts
+    zero, one = Fraction(0), Fraction(1)
+    box = [(tuple(s if j == i else zero for j in range(d)), one) for i in range(d) for s in (one, -one)]
+    cone = [v for v in _vertices_raw(d, [(a, zero) for a in normals] + box) if any(v)]
+    if not cone:
+        return verts
+    lines = [(v, zero) for v in cone if not any(_dot(a, v) for a in normals)]
+    if verts or _vertices_raw(d, [*P.constraints, *lines]):
+        raise UnboundedPolytopeError(f"unbounded polytope: recession direction {cone[0]}", direction=cone[0])
+    return []
 
 
 def _affine_dim(points) -> int:

@@ -287,6 +287,25 @@ def test_residue_counts_r3_at_large_p(monkeypatch):
     assert solution_density(AP5, p, sets, shifts) == F(len(kernel_hits), p**2)
 
 
+def test_residue_counts_refuses_malformed_input():
+    """A member count other than m, a member that is not p cells of 0/1, or a target
+    that is not r long is refused; each once came back as a count or a bare IndexError."""
+    full = bytes([1] * 7)
+    cases = [
+        (SUM3, 7, [bytes([1] * 9), full, full], [(0,)]),
+        (SUM3, 7, [bytes([1] * 5), full, full], [(0,)]),
+        (SUM3, 7, [bytes([2] * 7), full, full], [(0,)]),
+        (SUM3, 7, [full] * 4, [(0,)]),
+        (SUM3, 7, [full] * 3, [(0, 3)]),
+        (AP4, 11, [bytes([1] * 11)] * 4, [(5,)]),
+        (SUM3, 7, [full] * 2, [(0,)]),
+    ]
+    for case in cases:
+        with pytest.raises(InvalidInputError):
+            residue_counts(*case)
+    assert residue_counts(SUM3, 7, [full] * 3, [(0,)]) == [49]
+
+
 def test_counts_over_the_smaller_side(monkeypatch):
     """Dense SUM3 at p = 211 and R4 at p = 101 build the packed vector; sparse SUM3 at
     p = 10007, AP4 at p = 211 and R4 past the size limit walk the free tuples."""

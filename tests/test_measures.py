@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -549,6 +550,20 @@ def test_monte_carlo_validates_input():
     for w in (0, 2.0, True, F(2), "2", None):
         with pytest.raises(InvalidInputError):
             monte_carlo_estimate(SUM3, [HALF] * 3, 100, seed=1, workers=w)
+
+
+def test_monte_carlo_workers_beyond_the_samples():
+    """Workers past the sample count draw nothing, so 10^12 of them answer at once.
+
+    With more workers than samples the last stream draws them all; the
+    pinned estimates are those of the code that seeded every stream.
+    """
+    start = time.perf_counter()
+    rep = monte_carlo_estimate(SUM3, [HALF] * 3, 100, seed=1, workers=10**12)
+    assert time.perf_counter() - start < 1
+    assert (rep.n_samples, rep.workers) == (100, 10**12)
+    for n, workers, seed, want in ((3, 5, 1, 0.0), (3, 5, 2, 1 / 3), (50, 51, 0, 0.14), (50, 51, 4, 0.16)):
+        assert monte_carlo_estimate(SUM3, [HALF] * 3, n, seed, workers=workers).value == want
 
 
 def test_monte_carlo_shares_no_geometry(monkeypatch):

@@ -109,6 +109,58 @@ def test_empty_but_unbounded_recession_cone_reports_empty():
     assert enumerate_vertices(HPolytope(2, cons)) == []
 
 
+def test_nonempty_strip_raises():
+    cons = [((F(1), F(0)), F(1)), ((F(-1), F(0)), F(0))]  # 0 <= t1 <= 1, t2 free
+    with pytest.raises(UnboundedPolytopeError) as exc:
+        enumerate_vertices(HPolytope(2, cons))
+    assert exc.value.direction in ((0, 1), (0, -1))
+
+
+def test_zero_normal_raises_or_empties_by_its_sign():
+    for d in (1, 2):
+        with pytest.raises(UnboundedPolytopeError):
+            enumerate_vertices(HPolytope(d, [((F(0),) * d, F(0))]))
+        assert enumerate_vertices(HPolytope(d, [((F(0),) * d, F(-1))])) == []
+
+
+def test_empty_slab():
+    cons = [((F(-1), F(-1)), F(-1)), ((F(1), F(1)), F(0))]  # t1 + t2 >= 1 and t1 + t2 <= 0
+    assert enumerate_vertices(HPolytope(2, cons)) == []
+
+
+def test_square_with_scaled_opposite_normals():
+    cons = [((F(2), F(0)), F(2)), ((F(-1), F(0)), F(0)), ((F(0), F(3)), F(3)), ((F(0), F(-1)), F(0))]
+    assert enumerate_vertices(HPolytope(2, cons)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_classification_on_random_polyhedra():
+    """Vertices are feasible; an empty answer stays empty inside [-10^6, 10^6]^d; a raise
+    names a recession direction of a polyhedron with a point in that box."""
+    rng = random.Random(43)
+    for _ in range(150):
+        d = rng.randint(1, 3)
+        cons = []
+        for _ in range(rng.randint(1, 6)):
+            if cons and rng.random() < 0.25:
+                a = tuple(-rng.randint(1, 3) * x for x in rng.choice(cons)[0])
+            else:
+                a = tuple(F(rng.randint(-2, 2)) for _ in range(d))
+            cons.append((a, F(rng.randint(-3, 3))))
+        big = [(tuple(F(s) if j == i else F(0) for j in range(d)), F(10**6)) for i in range(d) for s in (1, -1)]
+        try:
+            verts = enumerate_vertices(HPolytope(d, cons))
+        except UnboundedPolytopeError as exc:
+            direction = exc.direction
+            assert any(direction)
+            assert all(sum(x * y for x, y in zip(a, direction)) <= 0 for a, _ in cons)
+            assert enumerate_vertices(HPolytope(d, cons + big))
+            continue
+        for v in verts:
+            assert all(sum(x * y for x, y in zip(a, v)) <= c for a, c in cons)
+        if not verts:
+            assert enumerate_vertices(HPolytope(d, cons + big)) == []
+
+
 def _random_poly(rng, extra=3):
     cons = box2()
     for _ in range(extra):
