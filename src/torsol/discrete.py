@@ -41,7 +41,7 @@ from itertools import compress, cycle, islice, product
 from operator import mul
 
 from .errors import BadModulusError, InvalidInputError
-from .intmat import IntMatrix, basis_minors, is_prime
+from .intmat import PRIME_BOUND, IntMatrix, basis_minors, is_prime
 from .rationals import is_integral, require_int
 from .records import Record
 from .torus_sets import DiscreteSet
@@ -227,10 +227,11 @@ def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None, shifts=
     members are the sets' membership bytes (or any sequences of 0/1 or
     bools), one per column of L, each p cells long, and each target has one
     residue per row of L; any other count, length or cell value raises
-    InvalidInputError.  sizes are the members' .count(1), and _packed_cost
-    gives the packed side's price and width from them once.  slots and
-    shifts, if given, are the targets' _CountPlan.slot and .shifts, kept by
-    a caller whose targets are fixed.  Counts over the cheaper side, in units of work of about a
+    InvalidInputError, after a bad p's BadModulusError.  The _count_plan is
+    looked up once and handed on: _packed_cost gives the packed side's price
+    and width from the members' .count(1) once.  slots and shifts, if given,
+    are the targets' _CountPlan.slot and .shifts, kept by a caller whose
+    targets are fixed.  Counts over the cheaper side, in units of work of about a
     microsecond (2-vCPU host, Python 3.11), its set-free terms from
     _count_plan.  The free side (_line_masks) has a per-tuple set-up: for
     each tuple of all but the last free coordinate, r rows sliced from the
@@ -246,27 +247,32 @@ def residue_counts(mat: IntMatrix, p: int, members, targets, slots=None, shifts=
     vector is built only when it is the cheaper side; else the free side,
     which holds no vector, counts.
     """
-    parametrize_kernel(mat, p)  # refuses a p that is not prime, or at which L loses rank
-    plan = _count_plan(mat, p)
-    if len(members) != mat.cols:
-        raise InvalidInputError(f"need {mat.cols} members, got {len(members)}")
-    sizes = [arr.count(1) for arr in members]
-    if any(len(arr) != p or arr.count(0) + size != p for arr, size in zip(members, sizes)):
-        raise InvalidInputError(f"each member must be {p} cells of 0 or 1")
-    if any(map(mat.rows.__ne__, map(len, targets))):
-        raise InvalidInputError(f"each target must have {mat.rows} residues")
-    rows = math.prod(sizes[c] for c in plan.outer)
+    # no unpin: p is not prime, or L loses rank mod p; floats and the like never reach _count_plan's math.gcd
+    plan = _count_plan(mat, p) if type(p) is int and 1 < p < PRIME_BOUND else None
+    if plan is None or plan.unpin is None:
+        plan = _count_plan(mat, parametrize_kernel(mat, p).p)  # refuses; past it only a prime int subclass
+    m, r = len(plan.factors), len(plan.strides)
+    if len(members) != m:
+        raise InvalidInputError(f"need {m} members, got {len(members)}")
+    sizes = []
+    for arr in members:
+        sizes.append(size := arr.count(1))
+        if len(arr) != p or arr.count(0) + size != p:
+            raise InvalidInputError(f"each member must be {p} cells of 0 or 1")
+    if any(map(r.__ne__, map(len, targets))):
+        raise InvalidInputError(f"each target must have {r} residues")
+    rows = math.prod(map(sizes.__getitem__, plan.outer))
     matrix = rows * 8 * _row_bytes(p)  # bits of one of _line_masks' bit matrices
-    walk = plan.walk + mat.rows * rows / _ROWS_PER_TEST
-    walk += (len(targets) + 2) * (mat.rows + 1) * (-(-matrix // _CHUNK_BITS) + matrix / _BITS_PER_TEST)
-    cost, size = _packed_cost(mat, p, sizes)
+    walk = plan.walk + r * rows / _ROWS_PER_TEST
+    walk += (len(targets) + 2) * (r + 1) * (-(-matrix // _CHUNK_BITS) + matrix / _BITS_PER_TEST)
+    cost, size = _packed_cost(plan, sizes)
     if cost < walk:
-        return _packed_counts(mat, p, members, map(plan.slot, targets) if slots is None else slots, size)
+        return _packed_counts(plan, members, map(plan.slot, targets) if slots is None else slots, size)
     return _free_tuple_counts(mat, p, members, targets, shifts)
 
 
-def _packed_cost(mat: IntMatrix, p: int, sizes) -> tuple[float, int]:
-    """(units, slot_bytes) of _packed_counts mod p on sets of these sizes; units is inf past _PACKED_BITS_LIMIT bits or without slot tables.
+def _packed_cost(plan: _CountPlan, sizes) -> tuple[float, int]:
+    """(units, slot_bytes) of _packed_counts on sets of these sizes mod plan.q; units is inf past _PACKED_BITS_LIMIT bits or without slot tables.
 
     slot_bytes, _slot_bytes on the sizes and the plan's laid columns, is
     the width that every caller hands on as _packed_counts' size: it is
@@ -274,9 +280,8 @@ def _packed_cost(mat: IntMatrix, p: int, sizes) -> tuple[float, int]:
     pass over its p cells and one slice per _slicing stride, and from the
     second such set on one product of two packed vectors.  Every other set
     costs one shift and add of the whole vector per member, a unit per
-    _BITS_PER_TEST bits.  Any modulus p >= 1 works, prime or not.
+    _BITS_PER_TEST bits.  Any modulus p >= 1 works, prime or not; plan is its _count_plan.
     """
-    plan = _count_plan(mat, p)
     size = _slot_bytes(sizes, plan.laid)
     bits = plan.slots * 8 * size
     if bits > _PACKED_BITS_LIMIT or plan.tables is None:
@@ -323,7 +328,7 @@ def _line_masks(mat: IntMatrix, p: int, members, targets, shifts=None):
         terms = [[a * s * y % p for y in ys] for a, ys in zip(row, outer_members)]
         offsets.append(map(sum, product(*terms)))
         mask = _bits(_layout(s, p, members[c]))
-        repeated = sum(mask << k * p for k in range(len(outer) + 2))  # a row reads 2p bits from below len(outer) p
+        repeated = sum(map(mask.__lshift__, range(0, (len(outer) + 2) * p, p)))  # a row reads 2p bits from below len(outer) p
         views.append([(repeated >> j).to_bytes((len(outer) + 2) * size, "little") for j in range(8)])
     last_row = _bits(members[last]).to_bytes(size, "little")
     low_bit = b"\x01".ljust(size, b"\x00")
@@ -427,7 +432,7 @@ def _layout(l: int, p: int, arr, size: int = 1) -> bytearray:
     return buf
 
 
-def _packed_counts(mat: IntMatrix, p: int, members, slots, size: int) -> list[int]:
+def _packed_counts(plan: _CountPlan, members, slots, size: int) -> list[int]:
     """The counts at slots (_CountPlan.slot) of the count vector c -> N(c), one product of polynomials.
 
     N is the product over i of sum_{x in A_i} z^(x L_i), in r variables
@@ -442,12 +447,11 @@ def _packed_counts(mat: IntMatrix, p: int, members, slots, size: int) -> list[in
     times faster at r >= 2 than a Karatsuba product; then the last digit
     folds back into [0, p) by a shift and every other one by a mask of its
     slots >= p.  The strides, the laid-out columns and the slot tables
-    (within their memory bound) come from the cached _count_plan; the
-    masks, as long as the vector, are built per call.  The finished vector
-    is read out as bytes once, so each count is a slice of its slot.
+    (within their memory bound) come from plan, the caller's _count_plan;
+    the masks, as long as the vector, are built per call.  The finished
+    vector is read out as bytes once, so each count is a slice of its slot.
     """
-    plan = _count_plan(mat, p)
-    w = 8 * size
+    p, w = plan.q, 8 * size
     bits = plan.slots * w
     low = (1 << bits) - 1
     folds = []
@@ -462,7 +466,7 @@ def _packed_counts(mat: IntMatrix, p: int, members, slots, size: int) -> list[in
         if l is not None:
             acc *= int.from_bytes(_layout(l, p, arr, size), "little")
         else:
-            acc = sum(acc << s * w for s in compress(cycle(table), arr))
+            acc = sum(map(acc.__lshift__, map(w.__mul__, compress(cycle(table), arr))))  # acc << s w per member slot s
         acc = (acc & low) + (acc >> bits)
         for mask, half in folds:
             hi = acc & mask

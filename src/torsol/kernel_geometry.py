@@ -48,7 +48,7 @@ from .discrete import kernel_element, parametrize_kernel
 from .intmat import IntMatrix, _det, _minor_dets, analyze_matrix, basis_minors
 from .rationals import is_integral, require_int
 from .records import Record
-from .torus_sets import _fill
+from .torus_sets import _GridBlocks
 
 __all__ = [
     "KernelComponent",
@@ -340,23 +340,6 @@ def _clip(verts, i: int, c: int, upper: bool, d: int):
                 cross.append(y)
             kept.append((tuple(cross), common | bit))
     return kept
-
-
-class _GridBlocks(list):
-    """Blocks with each endpoint v as the integer q * v, for q the common denominator of them all.
-
-    reach holds what _reachable found on these blocks, with the decomposition it was found for.
-    """
-
-    def __init__(self, blocks):
-        ratios = [[(a.as_integer_ratio(), b.as_integer_ratio()) for a, b in bl] for bl in blocks]
-        self.q = q = math.lcm(*{d for bl in ratios for pair in bl for _, d in pair})
-        super().__init__([[(n * (q // d), k * (q // e)) for (n, d), (k, e) in bl] for bl in ratios])
-        self.reach = None
-
-    def cells(self) -> list[bytearray]:
-        """The membership bytes of each coordinate's blocks over Z_q, as IntervalUnion.cells(q) gives them."""
-        return [_fill(bl, self.q) for bl in self]
 
 
 def slice_leaves(decomp: KernelDecomposition, comp: KernelComponent, blocks):

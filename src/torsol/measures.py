@@ -48,10 +48,9 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
-from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInputError
+from .errors import DegenerateColumnsError, InternalInvariantError, InvalidInputError, PreconditionError
 from .intmat import IntMatrix, _adjugate, _column_hnf, _minor_dets, analyze_matrix
 from .kernel_geometry import (
-    _GridBlocks,
     _reachable,
     _walk_cost,
     enumerate_components,
@@ -61,7 +60,7 @@ from .kernel_geometry import (
 )
 from .rationals import require_int
 from .records import Record
-from .torus_sets import MEMBERSHIP_LIMIT, IntervalUnion
+from .torus_sets import MEMBERSHIP_LIMIT, IntervalUnion, _cells, _GridBlocks
 from .discrete import _count_plan, _packed_cost, _packed_counts, residue_counts
 
 __all__ = [
@@ -76,6 +75,9 @@ __all__ = [
 # q^m up to which the geometric route checks its value against the count
 # identity at the sets' own grid q
 _BOX_CROSS_CHECK_LIMIT = 200
+
+# the most samples monte_carlo_estimate draws: about 30 s at a CLI run's ~3 us a sample
+_SAMPLE_LIMIT = 10**7
 
 # units of discrete._packed_cost that the count identity pays on any sets:
 # the membership bytes, the counter's set-up and the final Fraction
@@ -94,9 +96,9 @@ class MeasureReport(Record):
 
 
 def _check_sets(mat: IntMatrix, sets) -> list[IntervalUnion]:
-    sets = list(sets)
-    if len(sets) != mat.cols:
-        raise InvalidInputError(f"need {mat.cols} sets, got {len(sets)}")
+    sets, m = list(sets), len(mat.entries[0])
+    if len(sets) != m:
+        raise InvalidInputError(f"need {m} sets, got {len(sets)}")
     for s in sets:
         if not isinstance(s, IntervalUnion):
             raise InvalidInputError("sets must be IntervalUnion instances")
@@ -157,21 +159,21 @@ def solution_measure(mat: IntMatrix, sets) -> MeasureReport:
     sets = _check_sets(mat, sets)
     decomp = enumerate_components(mat)
     grid = _GridBlocks([s.intervals for s in sets])
-    q, sizes = grid.q, [sum(b - a for a, b in bl) for bl in grid]
+    q, sizes = grid.q, grid.sizes
 
     def identity(size) -> Fraction:
         plan = _identity_plan(mat, q)
-        return _count_identity(plan, _packed_counts(mat, q, grid.cells(), plan[1], size))
+        return _count_identity(plan, _packed_counts(_count_plan(mat, q), grid.cells(), plan[1], size))
 
     if q**mat.cols <= _BOX_CROSS_CHECK_LIMIT:
-        value, alt = product_measure(decomp, grid), identity(_packed_cost(mat, q, sizes)[1])
+        value, alt = product_measure(decomp, grid), identity(_packed_cost(_count_plan(mat, q), sizes)[1])
         if alt != value:
             raise InternalInvariantError(f"block summation {value} != count identity {alt} on the {q}-grid")
         return MeasureReport(value=value, route="geometric")
     if q <= MEMBERSHIP_LIMIT:
         walk, price = _walk_cost(decomp, grid), _IDENTITY_SETUP + len(decomp._by_level)
         if walk > price:  # else the identity cannot be cheaper, whatever its counts cost
-            cost, size = _packed_cost(mat, q, sizes)  # inf past the vector's limit
+            cost, size = _packed_cost(_count_plan(mat, q), sizes)  # inf past the vector's limit
             if walk > price + cost:
                 return MeasureReport(value=identity(size), route="geometric")
     return MeasureReport(value=product_measure(decomp, grid), route="geometric")
@@ -189,8 +191,10 @@ class PerShift(Sequence):
     __slots__ = ("cover", "packed", "width")
 
     def __init__(self, cover, counts):
-        self.cover, self.width = cover, max(counts, default=0).bit_length()
-        self.packed = sum(c << (i * self.width) for i, c in enumerate(counts))
+        packed, width = 0, max(counts, default=0).bit_length()
+        for c in reversed(counts):  # count i lands at bit i * width
+            packed = packed << width | c
+        self.cover, self.packed, self.width = cover, packed, width
 
     def __iter__(self):
         first, top = self.cover[0], (1 << self.width) - 1
@@ -228,7 +232,7 @@ def decompose(mat: IntMatrix, p: int, sets) -> MeasureReport:
     sets = _check_sets(mat, sets)
     cover = shift_cover(enumerate_components(mat), p)  # refuses a p that the cover does not accept
     targets, slots, _, _, shifts = plan = _identity_plan(mat, p)
-    counts = residue_counts(mat, p, [s.cells(p) for s in sets], targets, slots, shifts)
+    counts = residue_counts(mat, p, _cells(sets, p), targets, slots, shifts)
     return MeasureReport(value=_count_identity(plan, counts), route="decomposition", p_used=p,
                          per_shift=PerShift(cover, counts))
 
@@ -261,11 +265,14 @@ def monte_carlo_estimate(
     Deterministic for fixed (seed, n_samples, workers); each worker w uses
     the derived stream seed "seed:w".  Every worker but the last draws
     n_samples // workers samples, and the last the rest, so workers beyond
-    the sample count draw nothing and no stream is seeded for them.
+    the sample count draw nothing and no stream is seeded for them.  More
+    than _SAMPLE_LIMIT samples are refused before any is drawn.
     """
     sets = _check_sets(mat, sets)
     require_int("n_samples", n_samples, 1)
     require_int("workers", workers, 1)
+    if n_samples > _SAMPLE_LIMIT:
+        raise PreconditionError(f"n_samples {n_samples} exceeds the limit of {_SAMPLE_LIMIT} (about 3 us a sample)")
     r, rows = mat.rows, mat.entries
     piv, delta = _minor_dets(mat)[0]
     adj = _adjugate([[row[c] for c in piv] for row in rows])

@@ -37,7 +37,7 @@ from .kernel_geometry import enumerate_components, shift_cover
 from .measures import _check_sets, find_positive_witness, solution_measure
 from .rationals import parse_rational, require_int
 from .records import Record
-from .torus_sets import DiscreteSet, IntervalUnion
+from .torus_sets import DiscreteSet, IntervalUnion, _cells
 
 __all__ = [
     "RemovalOutcome",
@@ -62,7 +62,7 @@ class RemovalOutcome(Record):
 
 
 def _member_arrays(mat: IntMatrix, p: int, sets) -> list[bytearray]:
-    return [s.cells(p) for s in _check_sets(mat, sets)]
+    return _cells(_check_sets(mat, sets), p)
 
 
 def _violating(mat: IntMatrix, p: int, members, cover):

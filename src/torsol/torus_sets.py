@@ -56,20 +56,66 @@ def _merge(items) -> tuple[tuple[Fraction, Fraction], ...]:
     return tuple((a, b) for a, b in merged)
 
 
-def _cell(v: Fraction, p: int) -> int:
-    """The grid index v p of an endpoint v on the 1/p grid."""
-    k, rest = divmod(v.numerator * p, v.denominator)
-    if rest:
-        raise GridAlignmentError(f"endpoint {format_rational(v)} is not a multiple of 1/{p}", endpoint=v)
-    return k
+def _fill(coords, p: int) -> list[bytearray]:
+    """Membership bytes over Z_p of each coordinate's integer blocks: byte x is 1 when lo <= x < hi for a block (lo, hi)."""
+    out = []
+    for blocks in coords:
+        cells = bytearray(p)
+        for lo, hi in blocks:
+            cells[lo:hi] = b"\x01" * (hi - lo)
+        out.append(cells)
+    return out
 
 
-def _fill(blocks, p: int) -> bytearray:
-    """Membership bytes over Z_p of integer blocks: byte x is 1 when lo <= x < hi for a block (lo, hi)."""
-    cells = bytearray(p)
-    for lo, hi in blocks:
-        cells[lo:hi] = b"\x01" * (hi - lo)
-    return cells
+def _cells(sets, p: int) -> list[bytearray]:
+    """IntervalUnion.cells(p) of each set, p checked once; endpoint n/d (lowest terms) is cell n p / d if d divides p.
+
+    Else the first such endpoint, in block order and left end before right
+    end, raises GridAlignmentError with it as .endpoint.
+    """
+    p = require_grid(p)
+    coords = []
+    for s in sets:
+        blocks = []
+        for a, b in s.intervals:
+            (n, d), (k, e) = a.as_integer_ratio(), b.as_integer_ratio()
+            if p % d or p % e:
+                v = a if p % d else b
+                raise GridAlignmentError(f"endpoint {format_rational(v)} is not a multiple of 1/{p}", endpoint=v)
+            blocks.append((n * (p // d), k * (p // e)))
+        coords.append(blocks)
+    return _fill(coords, p)
+
+
+class _GridBlocks(list):
+    """Blocks with each endpoint v as the integer q * v, for q the common denominator of them all.
+
+    sizes holds each coordinate's cell count on the grid, and reach what kernel_geometry._reachable found on
+    these blocks, with the decomposition it was found for.  Plain loops, no comprehension.
+    """
+
+    def __init__(self, blocks):
+        ratios, q = [], 1
+        for bl in blocks:
+            pairs = []
+            for a, b in bl:
+                (n, d), (k, e) = a.as_integer_ratio(), b.as_integer_ratio()
+                q = math.lcm(q, d, e)
+                pairs.append((n, d, k, e))
+            ratios.append(pairs)
+        self.q, self.sizes, self.reach = q, [], None
+        for pairs in ratios:
+            bl, size = [], 0
+            for n, d, k, e in pairs:
+                a, b = n * (q // d), k * (q // e)
+                bl.append((a, b))
+                size += b - a
+            self.append(bl)
+            self.sizes.append(size)
+
+    def cells(self) -> list[bytearray]:
+        """The membership bytes of each coordinate's blocks over Z_q, as IntervalUnion.cells(q) gives them."""
+        return _fill(self, self.q)
 
 
 class IntervalUnion(Record):
@@ -168,12 +214,11 @@ class IntervalUnion(Record):
     def cells(self, p: int) -> bytearray:
         """Membership bytes of a p-grid-aligned set: byte x is 1 when [x/p, (x+1)/p) lies in it.
 
-        One slice assignment per block (_fill); an endpoint off the grid
-        raises GridAlignmentError.  The Z_p counter reads these bytes as
-        they are.
+        One slice assignment per block (_fill); the first endpoint off the
+        grid, left end before right end, raises GridAlignmentError (_cells).
+        The Z_p counter reads these bytes as they are.
         """
-        p = require_grid(p)
-        return _fill([(_cell(a, p), _cell(b, p)) for a, b in self.intervals], p)
+        return _cells((self,), p)[0]
 
     def to_discrete(self, p: int) -> "DiscreteSet":
         """Subset of Z_p matching a p-grid-aligned set cell by cell: its cells as bools."""

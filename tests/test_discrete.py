@@ -180,7 +180,7 @@ def test_residue_counts_match_naive_oracle():
         empty_first = [(False,) * p] + drawn[1:]
         full_last = drawn[:-1] + [(True,) * p]
         by_size = [[dset(p, rng.sample(range(p), k)).members for k in ks] for ks in sized.get((mat, p), ())]
-        assert [_packed_cost(mat, p, [arr.count(1) for arr in members])[1] for members in by_size] == [1, 2][: len(by_size)]
+        assert [_packed_cost(_count_plan(mat, p), [arr.count(1) for arr in members])[1] for members in by_size] == [1, 2][: len(by_size)]
         for members in (drawn, empty_first, full_last, *by_size):
             want = [naive_density(mat.entries, p, members, shift_of[c]) * p ** (m - r) for c in targets]
             assert packed_counts(mat, p, members, targets) == want
@@ -190,8 +190,9 @@ def test_residue_counts_match_naive_oracle():
 
 def packed_counts(mat, q, members, targets):
     """_packed_counts at the targets' slots, as wide as _packed_cost makes them for the sets' sizes."""
-    _, size = _packed_cost(mat, q, [arr.count(1) for arr in members])
-    return _packed_counts(mat, q, members, map(_count_plan(mat, q).slot, targets), size)
+    plan = _count_plan(mat, q)
+    _, size = _packed_cost(plan, [arr.count(1) for arr in members])
+    return _packed_counts(plan, members, map(plan.slot, targets), size)
 
 
 def test_packed_counts_exact_at_every_modulus():
@@ -247,13 +248,13 @@ def test_packed_counts_at_the_slot_width(name, mat, q, density):
         members = [tuple(rng.random() < density for _ in range(q)) for _ in range(mat.cols)]
     plan = _count_plan(mat, q)
     sizes = [arr.count(True) for arr in members]
-    _, size = _packed_cost(mat, q, sizes)
+    _, size = _packed_cost(plan, sizes)
     want = residue_histogram(mat.entries, q, members)
     assert max(want.values()) < 1 << 8 * size
     if mat.rows == 1 and density in ("full", "evens"):  # a count meets the bound, past one byte
         assert max(want.values()) == math.prod(sizes) // max(sizes[i] for i in plan.laid) > 255
     residues = list(product(range(q), repeat=mat.rows))
-    assert _packed_counts(mat, q, members, map(plan.slot, residues), size) == [want[c] for c in residues]
+    assert _packed_counts(plan, members, map(plan.slot, residues), size) == [want[c] for c in residues]
 
 
 def test_full_sets_count_on_the_packed_side_at_two_and_three_bytes(monkeypatch):
@@ -267,7 +268,7 @@ def test_full_sets_count_on_the_packed_side_at_two_and_three_bytes(monkeypatch):
 
     monkeypatch.setattr(discrete, "_free_tuple_counts", refuse)
     for p, size in ((251, 2), (257, 3)):
-        assert _packed_cost(SUM3, p, [p] * 3)[1] == size
+        assert _packed_cost(_count_plan(SUM3, p), [p] * 3)[1] == size
         assert decompose(SUM3, p, [full(p).to_interval_union()] * 3).value == 1
 
 
@@ -501,7 +502,7 @@ def test_slot_tables_at_one_equation_and_their_bound():
     assert plan.tables[1] is plan.tables[3] is None
     assert plan.tables[0] == (0, 2, 4, 6, 8, 10) and plan.tables[2] == (0,)
     q = 2 * _TABLE_LIMIT + 2  # column 0 repeats every q / 2 > _TABLE_LIMIT cells
-    assert _count_plan(mat, q).tables is None and _packed_cost(mat, q, [1] * 4) == (math.inf, 1)
+    assert _count_plan(mat, q).tables is None and _packed_cost(_count_plan(mat, q), [1] * 4) == (math.inf, 1)
     assert _count_plan(IntMatrix([[2, 5, 1]]), q - 2).tables[0] == tuple(range(0, q - 2, 2))  # at the bound
     assert _count_plan(AP4, 2**61 - 1).tables is None
     assert _count_plan(IntMatrix([[1, 1, -1, 0]]), 2 * _TABLE_LIMIT + 1).tables == (None, None, None, (0,))

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from fractions import Fraction as F
 
@@ -17,8 +18,15 @@ from torsol import (
 )
 from torsol import discrete, intmat, kernel_geometry, measures
 from torsol.discrete import _count_plan, _packed_cost, _packed_counts
-from torsol.errors import BadModulusError, DegenerateColumnsError, GridAlignmentError, InternalInvariantError, InvalidInputError
-from torsol.measures import _count_identity, _identity_plan
+from torsol.errors import (
+    BadModulusError,
+    DegenerateColumnsError,
+    GridAlignmentError,
+    InternalInvariantError,
+    InvalidInputError,
+    PreconditionError,
+)
+from torsol.measures import _SAMPLE_LIMIT, _count_identity, _identity_plan
 from torsol.kernel_geometry import enumerate_components
 from torsol.torus_sets import MEMBERSHIP_LIMIT
 
@@ -95,6 +103,19 @@ def test_decompose_requires_aligned_sets():
         decompose(SUM3, 5, [iv((0, F(1, 3)))] * 3)
 
 
+def test_decompose_names_the_first_endpoint_off_the_grid():
+    """Sets in order, blocks in order, left end before right end; a bad modulus is refused before any set is read."""
+    both = iv((F(1, 5), F(2, 5)), (F(1, 2), F(2, 3)))
+    right = iv((F(1, 5), F(1, 3)), (F(1, 2), F(3, 5)))
+    for sets, first in (([TWO_FIFTHS, both, right], F(1, 2)), ([TWO_FIFTHS, right, both], F(1, 3))):
+        with pytest.raises(GridAlignmentError, match=f"^endpoint {first} is not a multiple of 1/5$") as err:
+            decompose(SUM3, 5, sets)
+        assert err.value.endpoint == first
+        for p, reason in ((6, "not prime"), (3, "too small"), (5.0, "not prime")):
+            with pytest.raises(BadModulusError, match=reason):
+                decompose(SUM3, p, sets)
+
+
 def walk(mat, sets):
     """The walker alone: product_measure on the sets' blocks."""
     return kernel_geometry.product_measure(enumerate_components(mat), [s.intervals for s in sets])
@@ -154,7 +175,7 @@ def test_solution_measure_equals_the_walker_on_random_instances(monkeypatch):
     rng = random.Random(26)
     counted = []
     packed = measures._packed_counts
-    monkeypatch.setattr(measures, "_packed_counts", lambda *args: counted.append(args[1]) or packed(*args))
+    monkeypatch.setattr(measures, "_packed_counts", lambda *args: counted.append(args[0].q) or packed(*args))
     for n in range(320):
         r = rng.randint(1, 3)
         m = rng.randint(r + 1, 6)
@@ -272,7 +293,8 @@ def test_benchmark_side_and_route_choices(monkeypatch):
 
 def packed_counts(mat, q, members, slots):
     """_packed_counts at these slots, as wide as _packed_cost makes them for the sets' sizes."""
-    return _packed_counts(mat, q, members, slots, _packed_cost(mat, q, [arr.count(1) for arr in members])[1])
+    plan = _count_plan(mat, q)
+    return _packed_counts(plan, members, slots, _packed_cost(plan, [arr.count(1) for arr in members])[1])
 
 
 def count_identity(mat, q, sets):
@@ -303,11 +325,49 @@ def dense_sets(rng, q, m):
     return [DiscreteSet(q, [rng.random() < 0.5 for _ in range(q)]).to_interval_union() for _ in range(m)]
 
 
+def frames_entered(call, *args) -> int:
+    """The sys.setprofile "call" events of one call: each Python frame it enters, each generator resume included."""
+    entered, previous = [], sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: event == "call" and entered.append(frame.f_code.co_name))
+    try:
+        call(*args)
+    finally:
+        sys.setprofile(previous)
+    return len(entered)
+
+
+def test_one_warm_call_enters_few_python_frames():
+    """The Python frames that one warm call enters, on the benchmark's job shapes, within the counts of 3.10 and 3.11.
+
+    decompose on SUM3 at p = 211, AP4 at 101 and R4 at 37, and
+    solution_measure on SUM3 and AP4 with sets on the 13-grid.  On 3.10
+    and 3.11 every comprehension, generator expression, generator resume
+    and property enters a frame of its own, at about 0.2 us each; the code
+    of one call avoids them.  3.12 inlines comprehensions and enters fewer.
+    The per-matrix caches are emptied first, so that the warm call keys
+    them on this module's matrices: a lookup that finds an equal matrix
+    of another test enters IntMatrix.__eq__.
+    """
+    for cached in (enumerate_components, kernel_geometry._shift_cover, _identity_plan, _count_plan, discrete.parametrize_kernel):
+        cached.cache_clear()
+    rng = random.Random(35)
+    cases = [
+        (decompose, (SUM3, 211, random_run_sets(rng, 211, (1, 2, 3))), 36),
+        (decompose, (AP4, 101, random_run_sets(rng, 101, (2, 1, 3, 2))), 64),
+        (decompose, (R4, 37, random_run_sets(rng, 37, (1, 2, 1, 1))), 35),
+        (solution_measure, (SUM3, random_run_sets(rng, 13, (3, 1, 2))), 36),
+        (solution_measure, (AP4, random_run_sets(rng, 13, (2, 2, 1, 3))), 46),
+    ]
+    for call, args, budget in cases:
+        call(*args)  # fills every cache the call reads
+        assert frames_entered(call, *args) <= budget, (call.__name__, args[0].entries)
+
+
 def test_count_plans_are_built_once_per_matrix_and_modulus(monkeypatch):
     """A second decompose, and a second counted solution_measure, on new sets at the same (L, q) build no plan."""
     counted = []
     packed = measures._packed_counts
-    monkeypatch.setattr(measures, "_packed_counts", lambda *args: counted.append(args[1]) or packed(*args))
+    monkeypatch.setattr(measures, "_packed_counts", lambda *args: counted.append(args[0].q) or packed(*args))
     rng = random.Random(28)
     for call, mat, q in ((decompose, R4, 53), (decompose, AP4, 101), (solution_measure, R4, 17), (solution_measure, AP4, 16)):
         args = (mat, q) if call is decompose else (mat,)
@@ -564,6 +624,15 @@ def test_monte_carlo_workers_beyond_the_samples():
     assert (rep.n_samples, rep.workers) == (100, 10**12)
     for n, workers, seed, want in ((3, 5, 1, 0.0), (3, 5, 2, 1 / 3), (50, 51, 0, 0.14), (50, 51, 4, 0.16)):
         assert monte_carlo_estimate(SUM3, [HALF] * 3, n, seed, workers=workers).value == want
+
+
+def test_monte_carlo_refuses_samples_past_the_limit():
+    """More than _SAMPLE_LIMIT samples are refused at once, before any is drawn."""
+    for n in (10**12, _SAMPLE_LIMIT + 1):
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match=f"n_samples {n} exceeds the limit of {_SAMPLE_LIMIT}"):
+            monte_carlo_estimate(SUM3, [HALF] * 3, n, seed=1)
+        assert time.perf_counter() - start < 1
 
 
 def test_monte_carlo_shares_no_geometry(monkeypatch):

@@ -109,6 +109,24 @@ def test_cells_are_the_membership_bytes():
         iv((F(1, 5), F(2, 7))).cells(5)
 
 
+def test_the_first_endpoint_off_the_grid_is_named():
+    """cells and to_discrete name the first misaligned endpoint, in block order and left end before right end.
+
+    The message names it, and the error carries it as .endpoint.
+    """
+    cases = [
+        (iv((F(1, 5), F(2, 5)), (F(1, 2), F(2, 3))), F(1, 2)),  # both ends of the second block off
+        (iv((F(1, 5), F(1, 3)), (F(1, 2), F(3, 5))), F(1, 3)),  # a right end before a later left end
+        (iv((F(1, 7), F(1, 3))), F(1, 7)),
+        (iv((0, F(1, 5)), (F(2, 5), F(5, 7))), F(5, 7)),
+    ]
+    for s, first in cases:
+        for convert in (s.cells, s.to_discrete):
+            with pytest.raises(GridAlignmentError, match=f"^endpoint {first} is not a multiple of 1/5$") as err:
+                convert(5)
+            assert err.value.endpoint == first
+
+
 def test_membership_arrays_longer_than_the_limit_are_refused():
     # refused before the array is allocated
     for p in (MEMBERSHIP_LIMIT + 1, 2**61 - 1):
